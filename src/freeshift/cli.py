@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import warnings
+from decimal import Context, Decimal
 
 import numpy as np
 
@@ -77,11 +78,10 @@ def cmd_dimension(cfg, args):
             "ambient_warning": msgs[0] if msgs else None}, []
 
 
-def _spectrum_one(cfg, args, quotient, tag):
+def _spectrum_one(cfg, quotient, tag):
     curve = free_energy_curve(
         cfg.psi, cfg.zeta, betas=cfg.betas, quotient=quotient,
-        n_max=cfg.n_max, threads=args.threads, u_tol=cfg.tol_bisection,
-        tol=cfg.tol_eigen)
+        n_max=cfg.n_max, u_tol=cfg.tol_bisection, tol=cfg.tol_eigen)
     spec = legendre(curve, n_alphas=cfg.alpha_count)
     f1 = os.path.join(cfg.out_dir, f"free_energy_{tag}.csv")
     f2 = os.path.join(cfg.out_dir, f"spectrum_{tag}.csv")
@@ -101,11 +101,11 @@ def _spectrum_one(cfg, args, quotient, tag):
 def cmd_spectrum(cfg, args):
     os.makedirs(cfg.out_dir, exist_ok=True)
     res, files = {}, []
-    s, f = _spectrum_one(cfg, args, None, "full")
+    s, f = _spectrum_one(cfg, None, "full")
     res["full"] = s
     files += f
     if cfg.quotient is not None:
-        s, f = _spectrum_one(cfg, args, cfg.quotient, "quotient")
+        s, f = _spectrum_one(cfg, cfg.quotient, "quotient")
         res["restricted"] = s
         files += f
     return res, files
@@ -129,6 +129,18 @@ def cmd_induced_edges(cfg, args):
             "files": [os.path.basename(path)]}, [path]
 
 
+def _a_text(log_a):
+    """a_n from log a_n with 12 significant digits, like every CSV float;
+    beyond the float range (log a_n > ~709.78) by correctly rounded
+    decimal exponentiation."""
+    if not math.isfinite(log_a):
+        return "0"
+    try:
+        return f"{math.exp(log_a):.12g}"
+    except OverflowError:
+        return format(Decimal(log_a).exp(Context(prec=12)).normalize(), "g")
+
+
 def cmd_partition(cfg, args):
     _need_quotient(cfg, "partition")
     series = fiber_partition(cfg.psi, cfg.quotient, cfg.n_max,
@@ -143,12 +155,10 @@ def cmd_partition(cfg, args):
             on_lattice = n % p == 0
             if not on_lattice and not math.isfinite(lv):
                 continue        # empty fibers off the period lattice
-            a = math.exp(lv) if math.isfinite(lv) else 0.0
             log_txt = f"{lv:.12g}" if math.isfinite(lv) else "-inf"
-            fh.write(f"{n},{a:.12g},{log_txt}\n")
+            fh.write(f"{n},{_a_text(lv)},{log_txt}\n")
             rows += 1
     return {"period": p, "n_max": cfg.n_max, "rows": rows,
-            "log_mode": series.meta.get("log_mode", False),
             "files": [os.path.basename(path)]}, [path]
 
 
@@ -168,10 +178,10 @@ def cmd_diagnose(cfg, args):
     notes = []
     reports["amenability"] = amenability_report(
         q, cfg.psi, cfg.zeta, betas, n_max=cfg.n_max,
-        threads=args.threads).to_dict()
+        sigma_factor=cfg.sigma_factor).to_dict()
     reports["half_bound"] = half_bound_check(
         q, cfg.psi, cfg.zeta, betas=betas, n_max=cfg.n_max,
-        threads=args.threads).to_dict()
+        sigma_factor=cfg.sigma_factor).to_dict()
     if cfg.psi.is_inverse_symmetric(tol=0.0):
         f_sym = cfg.psi
     else:
@@ -180,7 +190,8 @@ def cmd_diagnose(cfg, args):
         notes.append("psi is not inverse-symmetric; the pressure "
                      "inequality was checked at f = 0 instead")
     reports["pressure_inequality"] = pressure_inequality_check(
-        q, f_sym, n_max=cfg.n_max).to_dict()
+        q, f_sym, n_max=cfg.n_max,
+        sigma_factor=cfg.sigma_factor).to_dict()
     reports["divergence"] = divergence_probe(
         q, cfg.psi, n_max=max(cfg.n_max, 36)).to_dict()
     reps = []
@@ -247,8 +258,9 @@ def build_parser():
     common.add_argument("--config", required=True,
                         help="path to the INI run configuration")
     common.add_argument("--out", help="output directory (overrides config)")
-    common.add_argument("--threads", type=int, default=os.cpu_count(),
-                        help="worker pool size (default: machine cores)")
+    common.add_argument("--threads", type=int,
+                        help="accepted for compatibility and ignored: "
+                             "evaluation is single-threaded")
     common.add_argument("--n-max", type=int, dest="n_max",
                         help="override [budgets] n_max")
     common.add_argument("--beta-range", dest="beta_range",

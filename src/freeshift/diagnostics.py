@@ -3,9 +3,10 @@
 Every report packages the quantities it computed (with provenance: exact
 eigenvalue or extrapolated, and sigma), the inequality slacks, and a
 classification derived from those slacks alone, so a report can re-derive
-its own verdict. Decision thresholds are 3 sigma plus an absolute margin
-for strict claims; extrapolation noise and genuine spectral gaps are far
-apart in the bundled examples, but the margins keep the two honest.
+its own verdict. Decision thresholds are sigma_factor sigma (default 3)
+plus an absolute margin for strict claims; extrapolation noise and genuine
+spectral gaps are far apart in the bundled examples, but the margins keep
+the two honest.
 
 The divergence probe and the symmetric-on-average statistic are finite-n
 surrogates for properties of infinite series; they are labeled as
@@ -24,6 +25,7 @@ from .pressure import (TransferMatrix, fiber_partition, fiber_partition_many,
 from .spectra import delta, free_energy_curve, legendre
 
 ABS_MARGIN = 1e-3
+SIGMA_FACTOR = 3.0
 # noise floor for sigma-based tolerances: exact-eigenvalue results carry
 # sigma 0 but still hold eigensolver (~1e-13) and bisection (~1e-10) noise
 NOISE_FLOOR = 1e-8
@@ -92,15 +94,16 @@ def _qty(name, value, sigma, method):
 
 # ---------------------------------------------------------------------------
 
-def amenability_report(quotient, psi, zeta, betas, n_max=40, threads=1):
+def amenability_report(quotient, psi, zeta, betas, n_max=40,
+                       sigma_factor=SIGMA_FACTOR):
     """t_N(beta) vs t(beta) per grid point.
 
     Amenable quotients force equality (gap 0); a gap beyond noise plus the
     absolute margin is a non-amenability certificate at the numeric level.
     """
-    full = free_energy_curve(psi, zeta, betas=betas, threads=threads)
+    full = free_energy_curve(psi, zeta, betas=betas)
     restricted = free_energy_curve(psi, zeta, betas=betas, quotient=quotient,
-                                   n_max=n_max, threads=threads)
+                                   n_max=n_max)
     quantities, slacks = [], []
     for pf, pn in zip(full.points, restricted.points):
         quantities.append(_qty(f"t(beta={pf.beta:g})", pf.t, pf.sigma,
@@ -109,7 +112,8 @@ def amenability_report(quotient, psi, zeta, betas, n_max=40, threads=1):
                                pn.method))
         slacks.append({"name": f"gap(beta={pf.beta:g})",
                        "slack": pf.t - pn.t,
-                       "tol": 3 * (pf.sigma + pn.sigma) + NOISE_FLOOR})
+                       "tol": sigma_factor * (pf.sigma + pn.sigma)
+                       + NOISE_FLOOR})
     notes = [f"quotient: {quotient.describe()}",
              "gap = t - t_N; amenable quotients force gap 0 "
              "(equality of full and restricted pressure)"]
@@ -117,7 +121,7 @@ def amenability_report(quotient, psi, zeta, betas, n_max=40, threads=1):
 
 
 def half_bound_check(quotient, psi, zeta, betas=None, alphas=None,
-                     n_max=40, threads=1):
+                     n_max=40, sigma_factor=SIGMA_FACTOR):
     """delta_N >= delta/2 and b_N(alpha) >= b(alpha)/2 on the common
     interior alpha range; reports every slack, classifies on the minimum."""
     d_full = delta(zeta)
@@ -128,14 +132,13 @@ def half_bound_check(quotient, psi, zeta, betas=None, alphas=None,
     ]
     slacks = [{"name": "delta_N - delta/2",
                "slack": d_n.t - d_full.t / 2,
-               "tol": 3 * (d_n.sigma + d_full.sigma / 2) + NOISE_FLOOR}]
+               "tol": sigma_factor * (d_n.sigma + d_full.sigma / 2)
+               + NOISE_FLOOR}]
     notes = [f"quotient: {quotient.describe()}"]
     if betas is not None:
-        full_curve = free_energy_curve(psi, zeta, betas=betas,
-                                       threads=threads)
+        full_curve = free_energy_curve(psi, zeta, betas=betas)
         n_curve = free_energy_curve(psi, zeta, betas=betas,
-                                    quotient=quotient, n_max=n_max,
-                                    threads=threads)
+                                    quotient=quotient, n_max=n_max)
         spec_full = legendre(full_curve, alphas)
         spec_n = legendre(n_curve, spec_full.alphas)
         sig_full = float(full_curve.sigmas.max())
@@ -149,13 +152,15 @@ def half_bound_check(quotient, psi, zeta, betas=None, alphas=None,
             used += 1
             slacks.append({"name": f"b_N - b/2 (alpha={a:.6g})",
                            "slack": float(bn - bf / 2),
-                           "tol": 3 * (sig_n + sig_full / 2) + NOISE_FLOOR})
+                           "tol": sigma_factor * (sig_n + sig_full / 2)
+                           + NOISE_FLOOR})
         notes.append(f"spectrum compared on {used} common interior "
                      f"alpha points")
     return _report("bound", quantities, slacks, notes)
 
 
-def pressure_inequality_check(quotient, pot, n_max=40):
+def pressure_inequality_check(quotient, pot, n_max=40,
+                              sigma_factor=SIGMA_FACTOR):
     """2 P(f, fiber) >= P(2f) for symmetric potentials.
 
     Precondition: the table is invariant under inversion symmetry (the
@@ -177,7 +182,8 @@ def pressure_inequality_check(quotient, pot, n_max=40):
              doubled.method),
     ]
     slacks = [{"name": "2 P_N(f) - P(2f)", "slack": slack,
-               "tol": 3 * (2 * res.sigma + doubled.sigma) + NOISE_FLOOR}]
+               "tol": sigma_factor * (2 * res.sigma + doubled.sigma)
+               + NOISE_FLOOR}]
     notes = [f"quotient: {quotient.describe()}",
              "symmetry check: table invariant under inversion "
              "(sufficient condition; the asymptotic-on-average property "

@@ -169,12 +169,6 @@ class GeometricPotential(Potential):
         """The s with all values <= log s < 0."""
         return math.exp(self.max)
 
-    def scaled_copy(self, c):
-        # scaling by a positive constant keeps negativity
-        if c <= 0:
-            raise ValidationError("scale must be positive")
-        return GeometricPotential(self.d, self.depth, self.values * c)
-
 
 def combine(*terms):
     """Linear combination sum(coef * pot) materialized at the largest depth.

@@ -16,7 +16,8 @@ programming and extrapolates the rate from the series:
   prefix cannot leave the radius-n ball, so indexing ball(n_max) is exact;
 * free images (killed generators): excursion renewal on the image tree;
   paths decompose uniquely at their last visits to each node of the geodesic
-  spine, giving first-passage matrix convolutions over window states.
+  spine, giving first-passage matrix convolutions over window states, run
+  in linear arithmetic on exponentially tilted series.
 
 Perron roots are computed by power iteration with Collatz-Wielandt ratio
 enclosures, so every exact eigenvalue carries a certified residual.
@@ -33,8 +34,14 @@ from .quotients import (FiniteQuotient, FreeAbelianQuotient,
                         FreeKillQuotient, Quotient)
 from .words import enumerate_words
 
-LOG_DOMAIN_THRESHOLD = 600.0
 NEG_INF = float("-inf")
+# the renewal keeps the peak of every tilted level inside TILT_RANGE, far
+# from both float limits, so products of two levels and a few steps stay
+# representable; a single step weight may not leave e^(+-MAX_LOG_STEP)
+TILT_RANGE = (1e-100, 1e100)
+MAX_LOG_STEP = 700.0
+# the ball DP refuses a target whose mass falls below this share of the peak
+MASS_FLOOR = 1e-200
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +80,6 @@ class TransferMatrix:
         for j in range(n):
             M[src[j], j] = w[j]
         self.matrix = M
-        # free-shift window graphs are strongly connected; cheap to certify
-        adj = M > 0
-        assert _reach(adj, 0).all() and _reach(adj.T, 0).all(), \
-            "window transition graph must be irreducible"
 
     def initial_vector(self):
         """Weights of the first window, so that
@@ -288,17 +291,14 @@ def fiber_partition_many(pot, quotient, n_max, targets,
         raise ValidationError(
             f"n_max={n_max} is below the fiber period {p}; no return "
             f"word fits")
-    log_mode = (pot.values.max() - pot.values.min()) * n_max \
-        > LOG_DOMAIN_THRESHOLD
     if isinstance(quotient, FreeKillQuotient):
-        logs = _fiber_renewal(pot, quotient, n_max, targets, log_mode)
+        logs = _fiber_renewal(pot, quotient, n_max, targets)
     elif isinstance(quotient, (FiniteQuotient, FreeAbelianQuotient)):
         logs = _fiber_ball_dp(pot, quotient, n_max, targets, max_states)
     else:
         raise ValidationError(
             f"unsupported quotient type {type(quotient).__name__}")
-    meta = {"quotient": quotient.describe(), "depth": pot.depth,
-            "log_mode": bool(log_mode)}
+    meta = {"quotient": quotient.describe(), "depth": pot.depth}
     return {t: FiberSeries(n_max, logs[i], t, p, dict(meta))
             for i, t in enumerate(targets)}
 
@@ -364,13 +364,19 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
         A[j, eindex[g]] += weights[j]
     logscale = 0.0
 
-    def readout(n):
+    def readout(n, peak):
         for i, gp in enumerate(tpos):
             s = float(A[:, gp] @ ebnd)
+            if 0 < s < MASS_FLOOR * peak:
+                # states feeding this target sink below the float range
+                # of the peak-normalised DP and are lost without a trace
+                raise NumericError(
+                    f"fiber DP lost precision: target {targets[i]!r} holds "
+                    f"{s / peak:.1e} of the peak mass at length {n}")
             if s > 0:
                 out[i, n - 1] = logscale + math.log(s)
 
-    readout(m)
+    readout(m, A.max())
     for n in range(m + 1, n_max + 1):
         gathered = A[src, :].sum(axis=1)          # (W, B): sum over sources
         A2 = np.zeros_like(A)
@@ -390,7 +396,7 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
             break        # no admissible continuations carry weight: done
         A /= peak
         logscale += math.log(peak)
-        readout(n)
+        readout(n, 1.0)
     return out
 
 
@@ -405,146 +411,125 @@ def _extended_states(d, cap):
     return states, {s: i for i, s in enumerate(states)}
 
 
-def _step_matrices(pot, log_mode):
-    """Per-letter transition matrices over extended window states. Entry
-    [s, s'] is exp(f(completed window)) when appending the letter to
-    context s is admissible and completes a window, 1.0 before the first
-    window completes, 0 otherwise (log domain when log_mode)."""
+def _step_matrices(pot, c):
+    """Per-letter transition matrices over extended window states, tilted
+    by e^(-c). Entry [s, s'] is exp(f(completed window) - c) when appending
+    the letter to context s is admissible and completes a window,
+    exp(-c) before the first window completes, 0 otherwise."""
     d, k = pot.d, pot.depth
     cap = max(k - 1, 1)
     states, sindex = _extended_states(d, cap)
     S = len(states)
-    zero = NEG_INF if log_mode else 0.0
     mats = []
     for a in range(2 * d):
-        M = np.full((S, S), zero)
+        M = np.zeros((S, S))
         for i, s in enumerate(states):
             if s and a == (s[-1] ^ 1):
                 continue
             grown = s + (a,)
             s2 = grown if len(grown) <= cap else grown[-cap:]
-            if len(grown) >= k:
-                val = pot.value(grown[-k:])
-            else:
-                val = 0.0
-            M[i, sindex[s2]] = val if log_mode else math.exp(val)
+            val = pot.value(grown[-k:]) if len(grown) >= k else 0.0
+            if abs(val - c) > MAX_LOG_STEP:
+                raise NumericError(
+                    f"potential range too wide for the tilted renewal: "
+                    f"step weight e^{val - c:g} leaves the float range")
+            M[i, sindex[s2]] = math.exp(val - c)
         mats.append(M)
     return states, sindex, mats
 
 
-def _mat_mul(A, B, log_mode):
-    if not log_mode:
-        return A @ B
-    # log-domain matrix product: logsumexp over the inner axis
-    return _log_matmul(A, B)
-
-
-def _log_matmul(A, B):
-    # (i,k)+(k,j) -> max + log sum exp, guarding empty supports
-    T = A[:, :, None] + B[None, :, :]
-    m = T.max(axis=1)
-    with np.errstate(invalid="ignore"):
-        out = m + np.log(np.exp(T - m[:, None, :]).sum(axis=1))
-    out[~np.isfinite(m)] = NEG_INF
-    return out
-
-
-def _fiber_renewal(pot, quotient, n_max, targets, log_mode):
+def _fiber_renewal(pot, quotient, n_max, targets):
+    """Excursion renewal in linear arithmetic on tilted series: every
+    stored length-n term is the true one times e^(-c n). A tilt is
+    multiplicative in length, so the convolutions stay exact. When the
+    peak of a new level n leaves TILT_RANGE, c moves by log(peak)/n, level
+    k is rescaled by e^(-k log(peak)/n) and the steps are rebuilt; c n is
+    added back at readout."""
     from .words import is_reduced
-    d = pot.d
     survivor_set = set(quotient.survivor_letters)
     for t in targets:
         w = tuple(t)
         if not (is_reduced(w) and set(w) <= survivor_set):
             raise ValidationError(
                 f"target {t!r} is not a reduced survivor word")
-    states, sindex, steps = _step_matrices(pot, log_mode)
+    # c starts at 0 when the untilted sums fit, so such runs are exactly
+    # the plain recurrences; otherwise at max f + log(2d-1) >= P(f), where
+    # every tilted row sum is at most 1
+    c = float(pot.values.max()) + math.log(2 * pot.d - 1)
+    if abs(c) < math.log(TILT_RANGE[1]) / 2:
+        c = 0.0
+    states, sindex, steps = _step_matrices(pot, c)
     S = len(states)
     survivors = quotient.survivor_letters
     killed = quotient.killed_letters
-    zero = NEG_INF if log_mode else 0.0
-    one_mat = np.full((S, S), zero)
-    idx = np.arange(S)
-    if log_mode:
-        one_mat[idx, idx] = 0.0
-    else:
-        one_mat[idx, idx] = 1.0
-
-    def zeros():
-        return np.full((S, S), zero)
-
-    def acc(dst, term):
-        if log_mode:
-            np.logaddexp(dst, term, out=dst)
-        else:
-            dst += term
+    zeros = np.zeros((S, S))
+    one_mat = np.eye(S)
 
     # series arrays indexed by length
-    A = [one_mat.copy()] + [None] * n_max
-    D = {x: [None, None] + [None] * (n_max - 1) for x in survivors}
-    Bx = {x: [one_mat.copy()] + [None] * n_max for x in survivors}
+    A = [one_mat] + [None] * n_max
+    D = {x: [None] * (n_max + 1) for x in survivors}
+    Bx = {x: [one_mat] + [None] * n_max for x in survivors}
 
     for n in range(1, n_max + 1):
         # excursions of length n: descend via x, stay n-2, ascend
-        for x in survivors:
-            if n >= 2:
-                mid = Bx[x][n - 2]
-                D[x][n] = _mat_mul(_mat_mul(steps[x], mid, log_mode),
-                                   steps[x ^ 1], log_mode)
-            else:
-                D[x][n] = zeros()
+        if n >= 2:
+            for x in survivors:
+                D[x][n] = steps[x] @ Bx[x][n - 2] @ steps[x ^ 1]
         # stay blocks below an x-edge: first move is a killed letter or a
         # deeper excursion via y != x^{-1}
         for x in survivors:
-            M = zeros()
+            M = zeros.copy()
             for a in killed:
-                acc(M, _mat_mul(steps[a], Bx[x][n - 1], log_mode))
+                M += steps[a] @ Bx[x][n - 1]
             for y in survivors:
                 if y == (x ^ 1):
                     continue
                 for i in range(2, n + 1):
-                    acc(M, _mat_mul(D[y][i], Bx[x][n - i], log_mode))
+                    M += D[y][i] @ Bx[x][n - i]
             Bx[x][n] = M
         # origin blocks: same with every survivor direction allowed
-        M = zeros()
+        M = zeros.copy()
         for a in killed:
-            acc(M, _mat_mul(steps[a], A[n - 1], log_mode))
+            M += steps[a] @ A[n - 1]
         for y in survivors:
             for i in range(2, n + 1):
-                acc(M, _mat_mul(D[y][i], A[n - i], log_mode))
+                M += D[y][i] @ A[n - i]
         A[n] = M
 
-    bnd = np.array([boundary_completion(pot, s) for s in states])
+        peak = max([A[n].max()] + [Bx[x][n].max() for x in survivors])
+        if peak > 0 and not TILT_RANGE[0] <= peak <= TILT_RANGE[1]:
+            rate = math.log(peak) / n
+            c += rate
+            for k in range(1, n + 1):
+                scale = math.exp(-rate * k)
+                A[k] *= scale
+                for x in survivors:
+                    Bx[x][k] *= scale
+                    if D[x][k] is not None:
+                        D[x][k] *= scale
+            steps = _step_matrices(pot, c)[2]
+
+    bnd = np.exp([boundary_completion(pot, s) for s in states])
     start = sindex[()]
 
     out = np.full((len(targets), n_max), NEG_INF)
     for ti, t in enumerate(targets):
-        spine = tuple(t)
         # convolve A with one (step + stay) block per spine letter
         chain = A
-        for x in spine:
-            step_stay = [zeros()] * (n_max + 1)
-            for n in range(1, n_max + 1):
-                step_stay[n] = _mat_mul(steps[x], Bx[x][n - 1], log_mode)
-            nxt = [zeros() for _ in range(n_max + 1)]
-            for n in range(0, n_max + 1):
-                M = zeros()
+        for x in tuple(t):
+            step_stay = [None] + [steps[x] @ Bx[x][n - 1]
+                                  for n in range(1, n_max + 1)]
+            nxt = []
+            for n in range(n_max + 1):
+                M = zeros.copy()
                 for i in range(1, n + 1):
-                    acc(M, _mat_mul(chain[n - i], step_stay[i], log_mode))
-                nxt[n] = M
+                    M += chain[n - i] @ step_stay[i]
+                nxt.append(M)
             chain = nxt
         for n in range(1, n_max + 1):
-            row = chain[n][start]
-            if log_mode:
-                vals = row + bnd
-                m = vals.max()
-                if np.isfinite(m):
-                    out[ti, n - 1] = m + math.log(
-                        np.exp(vals - m).sum())
-            else:
-                s = float(row @ np.exp(bnd))
-                if s > 0:
-                    out[ti, n - 1] = math.log(s)
+            s = float(chain[n][start] @ bnd)
+            if s > 0:
+                out[ti, n - 1] = math.log(s) + c * n
     return out
 
 

@@ -15,7 +15,6 @@ makes the cogrowth ratio cheap: eta = lambda_N / log(2d - 1).
 import csv
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,21 +253,15 @@ class FreeEnergyCurve:
 
 
 def free_energy_curve(psi, zeta, betas=None, quotient=None, n_max=40,
-                      threads=1, **kw):
-    """t(beta) over a grid; grid points are independent and may be
-    evaluated in parallel, output order is by index regardless."""
+                      **kw):
+    """t(beta) over a grid, one independent root per grid point, in grid
+    order."""
     if betas is None:
         betas = default_beta_grid()
     betas = np.asarray(betas, dtype=float)
     tag = "full" if quotient is None else quotient.describe()
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(
-                lambda b: free_energy(psi, zeta, b, quotient=quotient,
-                                      n_max=n_max, **kw), betas))
-    else:
-        points = [free_energy(psi, zeta, b, quotient=quotient,
-                              n_max=n_max, **kw) for b in betas]
+    points = [free_energy(psi, zeta, b, quotient=quotient, n_max=n_max, **kw)
+              for b in betas]
     return FreeEnergyCurve(betas, points, tag)
 
 

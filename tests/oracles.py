@@ -12,6 +12,7 @@ inverse, so the involution is xor with 1. A word is a tuple of letters with
 no adjacent inverse pairs.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -216,16 +217,11 @@ def brute_sup_sum(d, depth, table, word):
     return best
 
 
-def full_series_exponent(d, n_max, psi_letter, zeta_letter, beta,
-                         u_lo=-8.0, u_hi=8.0, tol=1e-6):
-    """Critical exponent oracle for the full shift with depth-1 psi/zeta:
-    the u where the tail growth rate of Z_n(u) = sum_w exp(beta S psi + u
-    S zeta) crosses zero. Uses exact per-word sums (depth 1: no boundary
-    terms), slope over the last half of 1..n_max.
-
-    psi_letter/zeta_letter: sequences of per-letter values, length 2d.
-    """
-    # per-length aggregation: collect (S psi, S zeta) pairs with counts
+@functools.cache
+def _sum_histograms(d, n_max, psi_letter, zeta_letter):
+    """Per length n = 1..n_max, the sorted (S psi, S zeta) pairs of all
+    reduced words with their counts. Independent of beta, so one
+    enumeration serves every beta asked of the same potentials."""
     per_n = []
     for n in range(1, n_max + 1):
         acc = {}
@@ -235,6 +231,19 @@ def full_series_exponent(d, n_max, psi_letter, zeta_letter, beta,
             key = (round(sp, 12), round(sz, 12))
             acc[key] = acc.get(key, 0) + 1
         per_n.append(sorted(acc.items()))
+    return per_n
+
+
+def full_series_exponent(d, n_max, psi_letter, zeta_letter, beta,
+                         u_lo=-8.0, u_hi=8.0, tol=1e-6):
+    """Critical exponent oracle for the full shift with depth-1 psi/zeta:
+    the u where the tail growth rate of Z_n(u) = sum_w exp(beta S psi + u
+    S zeta) crosses zero. Uses exact per-word sums (depth 1: no boundary
+    terms), slope over the last half of 1..n_max.
+
+    psi_letter/zeta_letter: sequences of per-letter values, length 2d.
+    """
+    per_n = _sum_histograms(d, n_max, tuple(psi_letter), tuple(zeta_letter))
 
     def tail_slope(u):
         logs = []

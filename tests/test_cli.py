@@ -115,6 +115,22 @@ class TestSubcommands:
         assert rows[2].split(",")[:2] == ["4", "8"]
         assert payload["period"] == 2
 
+    def test_partition_beyond_float_range(self, capsys, tmp_path):
+        # FK3 with psi letters (10, -10, 0): log a_80 exceeds the largest
+        # float's log, so a_n is printed by exact decimal exponentiation
+        ini = tmp_path / "wide.ini"
+        ini.write_text("[model]\nd = 3\n\n[quotient]\ntype = freekill\n"
+                       "killed = 3\n\n[zeta]\nratios = 0.5\n\n"
+                       "[psi]\nletters = 10, -10, 0\n")
+        out = tmp_path / "artifacts"
+        code, payload, _ = run_cli(
+            capsys, ["partition", "--config", str(ini), "--n-max", "80",
+                     "--out", str(out)])
+        assert code == 0
+        assert "log_mode" not in payload
+        rows = (out / "partition.csv").read_text().splitlines()
+        assert rows[-1] == "80,5.23746711575e+341,786.837354718"
+
     def test_spectrum(self, capsys, tmp_path):
         ini = tmp_path / "s.ini"
         ini.write_text(SPECTRUM)
@@ -176,6 +192,36 @@ class TestSubcommands:
         assert reports["gibbs"]["verdict"] == "verified"
         assert reports["symmetric_on_average"]["value"] == pytest.approx(
             1.0, abs=0.1)
+
+    def test_sigma_factor_scales_tolerances(self, capsys, tmp_path):
+        grid = ("[grid]\nbeta_min = 0\nbeta_max = 0.5\nbeta_step = 0.5\n\n"
+                "[budgets]\nn_max = 20\nhorizon = 10\ngibbs_len = 4\n")
+        zbase = Z2.replace("[budgets]\nn_max = 40\n", "")
+        tols = []
+        for factor in (3.0, 6.0):
+            ini = tmp_path / f"k{factor:g}.ini"
+            ini.write_text(zbase + grid + f"\n[tolerances]\n"
+                                          f"sigma_factor = {factor}\n")
+            code, payload, _ = run_cli(capsys, ["diagnose", "--config",
+                                                str(ini)])
+            assert code == 0
+            tols.append({(name, s["name"]): s["tol"]
+                         for name, rep in payload["reports"].items()
+                         for s in rep.get("slacks", [])})
+        k3, k6 = tols
+        assert k3.keys() == k6.keys()
+        scaled = {key for key in k3
+                  if key[0] in ("amenability", "half_bound",
+                                "pressure_inequality")}
+        assert len(scaled) >= 3
+        floor = 1e-8
+        for key in k3:
+            if key in scaled:
+                assert k3[key] > floor
+                assert k6[key] - floor == pytest.approx(
+                    2 * (k3[key] - floor), rel=1e-9), key
+            else:
+                assert k6[key] == k3[key], key
 
 
 class TestOverridesAndErrors:

@@ -106,6 +106,27 @@ class TestPerron:
             perron_eigen(M, tol=0.0, max_iter=200)
 
 
+class TestWindowGraph:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_strongly_connected(self, d, m):
+        # the transfer matrices rely on this; it holds by construction and
+        # is proved here once instead of on every evaluation
+        windows, _, src, _ = pressure_mod._window_graph(d, m)
+        succ = {j: set() for j in range(len(windows))}
+        for j, preds in enumerate(src):
+            for i in preds:
+                succ[int(i)].add(j)
+        pred = {j: {int(i) for i in src[j]} for j in range(len(windows))}
+        for edges in (succ, pred):
+            seen, frontier = {0}, [0]
+            while frontier:
+                frontier = [k for j in frontier for k in edges[j]
+                            if k not in seen]
+                seen.update(frontier)
+            assert len(seen) == len(windows)
+
+
 class TestFiberPartition:
     def test_counts_match_brute_for_all_bundled(self, bundle):
         for name, (d, q, (ident, img, mul)) in bundle.items():
@@ -142,26 +163,52 @@ class TestFiberPartition:
         # same kernel, but run through the renewal and lattice DP engines
         fk = FreeKillQuotient(2, {1})
         z1 = FreeAbelianQuotient(2, 1, [[1], [0]])
-        pot = _random_pot(2, 1, seed=13)
-        a = fiber_partition(pot, fk, 25)
-        b = fiber_partition(pot, z1, 25)
-        assert np.allclose(a.log_values, b.log_values, atol=1e-9,
-                           equal_nan=True)
-        # matched non-identity targets: g1^2 <-> lattice point (2,)
-        a2 = fiber_partition(pot, fk, 25, target=(0, 0))
-        b2 = fiber_partition(pot, z1, 25, target=(2,))
-        assert np.allclose(a2.log_values, b2.log_values, atol=1e-9,
-                           equal_nan=True)
+        wide = Potential.from_letter_values(2, [10, -10, 0.3, -0.7])
+        for pot, n_max in ((_random_pot(2, 1, seed=13), 25), (wide, 40)):
+            a = fiber_partition(pot, fk, n_max)
+            b = fiber_partition(pot, z1, n_max)
+            assert np.allclose(a.log_values, b.log_values, atol=1e-9,
+                               equal_nan=True)
+            # matched non-identity targets: g1^2 <-> lattice point (2,)
+            a2 = fiber_partition(pot, fk, n_max, target=(0, 0))
+            b2 = fiber_partition(pot, z1, n_max, target=(2,))
+            assert np.allclose(a2.log_values, b2.log_values, atol=1e-9,
+                               equal_nan=True)
 
-    def test_log_domain_renewal_matches_linear(self, monkeypatch, fk3):
-        pot = _random_pot(3, 1, seed=17)
-        base = fiber_partition(pot, fk3, 18)
-        assert base.meta["log_mode"] is False
-        monkeypatch.setattr(pressure_mod, "LOG_DOMAIN_THRESHOLD", -1.0)
-        forced = fiber_partition(pot, fk3, 18)
-        assert forced.meta["log_mode"] is True
-        assert np.allclose(base.log_values, forced.log_values, atol=1e-12,
-                           equal_nan=True)
+    @pytest.mark.parametrize("letters, n_max, want", [
+        ((10, -10, 0, 0, 0, 0), 120, 168.804344958672),
+        ((10, 10, -10, -10, 0, 0), 80, 786.837354717583),
+    ])
+    def test_tilted_renewal_matches_wide_range_references(
+            self, fk3, letters, n_max, want):
+        # references from a log-domain evaluation of the same renewal; a
+        # single fixed tilt underflows the first case (log a_120 would sit
+        # near -1224) and the second overflows untilted floats
+        pot = Potential.from_letter_values(3, list(letters))
+        logs = fiber_partition(pot, fk3, n_max).log_values
+        assert np.isfinite(logs).all()
+        assert logs[-1] == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("shift", [-200.0, -10.0, 10.0, 200.0])
+    def test_retilt_is_exact_under_constant_shifts(self, fk3, shift):
+        # a constant potential c scales a_n by e^(c n) exactly; the shifts
+        # drive the tilt down and up, from 0 and from max f + log(2d-1)
+        base = fiber_partition(Potential.constant(3, 0.0), fk3, 60)
+        moved = fiber_partition(Potential.constant(3, shift), fk3, 60)
+        assert np.allclose(moved.log_values - shift * moved.lengths,
+                           base.log_values, rtol=0, atol=1e-9)
+
+    def test_renewal_refuses_potential_range_beyond_floats(self, fk3):
+        pot = Potential.from_letter_values(3, [800, 800, -800, -800, 0, 0])
+        with pytest.raises(NumericError, match="too wide"):
+            fiber_partition(pot, fk3, 10)
+
+    def test_ball_dp_refuses_sunken_target_mass(self, z1):
+        # the identity fiber of a drifting potential falls far below the
+        # peak of the normalised DP; past the float range it would vanish
+        pot = Potential.from_letter_values(2, [10, -10, 0.3, -0.7])
+        with pytest.raises(NumericError, match="lost precision"):
+            fiber_partition(pot, z1, 120)
 
     def test_period_lattice_structure(self, bundle):
         for name, (d, q, _) in bundle.items():

@@ -144,15 +144,6 @@ class TestCurvesAndSpectra:
                                       two_ratio_zeta, curve=curve)
         assert math.isnan(outside)
 
-    def test_threads_do_not_change_values(self, two_ratio_zeta,
-                                          psi_minus_one):
-        betas = default_beta_grid(-1.0, 1.0, 0.25)
-        c1 = free_energy_curve(psi_minus_one, two_ratio_zeta, betas=betas,
-                               threads=1)
-        c4 = free_energy_curve(psi_minus_one, two_ratio_zeta, betas=betas,
-                               threads=4)
-        assert np.array_equal(c1.t_values, c4.t_values)
-
     def test_domination_by_full_curve(self, z2):
         zeta = GeometricPotential.constant(2, math.log(0.25))
         psi = Potential.from_letter_values(2, [-0.4, -0.4, -0.6, -0.6])
