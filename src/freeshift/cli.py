@@ -266,7 +266,7 @@ def build_parser():
     common.add_argument("--beta-range", dest="beta_range",
                         help="override the beta grid as lo:hi:step")
     common.add_argument("--tolerance", type=float,
-                        help="override the bisection tolerance")
+                        help="override the root tolerance in u")
     parser = argparse.ArgumentParser(
         prog="freeshift",
         description="thermodynamic formalism on free-group subshifts: "

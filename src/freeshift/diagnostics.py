@@ -27,7 +27,8 @@ from .spectra import delta, free_energy_curve, legendre
 ABS_MARGIN = 1e-3
 SIGMA_FACTOR = 3.0
 # noise floor for sigma-based tolerances: exact-eigenvalue results carry
-# sigma 0 but still hold eigensolver (~1e-13) and bisection (~1e-10) noise
+# sigma 0 but still hold eigensolver (~1e-13) and root-finder noise (t within
+# u_tol ~1e-10 of the root)
 NOISE_FLOOR = 1e-8
 
 

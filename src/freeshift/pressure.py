@@ -181,6 +181,8 @@ def perron_eigen(M, period=1, tol=1e-13, max_iter=100_000, want_left=False):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("perron_eigen needs a square matrix")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     Mp = np.linalg.matrix_power(M, period) if period > 1 else M
     v = np.ones(Mp.shape[0])
     rho_p = None
@@ -266,7 +268,17 @@ class FiberSeries:
 
     @property
     def values(self):
-        return np.exp(self.log_values)
+        """a_n as floats; raises NumericError when one exceeds the float
+        range (log_values still holds it)."""
+        with np.errstate(over="ignore"):
+            vals = np.exp(self.log_values)
+        over = np.flatnonzero(np.isposinf(vals))
+        if len(over):
+            i = int(over[0])
+            raise NumericError(
+                f"a_{i + 1} = exp({self.log_values[i]:.6f}) exceeds the "
+                f"float range; read log_values instead")
+        return vals
 
 
 def fiber_partition(pot, quotient, n_max, target=None,

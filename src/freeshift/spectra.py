@@ -2,7 +2,9 @@
 
 The free energy t(beta) is the unique u solving P(beta psi + u zeta) = 0,
 where zeta is a geometric potential (strictly negative), so the pressure is
-strictly decreasing in u and bisection is unconditionally safe. Restricting
+strictly decreasing in u and the root is unique. It is found by Brent's
+method, whose every step keeps a bracket on which the pressure changes sign,
+so it converges on every scope, exact or extrapolated. Restricting
 the pressure to a quotient fiber gives t_N(beta); its value at beta = 0 is
 the critical exponent delta_N, which by Bowen's formula is the Hausdorff
 dimension of the radial limit set cut out by the quotient.
@@ -45,7 +47,7 @@ class FreeEnergyPoint:
     t: float
     sigma: float
     method: str
-    residual: float      # |pressure at the root|, re-evaluated
+    residual: float      # |pressure at t|, from the solver's evaluation there
     evaluations: int
 
 
@@ -78,6 +80,51 @@ def _scope_pressure(psi, zeta, quotient, n_max, tol):
     return ev, "extrapolated"
 
 
+def _brent_root(f, a, fa, b, fb, u_tol):
+    """Root of f in the sign-changing bracket [a, b] (fa = f(a) and
+    fb = f(b) already known) by Brent's method (Algorithms for Minimization
+    without Derivatives, 1973, ch. 4): inverse quadratic interpolation or a
+    secant step when it stays well inside the bracket, bisection otherwise.
+    Every iterate keeps a sign change between b and c, and the search stops
+    once that bracket's half-width is at most 4 eps |b| + u_tol / 2. The
+    returned b is always a point where f was evaluated."""
+    eps = np.finfo(float).eps
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0) == (fc > 0) and fb != 0:
+            # the sign change moved to [a, b]; restart the bracket there
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 4 * eps * abs(b) + 0.5 * u_tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1 or fb == 0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:      # secant
+                p, q = 2 * m * s, 1 - s
+            else:           # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2 * p < min(3 * m * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = f(b)
+
+
 def free_energy(psi, zeta, beta, quotient=None, n_max=40,
                 u_tol=DEFAULT_U_TOL, u_max=1e6, tol=1e-13):
     """Solve P(beta psi + u zeta, scope) = 0 for u.
@@ -106,15 +153,13 @@ def free_energy(psi, zeta, beta, quotient=None, n_max=40,
                                residual, 1)
 
     ev, _ = _scope_pressure(psi, zeta, quotient, n_max, tol)
-    evals = 0
+    results = {}    # u -> PressureResult; the certificate reuses the root's
 
     def P(u):
-        nonlocal evals, last
-        last = ev(beta, u)
-        evals += 1
-        return last.value
+        if u not in results:
+            results[u] = ev(beta, u)
+        return results[u].value
 
-    last = None
     p0 = P(0.0)
     if p0 == 0.0:
         lo = hi = 0.0
@@ -145,15 +190,8 @@ def free_energy(psi, zeta, beta, quotient=None, n_max=40,
         raise NumericError(
             "pressure failed to decrease across the bracket "
             f"[{lo:g}, {hi:g}]: {plo:g} -> {phi:g}")
-    while hi - lo > u_tol:
-        mid = 0.5 * (lo + hi)
-        if P(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    final = ev(beta, t)
-    evals += 1
+    t = _brent_root(P, lo, plo, hi, phi, u_tol)
+    final = results[t]
     residual = abs(final.value)
     sigma = final.sigma / abs(zbar) if final.method == "extrapolated" \
         else final.sigma
@@ -164,7 +202,7 @@ def free_energy(psi, zeta, beta, quotient=None, n_max=40,
             f"free-energy root certificate failed: |P| = {residual:g} "
             f"exceeds {bound:g}")
     return FreeEnergyPoint(float(beta), t, sigma, final.method,
-                           residual, evals)
+                           residual, len(results))
 
 
 def delta(zeta, quotient=None, n_max=40, **kw):

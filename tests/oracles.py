@@ -273,6 +273,21 @@ def full_series_exponent(d, n_max, psi_letter, zeta_letter, beta,
     return 0.5 * (lo + hi)
 
 
+def bisect_root(pressure, lo, hi, u_tol=1e-13):
+    """Root of a decreasing function u -> pressure(u) on [lo, hi] by plain
+    bisection to width u_tol: the slow reference for the library's root
+    finder. pressure(lo) must be positive and pressure(hi) negative."""
+    if not pressure(lo) > 0 > pressure(hi):
+        raise ValueError("oracle bracket failure on [%g, %g]" % (lo, hi))
+    while hi - lo > u_tol:
+        mid = 0.5 * (lo + hi)
+        if pressure(mid) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def exact_rational_count_check(d, n):
     """|Sigma^n| as an exact integer via Fraction arithmetic (overkill on
     purpose: independent of brute_count's formula)."""

@@ -105,6 +105,11 @@ class TestPerron:
         with pytest.raises(NumericError):
             perron_eigen(M, tol=0.0, max_iter=200)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_nonpositive_max_iter(self, max_iter):
+        with pytest.raises(ValidationError, match="max_iter"):
+            perron_eigen(np.ones((2, 2)), max_iter=max_iter)
+
 
 class TestWindowGraph:
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -197,6 +202,21 @@ class TestFiberPartition:
         moved = fiber_partition(Potential.constant(3, shift), fk3, 60)
         assert np.allclose(moved.log_values - shift * moved.lengths,
                            base.log_values, rtol=0, atol=1e-9)
+
+    def test_values_refuse_float_overflow(self, fk3):
+        # log a_80 = 786.84 (the reference above) is beyond the float range;
+        # the first length past log(float max) = 709.78 is named
+        pot = Potential.from_letter_values(3, [10, 10, -10, -10, 0, 0])
+        series = fiber_partition(pot, fk3, 80)
+        log_max = np.log(np.finfo(float).max)
+        first = int(np.argmax(series.log_values > log_max)) + 1
+        assert 1 < first < 80
+        with pytest.raises(NumericError, match=rf"a_{first} = exp"):
+            series.values
+
+    def test_values_that_fit_are_exponentials(self, fk3):
+        series = fiber_partition(Potential.constant(3, 0.0), fk3, 40)
+        assert np.array_equal(series.values, np.exp(series.log_values))
 
     def test_renewal_refuses_potential_range_beyond_floats(self, fk3):
         pot = Potential.from_letter_values(3, [800, 800, -800, -800, 0, 0])

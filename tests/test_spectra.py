@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 from freeshift import (GeometricPotential, Potential, ValidationError,
-                       bowen_dimension, cogrowth, default_beta_grid, delta,
-                       free_energy, free_energy_curve, full_pressure,
-                       legendre, level_set_dimension)
+                       bowen_dimension, cogrowth, combine, default_beta_grid,
+                       delta, free_energy, free_energy_curve, full_pressure,
+                       legendre, level_set_dimension, restricted_pressure)
 
 
 class TestFreeEnergy:
@@ -45,6 +45,45 @@ class TestFreeEnergy:
         bad = Potential.from_letter_values(2, [-1, -1, 0.0, -1])
         with pytest.raises(ValidationError):
             free_energy(None, bad, 0.0)
+
+    @pytest.mark.parametrize("scope", ["full", "s3"])
+    @pytest.mark.parametrize("beta", [-4.0, -1.0, 0.0, 0.5, 4.0])
+    def test_matches_reference_bisection(self, two_ratio_zeta, psi_minus_one,
+                                         s3, scope, beta):
+        quotient = s3 if scope == "s3" else None
+
+        def pressure(u):
+            pot = combine((beta, psi_minus_one), (u, two_ratio_zeta))
+            if quotient is None:
+                return full_pressure(pot).value
+            return restricted_pressure(pot, quotient).value
+
+        want = oracles.bisect_root(pressure, -16.0, 16.0)
+        got = free_energy(psi_minus_one, two_ratio_zeta, beta,
+                          quotient=quotient)
+        assert abs(got.t - want) <= 1e-10
+
+    def test_extrapolated_delta_matches_reference_bisection(
+            self, two_ratio_zeta, z2):
+        def pressure(u):
+            return restricted_pressure(combine((u, two_ratio_zeta)), z2,
+                                       n_max=30, method="extrapolated").value
+
+        want = oracles.bisect_root(pressure, 0.0, 2.0)
+        got = delta(two_ratio_zeta, quotient=z2, n_max=30)
+        assert abs(got.t - want) <= 1e-9
+
+    @pytest.mark.parametrize("scope", ["full", "s3"])
+    def test_evaluations_per_point(self, two_ratio_zeta, psi_minus_one, s3,
+                                   scope):
+        # Brent's method converges superlinearly; bisection to the same
+        # tolerance takes about 39 pressure evaluations per point here
+        quotient = s3 if scope == "s3" else None
+        curve = free_energy_curve(psi_minus_one, two_ratio_zeta,
+                                  quotient=quotient)
+        evals = [p.evaluations for p in curve.points]
+        assert len(evals) == 161
+        assert np.mean(evals) <= 10 and max(evals) <= 12
 
     def test_restricted_uses_quotient(self, two_ratio_zeta, z2):
         full = free_energy(None, two_ratio_zeta, 0.0)
