@@ -17,15 +17,15 @@ from decimal import Context, Decimal
 
 import numpy as np
 
-from .config import load_config
+from .config import load_config, parse_number
 from .diagnostics import (amenability_report, divergence_probe, gibbs_verify,
                           half_bound_check, pressure_inequality_check,
                           symmetric_on_average_statistic)
 from .errors import FreeshiftError, UndefinedRatioError, ValidationError
 from .potentials import random_inverse_symmetric
 from .pressure import fiber_partition, full_pressure, restricted_pressure
-from .spectra import (bowen_dimension, cogrowth, delta, free_energy_curve,
-                      legendre)
+from .spectra import (bowen_dimension, cogrowth, default_beta_grid, delta,
+                      free_energy_curve, legendre)
 from .words import Alphabet
 
 
@@ -72,7 +72,8 @@ def cmd_cogrowth(cfg, args):
 def cmd_dimension(cfg, args):
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
-        p = bowen_dimension(cfg.zeta, tol=cfg.tol_eigen)
+        p = bowen_dimension(cfg.zeta, tol=cfg.tol_eigen,
+                            u_tol=cfg.tol_bisection)
     msgs = [str(w.message) for w in rec]
     return {"dimension": _point(p),
             "ambient_warning": msgs[0] if msgs else None}, []
@@ -174,14 +175,17 @@ def cmd_diagnose(cfg, args):
     _need_quotient(cfg, "diagnose")
     q = cfg.quotient
     betas = _diag_betas(cfg)
+    kw = dict(u_tol=cfg.tol_bisection, tol=cfg.tol_eigen)
+    curves = (free_energy_curve(cfg.psi, cfg.zeta, betas=betas, **kw),
+              free_energy_curve(cfg.psi, cfg.zeta, betas=betas, quotient=q,
+                                n_max=cfg.n_max, **kw))
     reports = {}
     notes = []
     reports["amenability"] = amenability_report(
-        q, cfg.psi, cfg.zeta, betas, n_max=cfg.n_max,
-        sigma_factor=cfg.sigma_factor).to_dict()
+        q, curves, sigma_factor=cfg.sigma_factor).to_dict()
     reports["half_bound"] = half_bound_check(
-        q, cfg.psi, cfg.zeta, betas=betas, n_max=cfg.n_max,
-        sigma_factor=cfg.sigma_factor).to_dict()
+        q, cfg.zeta, curves=curves, n_max=cfg.n_max,
+        sigma_factor=cfg.sigma_factor, **kw).to_dict()
     if cfg.psi.is_inverse_symmetric(tol=0.0):
         f_sym = cfg.psi
     else:
@@ -190,8 +194,8 @@ def cmd_diagnose(cfg, args):
         notes.append("psi is not inverse-symmetric; the pressure "
                      "inequality was checked at f = 0 instead")
     reports["pressure_inequality"] = pressure_inequality_check(
-        q, f_sym, n_max=cfg.n_max,
-        sigma_factor=cfg.sigma_factor).to_dict()
+        q, f_sym, n_max=cfg.n_max, sigma_factor=cfg.sigma_factor,
+        tol=cfg.tol_eigen).to_dict()
     reports["divergence"] = divergence_probe(
         q, cfg.psi, n_max=max(cfg.n_max, 36)).to_dict()
     reps = []
@@ -291,11 +295,8 @@ def _apply_overrides(cfg, args):
         if len(parts) != 3:
             raise ValidationError(
                 f"--beta-range expects lo:hi:step, got {args.beta_range!r}")
-        lo, hi, step = (float(x) for x in parts)
-        if not (hi > lo and step > 0):
-            raise ValidationError(f"bad beta range {args.beta_range!r}")
-        count = int(round((hi - lo) / step))
-        cfg.betas = np.linspace(lo, hi, count + 1)
+        cfg.betas = default_beta_grid(
+            *(parse_number(x, float, "--beta-range") for x in parts))
         cfg.overrides["beta_range"] = args.beta_range
     if args.tolerance is not None:
         if args.tolerance <= 0:

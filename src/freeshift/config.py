@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .potentials import GeometricPotential, Potential, load_potential_csv
 from .quotients import (FiniteQuotient, FreeAbelianQuotient,
                         FreeKillQuotient)
+from .spectra import default_beta_grid
 
 _ALLOWED = {
     "model": {"d", "seed"},
@@ -56,6 +57,24 @@ class RunConfig:
         return "none" if self.quotient is None else self.quotient.describe()
 
 
+def parse_number(text, kind, where):
+    """``text`` as an int or a float (``kind``); a ValidationError naming
+    ``where`` when it is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(
+            f"{where} expects {'an integer' if kind is int else 'a number'}"
+            f", got {text!r}") from None
+
+
+def _setting(cp, section, key, kind, default=None):
+    """[section] key parsed as ``kind``, or ``default`` when it is unset."""
+    if not cp.has_section(section) or key not in cp[section]:
+        return default
+    return parse_number(cp[section][key], kind, f"[{section}] {key}")
+
+
 def _floats(text):
     try:
         return [float(x) for x in text.replace(";", ",").split(",")
@@ -90,7 +109,7 @@ def _build_zeta(cp, d, base_dir):
         raise ValidationError(
             f"[zeta] needs exactly one of constant/ratios/file, got {given}")
     if "constant" in sec:
-        v = float(sec["constant"])
+        v = parse_number(sec["constant"], float, "[zeta] constant")
         if v >= 0:
             raise ValidationError(f"[zeta] constant must be < 0, got {v}")
         return GeometricPotential.constant(d, v)
@@ -115,7 +134,8 @@ def _build_psi(cp, d, base_dir):
         raise ValidationError(
             f"[psi] needs exactly one of constant/letters/file, got {given}")
     if "constant" in sec:
-        return Potential.constant(d, float(sec["constant"]))
+        return Potential.constant(
+            d, parse_number(sec["constant"], float, "[psi] constant"))
     if "letters" in sec:
         vals = _floats(sec["letters"])
         if len(vals) == d:
@@ -142,7 +162,7 @@ def _build_quotient(cp, d, base_dir):
         if "rank" not in sec or "vectors" not in sec:
             raise ValidationError(
                 "[quotient] type=abelian needs rank= and vectors=")
-        rank = int(sec["rank"])
+        rank = parse_number(sec["rank"], int, "[quotient] rank")
         vectors = _vectors(sec["vectors"])
         return FreeAbelianQuotient(d, rank, vectors)
     if qtype == "freekill":
@@ -183,42 +203,33 @@ def load_config(path):
                     f"(allowed: {sorted(_ALLOWED[section])})")
     if not cp.has_section("model") or "d" not in cp["model"]:
         raise ValidationError("config must set d in a [model] section")
-    d = int(cp["model"]["d"])
+    d = _setting(cp, "model", "d", int)
     if d < 2:
         raise ValidationError(f"d must be >= 2, got {d}")
-    seed = int(cp["model"].get("seed", "0"))
+    seed = _setting(cp, "model", "seed", int, 0)
     base_dir = os.path.dirname(os.path.abspath(path))
 
     zeta = _build_zeta(cp, d, base_dir)
     psi = _build_psi(cp, d, base_dir)
     quotient = _build_quotient(cp, d, base_dir)
 
-    grid = cp["grid"] if cp.has_section("grid") else {}
-    beta_min = float(grid.get("beta_min", -4.0))
-    beta_max = float(grid.get("beta_max", 4.0))
-    beta_step = float(grid.get("beta_step", 0.05))
-    if not (beta_max > beta_min and beta_step > 0):
-        raise ValidationError(
-            f"bad beta grid [{beta_min}, {beta_max}] step {beta_step}")
-    count = int(round((beta_max - beta_min) / beta_step))
-    betas = np.linspace(beta_min, beta_max, count + 1)
-    alpha_count = int(grid.get("alpha_count", len(betas)))
+    betas = default_beta_grid(*(_setting(cp, "grid", key, float) for key in
+                                ("beta_min", "beta_max", "beta_step")))
+    alpha_count = _setting(cp, "grid", "alpha_count", int, len(betas))
     if alpha_count < 1:
         raise ValidationError("alpha_count must be >= 1")
 
-    tols = cp["tolerances"] if cp.has_section("tolerances") else {}
-    tol_eigen = float(tols.get("eigen", 1e-13))
-    tol_bisection = float(tols.get("bisection", 1e-10))
-    sigma_factor = float(tols.get("sigma_factor", 3.0))
+    tol_eigen = _setting(cp, "tolerances", "eigen", float, 1e-13)
+    tol_bisection = _setting(cp, "tolerances", "bisection", float, 1e-10)
+    sigma_factor = _setting(cp, "tolerances", "sigma_factor", float, 3.0)
     if min(tol_eigen, tol_bisection) <= 0 or sigma_factor <= 0:
         raise ValidationError("tolerances must be positive")
 
-    budgets = cp["budgets"] if cp.has_section("budgets") else {}
-    n_max = int(budgets.get("n_max", 40))
-    max_states = int(budgets.get("max_states", 50_000_000))
-    gibbs_len = int(budgets.get("gibbs_len", 8))
-    horizon = int(budgets.get("horizon", 30))
-    return_length = int(budgets.get("return_length", 6))
+    n_max = _setting(cp, "budgets", "n_max", int, 40)
+    max_states = _setting(cp, "budgets", "max_states", int, 50_000_000)
+    gibbs_len = _setting(cp, "budgets", "gibbs_len", int, 8)
+    horizon = _setting(cp, "budgets", "horizon", int, 30)
+    return_length = _setting(cp, "budgets", "return_length", int, 6)
     for name, v in [("n_max", n_max), ("max_states", max_states),
                     ("gibbs_len", gibbs_len), ("horizon", horizon),
                     ("return_length", return_length)]:

@@ -22,7 +22,7 @@ from .errors import NumericError, UndefinedRatioError, ValidationError
 from .pressure import (TransferMatrix, fiber_partition, fiber_partition_many,
                        full_pressure, growth_rate, perron_eigen,
                        restricted_pressure)
-from .spectra import delta, free_energy_curve, legendre
+from .spectra import DEFAULT_U_TOL, delta, legendre
 
 ABS_MARGIN = 1e-3
 SIGMA_FACTOR = 3.0
@@ -95,16 +95,22 @@ def _qty(name, value, sigma, method):
 
 # ---------------------------------------------------------------------------
 
-def amenability_report(quotient, psi, zeta, betas, n_max=40,
-                       sigma_factor=SIGMA_FACTOR):
-    """t_N(beta) vs t(beta) per grid point.
+def _curve_pair(curves):
+    full, restricted = curves
+    if not np.array_equal(full.betas, restricted.betas):
+        raise ValidationError(
+            "full and restricted free-energy curves need the same betas")
+    return full, restricted
+
+
+def amenability_report(quotient, curves, sigma_factor=SIGMA_FACTOR):
+    """t_N(beta) vs t(beta) per grid point of ``curves``, the pair (full,
+    restricted) of free-energy curves on the same betas.
 
     Amenable quotients force equality (gap 0); a gap beyond noise plus the
     absolute margin is a non-amenability certificate at the numeric level.
     """
-    full = free_energy_curve(psi, zeta, betas=betas)
-    restricted = free_energy_curve(psi, zeta, betas=betas, quotient=quotient,
-                                   n_max=n_max)
+    full, restricted = _curve_pair(curves)
     quantities, slacks = [], []
     for pf, pn in zip(full.points, restricted.points):
         quantities.append(_qty(f"t(beta={pf.beta:g})", pf.t, pf.sigma,
@@ -121,12 +127,15 @@ def amenability_report(quotient, psi, zeta, betas, n_max=40,
     return _report("amenability", quantities, slacks, notes)
 
 
-def half_bound_check(quotient, psi, zeta, betas=None, alphas=None,
-                     n_max=40, sigma_factor=SIGMA_FACTOR):
-    """delta_N >= delta/2 and b_N(alpha) >= b(alpha)/2 on the common
-    interior alpha range; reports every slack, classifies on the minimum."""
-    d_full = delta(zeta)
-    d_n = delta(zeta, quotient=quotient, n_max=n_max)
+def half_bound_check(quotient, zeta, curves=None, alphas=None, n_max=40,
+                     sigma_factor=SIGMA_FACTOR, u_tol=DEFAULT_U_TOL,
+                     tol=1e-13):
+    """delta_N >= delta/2, and with ``curves`` (the pair of full and
+    restricted free-energy curves on the same betas) also b_N(alpha) >=
+    b(alpha)/2 on the common interior alpha range; reports every slack,
+    classifies on the minimum."""
+    d_full = delta(zeta, u_tol=u_tol, tol=tol)
+    d_n = delta(zeta, quotient=quotient, n_max=n_max, u_tol=u_tol, tol=tol)
     quantities = [
         _qty("delta", d_full.t, d_full.sigma, d_full.method),
         _qty("delta_N", d_n.t, d_n.sigma, d_n.method),
@@ -136,10 +145,8 @@ def half_bound_check(quotient, psi, zeta, betas=None, alphas=None,
                "tol": sigma_factor * (d_n.sigma + d_full.sigma / 2)
                + NOISE_FLOOR}]
     notes = [f"quotient: {quotient.describe()}"]
-    if betas is not None:
-        full_curve = free_energy_curve(psi, zeta, betas=betas)
-        n_curve = free_energy_curve(psi, zeta, betas=betas,
-                                    quotient=quotient, n_max=n_max)
+    if curves is not None:
+        full_curve, n_curve = _curve_pair(curves)
         spec_full = legendre(full_curve, alphas)
         spec_n = legendre(n_curve, spec_full.alphas)
         sig_full = float(full_curve.sigmas.max())
@@ -161,7 +168,7 @@ def half_bound_check(quotient, psi, zeta, betas=None, alphas=None,
 
 
 def pressure_inequality_check(quotient, pot, n_max=40,
-                              sigma_factor=SIGMA_FACTOR):
+                              sigma_factor=SIGMA_FACTOR, tol=1e-13):
     """2 P(f, fiber) >= P(2f) for symmetric potentials.
 
     Precondition: the table is invariant under inversion symmetry (the
@@ -174,8 +181,8 @@ def pressure_inequality_check(quotient, pot, n_max=40,
         raise ValidationError(
             "potential is not inverse-symmetric; the doubled-pressure "
             "inequality is only claimed for symmetric potentials")
-    res = restricted_pressure(pot, quotient, n_max=n_max)
-    doubled = full_pressure(pot * 2.0)
+    res = restricted_pressure(pot, quotient, n_max=n_max, tol=tol)
+    doubled = full_pressure(pot * 2.0, tol=tol)
     slack = 2 * res.value - doubled.value
     quantities = [
         _qty("restricted_pressure(f)", res.value, res.sigma, res.method),

@@ -296,7 +296,6 @@ def load_potential_csv(d, path, geometric=False):
                 raise ValidationError(
                     f"{path}:{lineno}: duplicate window {w}")
             mapping[w] = v
-    cls = GeometricPotential if geometric else Potential
     pot = Potential.from_table(d, depth, mapping)
     if geometric:
         return GeometricPotential(d, depth, pot.values)

@@ -8,7 +8,9 @@ rate of the partition sums
     a_n = sum over admissible words of length n with image id of exp(S_w f).
 
 For finite image groups that growth rate is again an exact eigenvalue
-problem for the lifted transfer matrix on (window, element) pairs. For
+problem for the lifted transfer matrix on (window, element) pairs. With
+d >= 2 that matrix is irreducible (the loop images at a letter generate the
+group), so the Perron root of the whole matrix gives the rate. For
 infinite image groups the library computes a_n exactly by dynamic
 programming and extrapolates the rate from the series:
 
@@ -29,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ResourceError, ValidationError
-from .potentials import (Potential, boundary_completion, window_states)
+from .potentials import boundary_completion, window_states
 from .quotients import (FiniteQuotient, FreeAbelianQuotient,
-                        FreeKillQuotient, Quotient)
+                        FreeKillQuotient, letter_shifts)
 from .words import enumerate_words
 
 NEG_INF = float("-inf")
@@ -91,7 +93,13 @@ class TransferMatrix:
 class LiftedTransferMatrix:
     """Transfer matrix of the group extension over a finite quotient:
     states are (window, element) pairs, transitions multiply the element by
-    the image of the appended letter."""
+    the image of the appended letter.
+
+    The matrix is irreducible, so its Perron root gives the restricted
+    pressure. At depth 1 its graph is the (letter, element) graph, strongly
+    connected because the loop images at a letter generate G (see
+    FiniteQuotient._period_search); at depth m it is the m-block
+    presentation of that graph, conjugate to it and so irreducible too."""
 
     MAX_STATES = 20_000
 
@@ -109,54 +117,19 @@ class LiftedTransferMatrix:
         n_states = len(windows) * order
         if n_states > self.MAX_STATES:
             raise ResourceError(
-                "lifted transfer matrix too large; use the fiber DP route",
-                required=n_states, budget=self.MAX_STATES)
+                "lifted transfer matrix too large; use fiber_partition plus "
+                "growth_rate", required=n_states, budget=self.MAX_STATES)
         self.windows = windows
         self.order = order
         # flat state = window_idx * order + element
         M = np.zeros((n_states, n_states))
         w = np.exp(pot.values)
-        images = [quotient.letter_image(l) for l in range(2 * pot.d)]
-        table = quotient.table
+        shifts = letter_shifts(quotient, range(order))
+        elems = np.arange(order)
         for j in range(len(windows)):
-            img = images[int(new_letter[j])]
-            for g in range(order):
-                col = j * order + int(table[g, img])
-                M[src[j] * order + g, col] = w[j]
+            M[src[j][:, None] * order + elems,
+              j * order + shifts[new_letter[j]]] = w[j]
         self.matrix = M
-        self.identity_states = np.array(
-            [j * order + quotient.identity_index
-             for j in range(len(windows))])
-
-    def reachable_class(self):
-        """Indices of the strongly connected class containing the identity
-        fiber (union over id-states of their classes, normally one)."""
-        n = self.matrix.shape[0]
-        adj = self.matrix > 0
-        covered = np.zeros(n, dtype=bool)
-        classes = []
-        for s in self.identity_states:
-            if covered[s]:
-                continue
-            fwd = _reach(adj, s)
-            bwd = _reach(adj.T, s)
-            scc = fwd & bwd
-            covered |= scc
-            classes.append(np.nonzero(scc)[0])
-        return classes
-
-
-def _reach(adj_bool, seed):
-    n = adj_bool.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[seed] = True
-    frontier = np.zeros(n, dtype=bool)
-    frontier[seed] = True
-    while frontier.any():
-        nxt = adj_bool[frontier].any(axis=0) & ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +206,15 @@ def full_pressure(pot, tol=1e-13):
 
 def restricted_pressure_exact(pot, quotient, tol=1e-13):
     """Restricted pressure over a finite quotient: (1/p) log rho of the
-    p-th power of the lifted transfer matrix on its identity class."""
+    p-th power of the lifted transfer matrix, which is irreducible (see
+    LiftedTransferMatrix)."""
     lifted = LiftedTransferMatrix(pot, quotient)
     p = quotient.period().value
-    best = None
-    for cls in lifted.reachable_class():
-        sub = lifted.matrix[np.ix_(cls, cls)]
-        pe = perron_eigen(sub, p, tol)
-        if best is None or pe.rho > best[0].rho:
-            best = (pe, len(cls))
-    pe, n_states = best
+    pe = perron_eigen(lifted.matrix, p, tol)
     return PressureResult(math.log(pe.rho), 0.0, "exact-eigenvalue",
                           pe.residual / max(pe.rho ** p, 1e-300) / p,
-                          {"iterations": pe.iterations, "states": n_states,
-                           "period": p})
+                          {"iterations": pe.iterations,
+                           "states": lifted.matrix.shape[0], "period": p})
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +315,7 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
                             required=W * B, budget=max_states)
     eindex = {e: i for i, e in enumerate(elements)}
     # group shift per letter: next_idx[l][g] = index of elements[g] * img(l)
-    next_idx = np.full((2 * d, B), -1, dtype=np.int64)
-    for l in range(2 * d):
-        img = quotient.letter_image(l)
-        for gi, e in enumerate(elements):
-            h = quotient.multiply(e, img)
-            next_idx[l, gi] = eindex.get(h, -1)
+    next_idx = letter_shifts(quotient, elements)
     tpos = []
     for t in targets:
         if t not in eindex:
@@ -614,16 +577,11 @@ def growth_rate(series, min_points=4, drop_fraction=0.25):
                      (int(ns_fit[0]), int(ns_fit[-1])), rms, monotone)
 
 
-def restricted_pressure(pot, quotient, n_max=40, method="auto", tol=1e-13):
+def restricted_pressure(pot, quotient, n_max=40, tol=1e-13):
     """Dispatch: exact lifted eigenvalue for finite quotients, fiber DP
-    plus growth fit otherwise (or when forced with method="extrapolated")."""
-    if method not in ("auto", "exact", "extrapolated"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method in ("auto", "exact") and isinstance(quotient, FiniteQuotient):
+    plus growth fit otherwise."""
+    if isinstance(quotient, FiniteQuotient):
         return restricted_pressure_exact(pot, quotient, tol)
-    if method == "exact":
-        raise ValidationError(
-            "exact restricted pressure needs a finite quotient")
     series = fiber_partition(pot, quotient, n_max)
     fit = growth_rate(series)
     return PressureResult(fit.lam, fit.sigma, "extrapolated", fit.rms,

@@ -81,11 +81,13 @@ class Quotient(ABC):
     def sort_key(self, elem):
         """Total order on elements, for deterministic listings."""
 
-    @abstractmethod
     def min_steps_to_identity(self, elem):
         """Lower bound on the number of letter images needed to bring
-        ``elem`` back to the identity. Used only to prune bounded searches,
-        so it must never overestimate."""
+        ``elem`` back to the identity. Used only to prune the bounded period
+        search, so it must never overestimate. Quotients with an exact
+        period route need not define it."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no bounded period search")
 
     @abstractmethod
     def describe(self):
@@ -242,7 +244,6 @@ class FiniteQuotient(Quotient):
             g = self.generator_images[k]
             self._letter_images.append(g)
             self._letter_images.append(int(self._inv[g]))
-        self._dist = None
 
     # -- group axioms -------------------------------------------------------
 
@@ -382,28 +383,6 @@ class FiniteQuotient(Quotient):
     def sort_key(self, elem):
         return elem
 
-    def min_steps_to_identity(self, elem):
-        if self._dist is None:
-            # BFS from the identity along inverse steps; letter images come
-            # in inverse pairs so forward and backward distances agree
-            order = self.table.shape[0]
-            dist = {self.identity_index: 0}
-            frontier = [self.identity_index]
-            steps = set(self._letter_images)
-            r = 0
-            while frontier and len(dist) < order:
-                r += 1
-                nxt = []
-                for a in frontier:
-                    for s in steps:
-                        b = int(self.table[a, s])
-                        if b not in dist:
-                            dist[b] = r
-                            nxt.append(b)
-                frontier = nxt
-            self._dist = dist
-        return self._dist.get(elem, math.inf)
-
     def describe(self):
         return (f"finite group of order {self.table.shape[0]}, generator "
                 f"images {list(self.generator_images)}")
@@ -416,63 +395,51 @@ class FiniteQuotient(Quotient):
     def _period_search(self, n_search, max_states):
         """Cycle lengths through the identity fiber of the letter-by-letter
         graph on (letter, element) are exactly the lengths of cyclically
-        admissible N-words, so the gcd is the period of that graph. BFS
-        levels give it exactly, with no search bound."""
-        size = self.alphabet.size
+        admissible N-words, so the gcd is the period of that graph.
+
+        With d >= 2 the graph is strongly connected. At a letter a, the
+        closed paths a, (b, a) and (b^-1, a), for each letter b outside
+        {a, a^-1}, carry the images img(a), img(b) img(a) and
+        img(b)^-1 img(a). In a finite group the loop images generate a
+        subgroup; it holds every letter image, so it is G (construction
+        checks that the images generate G). The letter graph is strongly
+        connected, so every (letter, g) reaches every other, and the BFS
+        levels from one node give the period exactly, with no search
+        bound: it is the gcd of level(u) + 1 - level(v) over all edges."""
         order = self.table.shape[0]
-
-        def node(letter, g):
-            return letter * order + g
-
-        succs = [[] for _ in range(size * order)]
-        preds = [[] for _ in range(size * order)]
-        for letter in range(size):
-            for g in range(order):
-                u = node(letter, g)
-                for l2 in range(size):
-                    if l2 == (letter ^ 1):
-                        continue
-                    v = node(l2, int(self.table[g, self._letter_images[l2]]))
-                    succs[u].append(v)
-                    preds[v].append(u)
-
-        seed = node(0, self.identity_index)
-        fwd = _bfs_set(seed, succs)
-        bwd = _bfs_set(seed, preds)
-        scc = fwd & bwd
-        if not all(node(l, self.identity_index) in scc for l in range(size)):
-            # fall back to the generic bounded word search
-            return super()._period_search(n_search, max_states)
+        shifts = letter_shifts(self, range(order))
+        seed = self.identity_index          # node (letter 0, identity)
         level = {seed: 0}
         frontier = [seed]
+        g = 0
         while frontier:
             nxt = []
             for u in frontier:
-                for v in succs[u]:
-                    if v in scc and v not in level:
+                letter, elem = divmod(u, order)
+                for l2 in range(self.alphabet.size):
+                    if l2 == (letter ^ 1):
+                        continue
+                    v = l2 * order + int(shifts[l2, elem])
+                    if v not in level:
                         level[v] = level[u] + 1
                         nxt.append(v)
-            frontier = nxt
-        g = 0
-        for u in scc:
-            for v in succs[u]:
-                if v in scc:
                     g = math.gcd(g, level[u] + 1 - level[v])
-        return PeriodResult(abs(g), True, ())
+            frontier = nxt
+        return PeriodResult(g, True, ())
 
 
-def _bfs_set(seed, adj):
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
+def letter_shifts(quotient, elements):
+    """Right multiplication by each letter image, on an element list:
+    ``shifts[l, i]`` is the index in ``elements`` of elements[i] * img(l),
+    or -1 when the product lies outside the list."""
+    eindex = {e: i for i, e in enumerate(elements)}
+    shifts = np.full((quotient.alphabet.size, len(elements)), -1,
+                     dtype=np.int64)
+    for l in range(quotient.alphabet.size):
+        img = quotient.letter_image(l)
+        for i, e in enumerate(elements):
+            shifts[l, i] = eindex.get(quotient.multiply(e, img), -1)
+    return shifts
 
 
 class FreeAbelianQuotient(Quotient):

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .potentials import GeometricPotential, Potential, combine
 from .pressure import full_pressure, restricted_pressure
-from .quotients import FiniteQuotient
 
 DEFAULT_U_TOL = 1e-10
 DEFAULT_BETA_RANGE = (-4.0, 4.0)
@@ -61,23 +60,17 @@ def _check_zeta(zeta):
 
 
 def _scope_pressure(psi, zeta, quotient, n_max, tol):
-    """(evaluate, method) where evaluate(beta, u) is the scope's pressure of
-    beta psi + u zeta as a PressureResult."""
+    """evaluate(beta, u): the scope's pressure of beta psi + u zeta as a
+    PressureResult."""
     if quotient is None:
         def ev(beta, u):
             return full_pressure(combine((beta, psi), (u, zeta)), tol=tol)
-        return ev, "exact-eigenvalue"
-    if isinstance(quotient, FiniteQuotient):
-        def ev(beta, u):
-            return restricted_pressure(combine((beta, psi), (u, zeta)),
-                                       quotient, tol=tol)
-        return ev, "exact-eigenvalue"
+        return ev
 
     def ev(beta, u):
         return restricted_pressure(combine((beta, psi), (u, zeta)),
-                                   quotient, n_max=n_max,
-                                   method="extrapolated")
-    return ev, "extrapolated"
+                                   quotient, n_max=n_max, tol=tol)
+    return ev
 
 
 def _brent_root(f, a, fa, b, fb, u_tol):
@@ -139,12 +132,12 @@ def free_energy(psi, zeta, beta, quotient=None, n_max=40,
     if psi.d != zeta.d:
         raise ValidationError("psi and zeta have different ranks")
     zbar = float(zeta.values.mean())
+    ev = _scope_pressure(psi, zeta, quotient, n_max, tol)
 
     if float(np.ptp(zeta.values)) == 0.0:
         # constant zeta: P(beta psi + u zeta) = P(beta psi) + u zeta, one
         # pressure evaluation gives the root in closed form
         c = -float(zeta.values[0])
-        ev, method = _scope_pressure(psi, zeta, quotient, n_max, tol)
         base = ev(beta, 0.0)
         t = base.value / c
         sigma = base.sigma / c
@@ -152,7 +145,6 @@ def free_energy(psi, zeta, beta, quotient=None, n_max=40,
         return FreeEnergyPoint(float(beta), t, sigma, base.method,
                                residual, 1)
 
-    ev, _ = _scope_pressure(psi, zeta, quotient, n_max, tol)
     results = {}    # u -> PressureResult; the certificate reuses the root's
 
     def P(u):
@@ -212,13 +204,13 @@ def delta(zeta, quotient=None, n_max=40, **kw):
     return free_energy(None, zeta, 0.0, quotient=quotient, n_max=n_max, **kw)
 
 
-def bowen_dimension(zeta, ambient_dim=1.0, tol=1e-13):
+def bowen_dimension(zeta, ambient_dim=1.0, tol=1e-13, u_tol=DEFAULT_U_TOL):
     """Dimension of the full limit set: root of s -> P(s zeta).
 
     Warns when the symbolic value exceeds the ambient dimension, which
     signals that the contraction ratios are not realizable by a conformal
     system in that ambient space."""
-    point = delta(zeta, tol=tol)
+    point = delta(zeta, tol=tol, u_tol=u_tol)
     if point.t > ambient_dim + 1e-12:
         warnings.warn(
             f"Bowen dimension {point.t:.6f} exceeds the ambient dimension "

@@ -75,6 +75,32 @@ def bundle():
     return make_bundle()
 
 
+def _cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def make_finite_cases():
+    """name -> (d, quotient, (identity, img, mul)) for finite quotients of
+    F_2 and F_3, among them cyclic groups where some generator maps to the
+    identity."""
+    table, ident, (swap, cycle) = _s3_data()
+    cases = {"zmod2": (ZMOD2_TABLE, 0, ZMOD2_IMAGES),
+             "s3": (table, ident, [swap, cycle]),
+             "zmod2 [1,1,1]": (ZMOD2_TABLE, 0, [1, 1, 1]),
+             "s3 [swap,cycle,id]": (table, ident, [swap, cycle, ident])}
+    for n, images in ((3, [1, 0]), (4, [2, 1]), (5, [0, 0, 1]),
+                      (6, [3, 2])):
+        cases[f"z/{n} {images}"] = (_cyclic_table(n), 0, images)
+    return {name: (len(images), FiniteQuotient(len(images), t, e, images),
+                   _finite_ops(t, e, images))
+            for name, (t, e, images) in cases.items()}
+
+
+@pytest.fixture(scope="session")
+def finite_cases():
+    return make_finite_cases()
+
+
 @pytest.fixture(scope="session")
 def z2():
     return FreeAbelianQuotient(2, 2, Z2_VECS)

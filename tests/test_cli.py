@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import freeshift.spectra as spectra_mod
 from freeshift import cli
 
 BASE = """\
@@ -51,6 +52,42 @@ alpha_count = 11
 [budgets]
 n_max = 25
 """
+
+
+# zmod2 quotient, two-ratio zeta (free energies need the root finder) and
+# an inverse-symmetric psi (the pressure inequality uses it)
+ZMOD2 = """\
+[model]
+d = 2
+
+[quotient]
+type = finite
+file = zmod2.table
+images = 1, 1
+
+[zeta]
+ratios = 0.5, 0.333333333333333
+
+[psi]
+letters = -0.3, -0.5
+
+[grid]
+beta_min = 0
+beta_max = 0.5
+beta_step = 0.5
+
+[budgets]
+n_max = 20
+horizon = 10
+gibbs_len = 4
+"""
+
+
+def zmod2_ini(tmp_path, extra="", name="zmod2.ini"):
+    (tmp_path / "zmod2.table").write_text("2 0\n0 1\n1 0\n")
+    p = tmp_path / name
+    p.write_text(ZMOD2 + extra)
+    return str(p)
 
 
 def run_cli(capsys, args):
@@ -223,6 +260,69 @@ class TestSubcommands:
             else:
                 assert k6[key] == k3[key], key
 
+    def test_diagnose_computes_each_curve_once(self, capsys, tmp_path,
+                                               monkeypatch):
+        built = []
+
+        class CountingCurve(spectra_mod.FreeEnergyCurve):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                built.append(self.quotient_tag)
+
+        monkeypatch.setattr(spectra_mod, "FreeEnergyCurve", CountingCurve)
+        code, payload, _ = run_cli(capsys, ["diagnose", "--config",
+                                            zmod2_ini(tmp_path)])
+        assert code == 0
+        assert payload["self_verified"] is True
+        assert sorted(built) == sorted(["full", payload["quotient"]])
+
+
+class TestTolerances:
+    """--tolerance sets the root tolerance in u and [tolerances] eigen the
+    Perron tolerance of every free energy and pressure a subcommand
+    prints."""
+
+    @staticmethod
+    def _values(payload, reports):
+        return {name: [q["value"] for q in payload["reports"][name]
+                       ["quantities"]] for name in reports}
+
+    def test_tolerance_moves_dimension(self, capsys, tmp_path):
+        ini = tmp_path / "dim.ini"
+        ini.write_text("[model]\nd = 2\n\n[zeta]\n"
+                       "ratios = 0.5, 0.333333333333333\n")
+        values = []
+        for extra in ([], ["--tolerance", "1e-2"]):
+            code, payload, _ = run_cli(
+                capsys, ["dimension", "--config", str(ini)] + extra)
+            assert code == 0
+            values.append(payload["dimension"]["value"])
+        fine, coarse = values
+        assert coarse != fine
+        assert abs(coarse - fine) <= 1e-2
+
+    def test_tolerance_moves_diagnose(self, capsys, tmp_path):
+        ini = zmod2_ini(tmp_path)
+        runs = [run_cli(capsys, ["diagnose", "--config", ini] + extra)[1]
+                for extra in ([], ["--tolerance", "1e-2"])]
+        reports = ("amenability", "half_bound")
+        fine, coarse = (self._values(p, reports) for p in runs)
+        for name in reports:
+            assert coarse[name] != fine[name], name
+            assert np.allclose(coarse[name], fine[name], atol=1e-2), name
+
+    def test_eigen_tolerance_moves_diagnose(self, capsys, tmp_path):
+        runs = [run_cli(capsys, ["diagnose", "--config",
+                                 zmod2_ini(tmp_path, extra, name)])[1]
+                for extra, name in (
+                    ("", "fine.ini"),
+                    ("\n[tolerances]\neigen = 1e-4\n", "coarse.ini"))]
+        reports = ("amenability", "half_bound", "pressure_inequality")
+        fine, coarse = (self._values(p, reports) for p in runs)
+        for name in reports:
+            assert coarse[name] != fine[name], name
+            assert np.allclose(coarse[name], fine[name], atol=1e-3), name
+
 
 class TestOverridesAndErrors:
     def test_overrides_recorded(self, capsys, z2_ini, tmp_path):
@@ -263,6 +363,24 @@ class TestOverridesAndErrors:
         code, payload, _ = run_cli(
             capsys, ["delta", "--config", base_ini, "--beta-range", "oops"])
         assert code == 2
+
+    @pytest.mark.parametrize("text, flags, where", [
+        (BASE.replace("d = 2", "d = two"), [], "[model] d"),
+        (BASE.replace("ratios = 0.25", "constant = -1x"), [],
+         "[zeta] constant"),
+        (BASE + "\n[grid]\nbeta_step = fine\n", [], "[grid] beta_step"),
+        (BASE, ["--beta-range=a:1:1"], "--beta-range"),
+    ], ids=["d", "zeta-constant", "beta-step", "beta-range"])
+    def test_malformed_number_exit_2(self, capsys, tmp_path, text, flags,
+                                     where):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        code, payload, err = run_cli(
+            capsys, ["delta", "--config", str(ini)] + flags)
+        assert code == 2
+        assert payload["error"]["type"] == "ValidationError"
+        assert where in payload["error"]["message"]
+        assert "Traceback" not in err
 
     def test_resource_exit_3(self, capsys, tmp_path):
         ini = tmp_path / "tiny.ini"

@@ -10,15 +10,23 @@ from freeshift import (Potential, UndefinedRatioError, ValidationError,
                        gibbs_verify, half_bound_check,
                        pressure_inequality_check, random_inverse_symmetric,
                        symmetric_on_average_statistic)
+from freeshift.spectra import free_energy_curve
 
 BETAS = np.linspace(-1.0, 1.0, 5)
 PSI_SYM = Potential.from_letter_values(2, [-0.3, -0.3, -0.5, -0.5])
 ZETA_1 = Potential.constant(2, -1.0)
 
 
+def _curves(quotient, psi, zeta, betas, n_max=40):
+    """The (full, restricted) free-energy curves the reports compare."""
+    return (free_energy_curve(psi, zeta, betas=betas),
+            free_energy_curve(psi, zeta, betas=betas, quotient=quotient,
+                              n_max=n_max))
+
+
 class TestAmenability:
     def test_finite_quotient_gaps_vanish_exactly(self, s3):
-        rep = amenability_report(s3, PSI_SYM, ZETA_1, BETAS)
+        rep = amenability_report(s3, _curves(s3, PSI_SYM, ZETA_1, BETAS))
         assert rep.classification == "consistent with amenable"
         gaps = [s for s in rep.slacks if s["name"].startswith("gap")]
         assert len(gaps) == len(BETAS)
@@ -27,27 +35,38 @@ class TestAmenability:
     def test_exact_sigma_zero_still_classifies(self, zmod2):
         # exact eigenvalues carry sigma 0; the noise floor must absorb
         # solver-level jitter instead of yielding "inconclusive"
-        rep = amenability_report(zmod2, PSI_SYM, ZETA_1, BETAS)
+        rep = amenability_report(zmod2,
+                                 _curves(zmod2, PSI_SYM, ZETA_1, BETAS))
         assert rep.classification == "consistent with amenable"
 
     def test_amenable_infinite_quotient(self, z2):
         from freeshift import GeometricPotential
         zeta = GeometricPotential.constant(2, math.log(0.25))
-        rep = amenability_report(z2, None, zeta, np.array([0.0]), n_max=40)
+        rep = amenability_report(z2, _curves(z2, None, zeta, np.array([0.0]),
+                                             n_max=40))
         assert rep.classification == "consistent with amenable"
         gap = rep.slacks[0]["slack"]
         assert abs(gap) <= 0.02
 
     def test_nonamenable_quotient_detected(self, fk3):
         zeta = Potential.constant(3, -1.0)
-        rep = amenability_report(fk3, None, zeta, np.array([0.0]), n_max=30)
+        rep = amenability_report(fk3, _curves(fk3, None, zeta,
+                                              np.array([0.0]), n_max=30))
         assert rep.classification == "non-amenable detected"
         assert rep.slacks[0]["slack"] >= 0.05
+
+    def test_curves_on_different_betas_rejected(self, zmod2):
+        full, _ = _curves(zmod2, None, ZETA_1, BETAS)
+        _, restricted = _curves(zmod2, None, ZETA_1, BETAS + 0.5)
+        with pytest.raises(ValidationError, match="same betas"):
+            amenability_report(zmod2, (full, restricted))
+        with pytest.raises(ValidationError, match="same betas"):
+            half_bound_check(zmod2, ZETA_1, curves=(full, restricted))
 
 
 class TestHalfBound:
     def test_finite_quotient_slack_is_half_delta(self, s3):
-        rep = half_bound_check(s3, None, ZETA_1)
+        rep = half_bound_check(s3, ZETA_1)
         assert rep.classification == "holds"
         slack = next(s for s in rep.slacks
                      if s["name"] == "delta_N - delta/2")
@@ -55,7 +74,7 @@ class TestHalfBound:
 
     def test_fk3_strict_margin(self, fk3):
         zeta = Potential.constant(3, -1.0)
-        rep = half_bound_check(fk3, None, zeta, n_max=30)
+        rep = half_bound_check(fk3, zeta, n_max=30)
         assert rep.classification == "holds"
         assert rep.min_slack() >= 0.02
 
@@ -63,7 +82,9 @@ class TestHalfBound:
         from freeshift import GeometricPotential
         zeta = GeometricPotential.from_letter_values(
             2, [math.log(0.5)] * 2 + [math.log(1 / 3)] * 2)
-        rep = half_bound_check(z2, PSI_SYM, zeta, betas=BETAS, n_max=30)
+        rep = half_bound_check(
+            z2, zeta, curves=_curves(z2, PSI_SYM, zeta, BETAS, n_max=30),
+            n_max=30)
         assert rep.classification == "holds"
         assert any(s["name"].startswith("b_N") for s in rep.slacks)
 
@@ -211,13 +232,13 @@ class TestGibbs:
 
 class TestVerdictReports:
     def test_self_verification_and_tampering(self, s3):
-        rep = amenability_report(s3, PSI_SYM, ZETA_1, BETAS)
+        rep = amenability_report(s3, _curves(s3, PSI_SYM, ZETA_1, BETAS))
         assert rep.verify()
         rep.classification = "non-amenable detected"
         assert not rep.verify()
 
     def test_schema(self, zmod2):
-        rep = half_bound_check(zmod2, None, ZETA_1)
+        rep = half_bound_check(zmod2, ZETA_1)
         d = rep.to_dict()
         assert set(d) == {"rule", "verdict", "quantities", "slacks", "notes"}
         for q in d["quantities"]:
@@ -226,7 +247,7 @@ class TestVerdictReports:
             assert set(s) == {"name", "slack", "tol"}
 
     def test_round_trip_classification(self, zmod2):
-        rep = half_bound_check(zmod2, None, ZETA_1)
+        rep = half_bound_check(zmod2, ZETA_1)
         d = rep.to_dict()
         again = VerdictReport(d["rule"], d["quantities"], d["slacks"],
                               d["verdict"], d["notes"])

@@ -1,0 +1,59 @@
+"""Static checks on the library source that need no linter: every name a
+module imports is used in it (or re-exported through ``__all__``)."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "freeshift"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported_names(tree):
+    """name -> line of every binding made by an import statement."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant)
+                     and isinstance(c.value, str)}
+    return used
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"pressure.py", "quotients.py",
+                                         "spectra.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = _used_names(tree)
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in _imported_names(tree).items()
+                    if name not in used)
+    assert not unused, f"{path.name} imports unused names: {unused}"
+
+
+def test_check_detects_an_unused_import():
+    tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
+    used = _used_names(tree)
+    assert sorted(n for n in _imported_names(tree) if n not in used) == \
+        ["os", "tau"]

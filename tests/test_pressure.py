@@ -5,13 +5,13 @@ import pytest
 
 import oracles
 import freeshift.pressure as pressure_mod
-from freeshift import (FreeAbelianQuotient, FreeKillQuotient, NumericError,
-                       Potential, ResourceError, TransferMatrix,
-                       ValidationError, birkhoff_sup_sum, fiber_partition,
-                       fiber_partition_many, full_pressure, growth_rate,
-                       partition_sum_matrix, perron_eigen,
-                       restricted_pressure, restricted_pressure_exact,
-                       window_states)
+from freeshift import (FreeAbelianQuotient, FreeKillQuotient,
+                       LiftedTransferMatrix, NumericError, Potential,
+                       ResourceError, TransferMatrix, ValidationError,
+                       birkhoff_sup_sum, fiber_partition, fiber_partition_many,
+                       full_pressure, growth_rate, partition_sum_matrix,
+                       perron_eigen, restricted_pressure,
+                       restricted_pressure_exact, window_states)
 
 
 def _random_pot(d, depth, seed, scale=1.0):
@@ -130,6 +130,23 @@ class TestWindowGraph:
                             if k not in seen]
                 seen.update(frontier)
             assert len(seen) == len(windows)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_lifted_graphs_strongly_connected(self, finite_cases, depth):
+        # restricted_pressure_exact takes the Perron root on all lifted
+        # states; that is the restricted pressure because every lift over a
+        # finite quotient of F_d, d >= 2, is strongly connected
+        for name, (d, q, _) in finite_cases.items():
+            pot = Potential.constant(d, 0.0, depth=depth)
+            adj = LiftedTransferMatrix(pot, q).matrix > 0
+            for edges in (adj, adj.T):
+                seen = np.zeros(len(adj), dtype=bool)
+                seen[0] = True
+                frontier = seen.copy()
+                while frontier.any():
+                    frontier = edges[frontier].any(axis=0) & ~seen
+                    seen |= frontier
+                assert seen.all(), (name, depth)
 
 
 class TestFiberPartition:
@@ -291,11 +308,10 @@ class TestRestrictedPressure:
         pot = _random_pot(2, 1, seed=31)
         for name in ("zmod2", "s3"):
             _, q, _ = bundle[name]
-            exact = restricted_pressure(pot, q, method="auto")
+            exact = restricted_pressure(pot, q)
             assert exact.method == "exact-eigenvalue"
-            fitted = restricted_pressure(pot, q, n_max=40,
-                                         method="extrapolated")
-            assert abs(exact.value - fitted.value) <= \
+            fitted = growth_rate(fiber_partition(pot, q, 40))
+            assert abs(exact.value - fitted.lam) <= \
                 max(3 * fitted.sigma, 1e-3), name
 
     def test_finite_index_forces_full_growth(self, zmod2, s3):
@@ -310,10 +326,3 @@ class TestRestrictedPressure:
             res = restricted_pressure(pot, q, n_max=25)
             assert res.value <= math.log(2 * d - 1) + 3 * res.sigma + 1e-9, \
                 name
-
-    def test_method_validation(self, z2):
-        pot = Potential.constant(2, 0.0)
-        with pytest.raises(ValidationError):
-            restricted_pressure(pot, z2, method="exact")
-        with pytest.raises(ValidationError):
-            restricted_pressure(pot, z2, method="nonsense")

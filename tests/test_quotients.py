@@ -31,11 +31,19 @@ class TestAgainstOracleOps:
 
 
 class TestPeriod:
-    def test_matches_brute_search(self, bundle):
-        for name, (d, q, (ident, img, mul)) in bundle.items():
+    def test_matches_brute_search(self, bundle, finite_cases):
+        cases = {**bundle, **finite_cases}
+        for name, (d, q, (ident, img, mul)) in cases.items():
             want, lengths = oracles.brute_period(d, 8, ident, img, mul)
             got = q.period()
             assert got.value == want, (name, got, lengths)
+
+    def test_finite_period_needs_no_search_bound(self, s3):
+        # the finite period is exact; the pruning bound of the bounded
+        # search is neither needed nor defined there
+        assert s3.period(n_search=1).value == 1
+        with pytest.raises(NotImplementedError):
+            s3.min_steps_to_identity(s3.identity)
 
     def test_known_values(self, bundle):
         # sanity anchors: a killed generator gives a 1-loop; parity lattices

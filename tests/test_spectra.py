@@ -67,7 +67,7 @@ class TestFreeEnergy:
             self, two_ratio_zeta, z2):
         def pressure(u):
             return restricted_pressure(combine((u, two_ratio_zeta)), z2,
-                                       n_max=30, method="extrapolated").value
+                                       n_max=30).value
 
         want = oracles.bisect_root(pressure, 0.0, 2.0)
         got = delta(two_ratio_zeta, quotient=z2, n_max=30)
