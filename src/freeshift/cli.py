@@ -265,11 +265,11 @@ def build_parser():
     common.add_argument("--threads", type=int,
                         help="accepted for compatibility and ignored: "
                              "evaluation is single-threaded")
-    common.add_argument("--n-max", type=int, dest="n_max",
+    common.add_argument("--n-max", dest="n_max",
                         help="override [budgets] n_max")
     common.add_argument("--beta-range", dest="beta_range",
                         help="override the beta grid as lo:hi:step")
-    common.add_argument("--tolerance", type=float,
+    common.add_argument("--tolerance",
                         help="override the root tolerance in u")
     parser = argparse.ArgumentParser(
         prog="freeshift",
@@ -286,10 +286,11 @@ def _apply_overrides(cfg, args):
         cfg.out_dir = args.out
         cfg.overrides["out"] = args.out
     if args.n_max is not None:
-        if args.n_max < 1:
-            raise ValidationError(f"--n-max must be >= 1, got {args.n_max}")
-        cfg.n_max = args.n_max
-        cfg.overrides["n_max"] = args.n_max
+        n_max = parse_number(args.n_max, int, "--n-max")
+        if n_max < 1:
+            raise ValidationError(f"--n-max must be >= 1, got {n_max}")
+        cfg.n_max = n_max
+        cfg.overrides["n_max"] = n_max
     if args.beta_range is not None:
         parts = args.beta_range.split(":")
         if len(parts) != 3:
@@ -299,10 +300,11 @@ def _apply_overrides(cfg, args):
             *(parse_number(x, float, "--beta-range") for x in parts))
         cfg.overrides["beta_range"] = args.beta_range
     if args.tolerance is not None:
-        if args.tolerance <= 0:
+        tolerance = parse_number(args.tolerance, float, "--tolerance")
+        if tolerance <= 0:
             raise ValidationError("--tolerance must be positive")
-        cfg.tol_bisection = args.tolerance
-        cfg.overrides["tolerance"] = args.tolerance
+        cfg.tol_bisection = tolerance
+        cfg.overrides["tolerance"] = tolerance
 
 
 def main(argv=None):

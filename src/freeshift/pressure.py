@@ -15,7 +15,10 @@ infinite image groups the library computes a_n exactly by dynamic
 programming and extrapolates the rate from the series:
 
 * free abelian images: vectorized DP over (window, ball element); a length-n
-  prefix cannot leave the radius-n ball, so indexing ball(n_max) is exact;
+  prefix cannot leave the radius-n ball, so indexing ball(n_max) is exact.
+  The ball, its index and its letter-shift table come from
+  Quotient.ball_table, built once per (quotient, n_max), so the repeated
+  evaluations of a free-energy root share them;
 * free images (killed generators): excursion renewal on the image tree;
   paths decompose uniquely at their last visits to each node of the geodesic
   spine, giving first-passage matrix convolutions over window states, run
@@ -308,14 +311,13 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
     m = max(pot.depth, 1)
     windows, index, src, new_letter = _window_graph(d, m)
     W = len(windows)
-    elements = quotient.ball(n_max, max_elements=max_states)
+    # group shift per letter: next_idx[l][g] = index of elements[g] * img(l)
+    elements, eindex, next_idx = quotient.ball_table(
+        n_max, max_elements=max_states)
     B = len(elements)
     if W * B > max_states:
         raise ResourceError("fiber DP state space exceeds budget",
                             required=W * B, budget=max_states)
-    eindex = {e: i for i, e in enumerate(elements)}
-    # group shift per letter: next_idx[l][g] = index of elements[g] * img(l)
-    next_idx = letter_shifts(quotient, elements)
     tpos = []
     for t in targets:
         if t not in eindex:

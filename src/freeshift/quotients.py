@@ -16,6 +16,11 @@ Three target models are supported:
 
 Elements are plain hashable values (int index, tuple of ints, reduced letter
 tuple respectively).
+
+Each model computes its period exactly, with no search bound, and
+the period is cached on the instance. So is the ball table of each radius
+(the ball, its index and its letter-shift table): every fiber DP at one
+n_max on one quotient shares a single build.
 """
 
 import math
@@ -34,10 +39,10 @@ MAX_FINITE_ORDER = 10_000
 class PeriodResult:
     """gcd of cyclically admissible identity-word lengths.
 
-    ``stabilized`` means the gcd either provably cannot change (value 1) or
-    did not change over the last half of the searched range. ``lengths``
-    lists the lengths at which witnesses were found (empty for the exact
-    graph-based route used by finite quotients).
+    Every quotient type computes it exactly (finite: BFS levels of the
+    (letter, element) graph; free abelian: integer elimination; free-kill:
+    1), so ``stabilized`` is always True and ``lengths``, the lengths of
+    witnesses found, is empty.
     """
 
     value: int
@@ -52,7 +57,8 @@ class Quotient(ABC):
         if not isinstance(alphabet, Alphabet):
             alphabet = Alphabet(alphabet)
         self.alphabet = alphabet
-        self._period_cache = {}
+        self._period_cache = None
+        self._ball_tables = {}
 
     @property
     def d(self):
@@ -81,14 +87,6 @@ class Quotient(ABC):
     def sort_key(self, elem):
         """Total order on elements, for deterministic listings."""
 
-    def min_steps_to_identity(self, elem):
-        """Lower bound on the number of letter images needed to bring
-        ``elem`` back to the identity. Used only to prune the bounded period
-        search, so it must never overestimate. Quotients with an exact
-        period route need not define it."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no bounded period search")
-
     @abstractmethod
     def describe(self):
         ...
@@ -107,55 +105,29 @@ class Quotient(ABC):
     def is_in_N(self, letters):
         return self.eval_word(letters) == self.identity
 
-    def period(self, n_search=24, max_states=5_000_000):
-        key = (n_search, max_states)
-        if key not in self._period_cache:
-            self._period_cache[key] = self._period_search(n_search, max_states)
-        return self._period_cache[key]
+    def period(self):
+        """The exact period of N as a PeriodResult, computed once."""
+        if self._period_cache is None:
+            self._period_cache = self._period_search()
+        return self._period_cache
 
-    def _period_search(self, n_search, max_states):
-        """Bounded search: DP over (first letter, last letter, element),
-        pruned by min_steps_to_identity. Exact within the bound."""
-        ident = self.identity
-        size = self.alphabet.size
-        images = [self.letter_image(l) for l in range(size)]
-        states = set()
-        lengths = []
-        gcd_val, last_change = 0, 0
-        for n in range(1, n_search + 1):
-            if n == 1:
-                states = {(l, l, images[l]) for l in range(size)}
-            else:
-                nxt = set()
-                remaining = n_search - n
-                for first, last, g in states:
-                    forbidden = last ^ 1
-                    for l in range(size):
-                        if l == forbidden:
-                            continue
-                        h = self.multiply(g, images[l])
-                        if self.min_steps_to_identity(h) <= remaining:
-                            nxt.add((first, l, h))
-                states = nxt
-            if len(states) > max_states:
-                raise ResourceError(
-                    "period search state space exceeded budget",
-                    required=len(states), budget=max_states)
-            if any(g == ident and first != (last ^ 1)
-                   for first, last, g in states):
-                lengths.append(n)
-                new_gcd = math.gcd(gcd_val, n)
-                if new_gcd != gcd_val:
-                    gcd_val, last_change = new_gcd, n
-                if gcd_val == 1:
-                    break
-        if not lengths:
-            raise ResourceError(
-                f"no cyclically admissible identity word of length <= "
-                f"{n_search} found; increase n_search", required=n_search + 1,
-                budget=n_search)
-        stabilized = gcd_val == 1 or last_change <= (n_search + 1) // 2
-        return PeriodResult(gcd_val, stabilized, tuple(lengths))
+    @abstractmethod
+    def _period_search(self):
+        """The exact period, as a PeriodResult."""
+
+    def ball_table(self, radius, max_elements=5_000_000):
+        """``(elements, eindex, shifts)`` for the radius ball, built once per
+        (radius, max_elements) and kept on the instance: ``elements`` is
+        ``ball(radius)`` as a tuple, ``eindex`` maps each element to its
+        index, and ``shifts`` is the read-only ``letter_shifts`` table."""
+        key = (radius, max_elements)
+        if key not in self._ball_tables:
+            elements = tuple(self.ball(radius, max_elements))
+            shifts = letter_shifts(self, elements)
+            shifts.flags.writeable = False
+            self._ball_tables[key] = (
+                elements, {e: i for i, e in enumerate(elements)}, shifts)
+        return self._ball_tables[key]
 
     def ball(self, radius, max_elements=5_000_000):
         """All elements reachable from the identity by at most ``radius``
@@ -392,7 +364,7 @@ class FiniteQuotient(Quotient):
 
     # -- exact period via the identity-fiber cycle structure ----------------
 
-    def _period_search(self, n_search, max_states):
+    def _period_search(self):
         """Cycle lengths through the identity fiber of the letter-by-letter
         graph on (letter, element) are exactly the lengths of cyclically
         admissible N-words, so the gcd is the period of that graph.
@@ -469,8 +441,6 @@ class FreeAbelianQuotient(Quotient):
         for v in vecs:
             self._letter_images.append(v)
             self._letter_images.append(tuple(-x for x in v))
-        self._max_step = max((sum(abs(x) for x in v) for v in vecs),
-                             default=0)
 
     @property
     def identity(self):
@@ -489,13 +459,34 @@ class FreeAbelianQuotient(Quotient):
     def sort_key(self, elem):
         return elem
 
-    def min_steps_to_identity(self, elem):
-        l1 = sum(abs(x) for x in elem)
-        if l1 == 0:
-            return 0
-        if self._max_step == 0:
-            return math.inf
-        return -(-l1 // self._max_step)
+    def _period_search(self):
+        """Exact period by integer elimination. With d >= 2 the N-words
+        [a, b] and [a^2, b] have lengths 4 and 6, so the period divides 2.
+        A word's length has the parity of its exponent sum c_1 + ... + c_d,
+        and every integer relation sum c_i v_i = 0 with an odd sum is the
+        exponent vector of a cyclically reduced N-word of odd length
+        (g_1^c_1 ... g_d^c_d, or the single letter g_i when only c_i is
+        nonzero, since then v_i = 0). The sums of the relations form mZ:
+        the last coordinates of the lattice spanned by the rows (v_i, 1)
+        whose first ``rank`` coordinates vanish. Clearing those columns by
+        Euclid leaves m as the gcd of the remaining last coordinates; the
+        period is 1 when m is odd, 2 otherwise."""
+        rows = [list(v) + [1] for v in self.generator_vectors]
+        for col in range(self.rank):
+            live = [r for r in rows if r[col]]
+            while len(live) > 1:
+                pivot = min(live, key=lambda r: abs(r[col]))
+                for r in live:
+                    if r is not pivot:
+                        q = r[col] // pivot[col]
+                        for j in range(col, self.rank + 1):
+                            r[j] -= q * pivot[j]
+                live = [r for r in live if r[col]]
+            rows = [r for r in rows if not r[col]]
+        m = 0
+        for r in rows:
+            m = math.gcd(m, r[-1])
+        return PeriodResult(1 if m % 2 else 2, True, ())
 
     def describe(self):
         return (f"free abelian rank {self.rank}, generator vectors "
@@ -549,8 +540,10 @@ class FreeKillQuotient(Quotient):
     def sort_key(self, elem):
         return (len(elem), elem)
 
-    def min_steps_to_identity(self, elem):
-        return len(elem)
+    def _period_search(self):
+        """A killed letter is a cyclically admissible N-word of length 1,
+        and construction requires one, so the period is 1."""
+        return PeriodResult(1, True, ())
 
     def describe(self):
         names = [f"g{k + 1}" for k in sorted(self.killed)]

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,7 +372,10 @@ class TestOverridesAndErrors:
          "[zeta] constant"),
         (BASE + "\n[grid]\nbeta_step = fine\n", [], "[grid] beta_step"),
         (BASE, ["--beta-range=a:1:1"], "--beta-range"),
-    ], ids=["d", "zeta-constant", "beta-step", "beta-range"])
+        (BASE, ["--n-max", "two"], "--n-max"),
+        (BASE, ["--tolerance", "abc"], "--tolerance"),
+    ], ids=["d", "zeta-constant", "beta-step", "beta-range", "n-max",
+            "tolerance"])
     def test_malformed_number_exit_2(self, capsys, tmp_path, text, flags,
                                      where):
         ini = tmp_path / "bad.ini"
@@ -405,6 +410,10 @@ class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         ini = tmp_path / "s.ini"
         ini.write_text(SPECTRUM)
+        # the child interpreter does not see pytest's pythonpath setting
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         outs, csvs = [], []
         for k in (1, 2):
             out = tmp_path / f"run{k}"
@@ -412,7 +421,7 @@ class TestDeterminism:
                 [sys.executable, "-m", "freeshift.cli", "spectrum",
                  "--config", str(ini), "--out", str(out),
                  "--threads", str(k * 2)],
-                capture_output=True, text=True, check=True)
+                capture_output=True, text=True, check=True, env=env)
             outs.append(proc.stdout.replace(str(out), "OUT"))
             csvs.append(b"".join(sorted(
                 p.read_bytes() for p in out.iterdir())))

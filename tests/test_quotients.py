@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 import oracles
 from freeshift import (FiniteQuotient, FreeAbelianQuotient, FreeKillQuotient,
                        ResourceError, ValidationError)
+from freeshift.words import is_reduced
 
 
 class TestAgainstOracleOps:
@@ -38,12 +41,46 @@ class TestPeriod:
             got = q.period()
             assert got.value == want, (name, got, lengths)
 
-    def test_finite_period_needs_no_search_bound(self, s3):
-        # the finite period is exact; the pruning bound of the bounded
-        # search is neither needed nor defined there
-        assert s3.period(n_search=1).value == 1
-        with pytest.raises(NotImplementedError):
-            s3.min_steps_to_identity(s3.identity)
+    def test_finite_period_needs_no_search_bound(self, s3, z2, fk3):
+        # every quotient type computes its period exactly: period() takes
+        # no search bound and reports no witness lengths
+        for q in (s3, z2, fk3):
+            with pytest.raises(TypeError):
+                q.period(n_search=1)
+            got = q.period()
+            assert got.stabilized and got.lengths == ()
+
+    @pytest.mark.parametrize("vectors, want", [
+        ([[2], [2]], 2),
+        ([[1], [3]], 2),
+        ([[2], [1]], 1),
+        ([[0, 0], [0, 0]], 1),
+    ])
+    def test_lattice_period_matches_witness_search(self, vectors, want):
+        q = FreeAbelianQuotient(2, len(vectors[0]), vectors)
+        brute, lengths = oracles.brute_period(2, 8, q.identity,
+                                              q.letter_image, q.multiply)
+        assert brute == want, lengths
+        assert q.period().value == want
+
+    def test_lattice_period_beyond_any_short_witness(self):
+        # the shortest odd N-word here has length 29, far past a bounded
+        # search; the lattice route still finds period 1, and fast
+        vectors = [[-2, -3], [3, -2], [1, -3]]
+        a, b, c_inv = 0, 2, 5
+        word = (a,) * 7 + (b,) * 9 + (c_inv,) * 13
+        q = FreeAbelianQuotient(3, 2, vectors)
+        assert q.is_in_N(word)
+        assert is_reduced(word) and word[0] != word[-1] ^ 1
+        assert len(word) % 2 == 1
+        assert q.period().value == 1
+        seconds = []
+        for _ in range(3):
+            fresh = FreeAbelianQuotient(3, 2, vectors)
+            start = time.perf_counter()
+            fresh.period()
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.01
 
     def test_known_values(self, bundle):
         # sanity anchors: a killed generator gives a 1-loop; parity lattices
@@ -54,6 +91,29 @@ class TestPeriod:
         assert bundle["z3"][1].period().value == 2
         assert bundle["zmod2"][1].period().value == 2
         assert bundle["s3"][1].period().value == 1
+
+
+class TestBallTable:
+    def test_built_once_per_key(self, z2):
+        first = z2.ball_table(5)
+        assert z2.ball_table(5) is first
+        assert z2.ball_table(6) is not first
+
+    def test_matches_ball_and_letter_images(self, bundle):
+        for name, (d, q, _) in bundle.items():
+            elements, eindex, shifts = q.ball_table(3)
+            assert list(elements) == q.ball(3), name
+            assert all(elements[i] == e for e, i in eindex.items()), name
+            for l in range(2 * d):
+                for i, e in enumerate(elements):
+                    h = q.multiply(e, q.letter_image(l))
+                    assert shifts[l, i] == eindex.get(h, -1), (name, l, e)
+
+    def test_shifts_are_read_only(self, z2):
+        shifts = z2.ball_table(4)[2]
+        assert not shifts.flags.writeable
+        with pytest.raises(ValueError):
+            shifts[0, 0] = 0
 
 
 class TestFirstReturns:

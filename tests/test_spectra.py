@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from freeshift import (GeometricPotential, Potential, ValidationError,
-                       bowen_dimension, cogrowth, combine, default_beta_grid,
-                       delta, free_energy, free_energy_curve, full_pressure,
-                       legendre, level_set_dimension, restricted_pressure)
+from freeshift import (FreeAbelianQuotient, GeometricPotential, Potential,
+                       ValidationError, bowen_dimension, cogrowth, combine,
+                       default_beta_grid, delta, free_energy,
+                       free_energy_curve, full_pressure, legendre,
+                       level_set_dimension, restricted_pressure)
 
 
 class TestFreeEnergy:
@@ -192,6 +193,23 @@ class TestCurvesAndSpectra:
                                  n_max=30)
         for pf, pn in zip(full.points, rest.points):
             assert pn.t <= pf.t + 3 * (pf.sigma + pn.sigma) + 1e-9
+
+    def test_curve_builds_one_ball(self, two_ratio_zeta, monkeypatch):
+        # every evaluation of the curve's roots reads one cached ball table
+        z2 = FreeAbelianQuotient(2, 2, [[1, 0], [0, 1]])
+        calls = []
+        ball = FreeAbelianQuotient.ball
+
+        def spy(self, radius, max_elements=5_000_000):
+            calls.append(radius)
+            return ball(self, radius, max_elements)
+
+        monkeypatch.setattr(FreeAbelianQuotient, "ball", spy)
+        psi = Potential.from_letter_values(2, [-0.4, -0.4, -0.6, -0.6])
+        curve = free_energy_curve(psi, two_ratio_zeta, betas=[-1.0, 0.0, 1.0],
+                                  quotient=z2, n_max=40)
+        assert sum(p.evaluations for p in curve.points) > 3
+        assert calls == [40]
 
     def test_csv_output(self, curve, tmp_path):
         path = tmp_path / "curve.csv"
