@@ -18,11 +18,12 @@ from decimal import Context, Decimal
 import numpy as np
 
 from .config import load_config, parse_number
-from .diagnostics import (amenability_report, divergence_probe, gibbs_verify,
-                          half_bound_check, pressure_inequality_check,
+from .diagnostics import (VerdictReport, amenability_report,
+                          divergence_probe, gibbs_verify, half_bound_check,
+                          pressure_inequality_check,
                           symmetric_on_average_statistic)
 from .errors import FreeshiftError, UndefinedRatioError, ValidationError
-from .potentials import random_inverse_symmetric
+from .potentials import Potential, random_inverse_symmetric
 from .pressure import fiber_partition, full_pressure, restricted_pressure
 from .spectra import (bowen_dimension, cogrowth, default_beta_grid, delta,
                       free_energy_curve, legendre)
@@ -189,7 +190,6 @@ def cmd_diagnose(cfg, args):
     if cfg.psi.is_inverse_symmetric(tol=0.0):
         f_sym = cfg.psi
     else:
-        from .potentials import Potential
         f_sym = Potential.constant(cfg.d, 0.0)
         notes.append("psi is not inverse-symmetric; the pressure "
                      "inequality was checked at f = 0 instead")
@@ -235,7 +235,6 @@ def cmd_diagnose(cfg, args):
 
 
 def _reverify(report_dict):
-    from .diagnostics import VerdictReport
     rep = VerdictReport(report_dict["rule"], report_dict["quantities"],
                         report_dict["slacks"], report_dict["verdict"],
                         report_dict["notes"])

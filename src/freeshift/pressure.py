@@ -22,7 +22,9 @@ programming and extrapolates the rate from the series:
 * free images (killed generators): excursion renewal on the image tree;
   paths decompose uniquely at their last visits to each node of the geodesic
   spine, giving first-passage matrix convolutions over window states, run
-  in linear arithmetic on exponentially tilted series.
+  in linear arithmetic on exponentially tilted series. Each series is one
+  stacked array indexed by (survivor slot, length, state, state), so a
+  length's convolutions are one batched GEMM over the length axis.
 
 Perron roots are computed by power iteration with Collatz-Wielandt ratio
 enclosures, so every exact eigenvalue carries a certified residual.
@@ -34,10 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ResourceError, ValidationError
-from .potentials import boundary_completion, window_states
+from .potentials import (birkhoff_sup_sum, boundary_completion,
+                         window_states)
 from .quotients import (FiniteQuotient, FreeAbelianQuotient,
                         FreeKillQuotient, letter_shifts)
-from .words import enumerate_words
+from .words import enumerate_words, is_reduced
 
 NEG_INF = float("-inf")
 # the renewal keeps the peak of every tilted level inside TILT_RANGE, far
@@ -212,7 +215,7 @@ def restricted_pressure_exact(pot, quotient, tol=1e-13):
     p-th power of the lifted transfer matrix, which is irreducible (see
     LiftedTransferMatrix)."""
     lifted = LiftedTransferMatrix(pot, quotient)
-    p = quotient.period().value
+    p = quotient.period()
     pe = perron_eigen(lifted.matrix, p, tol)
     return PressureResult(math.log(pe.rho), 0.0, "exact-eigenvalue",
                           pe.residual / max(pe.rho ** p, 1e-300) / p,
@@ -269,7 +272,7 @@ def fiber_partition_many(pot, quotient, n_max, targets,
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     targets = list(targets)
-    p = quotient.period().value
+    p = quotient.period()
     if n_max < p:
         raise ValidationError(
             f"n_max={n_max} is below the fiber period {p}; no return "
@@ -288,7 +291,6 @@ def fiber_partition_many(pot, quotient, n_max, targets,
 
 def _short_fiber_logs(pot, quotient, n_upto, targets):
     """Brute force for lengths below the window size: enumerate words."""
-    from .potentials import birkhoff_sup_sum
     out = np.full((len(targets), n_upto), NEG_INF)
     tindex = {t: i for i, t in enumerate(targets)}
     for n in range(1, n_upto + 1):
@@ -390,16 +392,16 @@ def _extended_states(d, cap):
 
 def _step_matrices(pot, c):
     """Per-letter transition matrices over extended window states, tilted
-    by e^(-c). Entry [s, s'] is exp(f(completed window) - c) when appending
-    the letter to context s is admissible and completes a window,
-    exp(-c) before the first window completes, 0 otherwise."""
+    by e^(-c) and stacked as one (2d, S, S) array. Entry [a, s, s'] is
+    exp(f(completed window) - c) when appending letter a to context s is
+    admissible and completes a window, exp(-c) before the first window
+    completes, 0 otherwise."""
     d, k = pot.d, pot.depth
     cap = max(k - 1, 1)
     states, sindex = _extended_states(d, cap)
     S = len(states)
-    mats = []
+    mats = np.zeros((2 * d, S, S))
     for a in range(2 * d):
-        M = np.zeros((S, S))
         for i, s in enumerate(states):
             if s and a == (s[-1] ^ 1):
                 continue
@@ -410,8 +412,7 @@ def _step_matrices(pot, c):
                 raise NumericError(
                     f"potential range too wide for the tilted renewal: "
                     f"step weight e^{val - c:g} leaves the float range")
-            M[i, sindex[s2]] = math.exp(val - c)
-        mats.append(M)
+            mats[a, i, sindex[s2]] = math.exp(val - c)
     return states, sindex, mats
 
 
@@ -421,8 +422,16 @@ def _fiber_renewal(pot, quotient, n_max, targets):
     multiplicative in length, so the convolutions stay exact. When the
     peak of a new level n leaves TILT_RANGE, c moves by log(peak)/n, level
     k is rescaled by e^(-k log(peak)/n) and the steps are rebuilt; c n is
-    added back at readout."""
-    from .words import is_reduced
+    added back at readout.
+
+    Each series is one stacked array over (slot, length, S, S): G holds
+    the stay blocks B_x below each survivor edge x in slots 0..X-1 and the
+    origin blocks A in slot X; E[x, i] sums the length-i excursions D_y
+    that slot x may start (y != x^-1 for B_x, every y for A) through a 0/1
+    mask, so it is a sum of non-negative terms. Level n is then
+        G[:, n] = K G[:, n-1] + sum_{i=2..n} E[:, i] G[:, n-i]
+    with K the sum of the killed steps, the convolution taken as one GEMM
+    over the length axis, batched over slots."""
     survivor_set = set(quotient.survivor_letters)
     for t in targets:
         w = tuple(t)
@@ -437,76 +446,63 @@ def _fiber_renewal(pot, quotient, n_max, targets):
         c = 0.0
     states, sindex, steps = _step_matrices(pot, c)
     S = len(states)
-    survivors = quotient.survivor_letters
-    killed = quotient.killed_letters
-    zeros = np.zeros((S, S))
-    one_mat = np.eye(S)
+    survivors = np.array(quotient.survivor_letters, dtype=np.int64)
+    killed = list(quotient.killed_letters)
+    X = len(survivors)
 
-    # series arrays indexed by length
-    A = [one_mat] + [None] * n_max
-    D = {x: [None] * (n_max + 1) for x in survivors}
-    Bx = {x: [one_mat] + [None] * n_max for x in survivors}
+    def split(steps):
+        """Descent and ascent steps per survivor, and the killed sum K."""
+        return (steps[survivors], steps[survivors ^ 1],
+                steps[killed].sum(axis=0))
 
+    up, down, K = split(steps)
+    # mask[x, y] = 1 when slot x may start an excursion via survivor y
+    mask = np.vstack([survivors[None, :] != (survivors[:, None] ^ 1),
+                      np.ones((1, X), dtype=bool)]).astype(float)
+
+    G = np.zeros((X + 1, n_max + 1, S, S))
+    G[:, 0] = np.eye(S)
+    E = np.zeros_like(G)
     for n in range(1, n_max + 1):
-        # excursions of length n: descend via x, stay n-2, ascend
+        G[:, n] = K @ G[:, n - 1]
         if n >= 2:
-            for x in survivors:
-                D[x][n] = steps[x] @ Bx[x][n - 2] @ steps[x ^ 1]
-        # stay blocks below an x-edge: first move is a killed letter or a
-        # deeper excursion via y != x^{-1}
-        for x in survivors:
-            M = zeros.copy()
-            for a in killed:
-                M += steps[a] @ Bx[x][n - 1]
-            for y in survivors:
-                if y == (x ^ 1):
-                    continue
-                for i in range(2, n + 1):
-                    M += D[y][i] @ Bx[x][n - i]
-            Bx[x][n] = M
-        # origin blocks: same with every survivor direction allowed
-        M = zeros.copy()
-        for a in killed:
-            M += steps[a] @ A[n - 1]
-        for y in survivors:
-            for i in range(2, n + 1):
-                M += D[y][i] @ A[n - i]
-        A[n] = M
-
-        peak = max([A[n].max()] + [Bx[x][n].max() for x in survivors])
+            # excursions of length n: descend via y, stay n-2, ascend
+            D = up @ G[:X, n - 2] @ down
+            E[:, n] = (mask @ D.reshape(X, S * S)).reshape(X + 1, S, S)
+            conv = (E[:, n:1:-1].transpose(0, 2, 1, 3)
+                    .reshape(X + 1, S, (n - 1) * S)
+                    @ G[:, :n - 1].reshape(X + 1, (n - 1) * S, S))
+            G[:, n] += conv
+        peak = G[:, n].max()
         if peak > 0 and not TILT_RANGE[0] <= peak <= TILT_RANGE[1]:
             rate = math.log(peak) / n
             c += rate
-            for k in range(1, n + 1):
-                scale = math.exp(-rate * k)
-                A[k] *= scale
-                for x in survivors:
-                    Bx[x][k] *= scale
-                    if D[x][k] is not None:
-                        D[x][k] *= scale
+            scale = np.exp(-rate * np.arange(1, n + 1))[:, None, None]
+            G[:, 1:n + 1] *= scale
+            E[:, 1:n + 1] *= scale
             steps = _step_matrices(pot, c)[2]
+            up, down, K = split(steps)
 
     bnd = np.exp([boundary_completion(pot, s) for s in states])
     start = sindex[()]
+    slot = {int(x): i for i, x in enumerate(survivors)}
 
+    lengths = np.arange(1, n_max + 1)
     out = np.full((len(targets), n_max), NEG_INF)
     for ti, t in enumerate(targets):
-        # convolve A with one (step + stay) block per spine letter
-        chain = A
+        # row `start` of A convolved with one (step + stay) block per spine
+        # letter; only that row reaches the readout
+        chain = G[X, :, start]
         for x in tuple(t):
-            step_stay = [None] + [steps[x] @ Bx[x][n - 1]
-                                  for n in range(1, n_max + 1)]
-            nxt = []
-            for n in range(n_max + 1):
-                M = zeros.copy()
-                for i in range(1, n + 1):
-                    M += chain[n - i] @ step_stay[i]
-                nxt.append(M)
+            step_stay = steps[x] @ G[slot[x], :n_max]    # lengths 1..n_max
+            nxt = np.zeros_like(chain)
+            for n in range(1, n_max + 1):
+                nxt[n] = (chain[:n].reshape(n * S)
+                          @ step_stay[n - 1::-1].reshape(n * S, S))
             chain = nxt
-        for n in range(1, n_max + 1):
-            s = float(chain[n][start] @ bnd)
-            if s > 0:
-                out[ti, n - 1] = math.log(s) + c * n
+        s = chain[1:] @ bnd
+        with np.errstate(divide="ignore"):
+            out[ti] = np.where(s > 0, np.log(s) + c * lengths, NEG_INF)
     return out
 
 

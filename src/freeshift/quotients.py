@@ -25,7 +25,6 @@ n_max on one quotient shares a single build.
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +32,6 @@ from .errors import ResourceError, ValidationError
 from .words import Alphabet, concat_reduce, inverse_word
 
 MAX_FINITE_ORDER = 10_000
-
-
-@dataclass(frozen=True)
-class PeriodResult:
-    """gcd of cyclically admissible identity-word lengths.
-
-    Every quotient type computes it exactly (finite: BFS levels of the
-    (letter, element) graph; free abelian: integer elimination; free-kill:
-    1), so ``stabilized`` is always True and ``lengths``, the lengths of
-    witnesses found, is empty.
-    """
-
-    value: int
-    stabilized: bool
-    lengths: tuple = ()
 
 
 class Quotient(ABC):
@@ -106,14 +90,17 @@ class Quotient(ABC):
         return self.eval_word(letters) == self.identity
 
     def period(self):
-        """The exact period of N as a PeriodResult, computed once."""
+        """The exact period of N, the gcd of the lengths of cyclically
+        admissible N-words, computed once. Every quotient type computes it
+        exactly: finite by BFS levels of the (letter, element) graph, free
+        abelian by integer elimination, free-kill as 1."""
         if self._period_cache is None:
             self._period_cache = self._period_search()
         return self._period_cache
 
     @abstractmethod
     def _period_search(self):
-        """The exact period, as a PeriodResult."""
+        """The exact period, as an int."""
 
     def ball_table(self, radius, max_elements=5_000_000):
         """``(elements, eindex, shifts)`` for the radius ball, built once per
@@ -397,7 +384,7 @@ class FiniteQuotient(Quotient):
                         nxt.append(v)
                     g = math.gcd(g, level[u] + 1 - level[v])
             frontier = nxt
-        return PeriodResult(g, True, ())
+        return g
 
 
 def letter_shifts(quotient, elements):
@@ -486,7 +473,7 @@ class FreeAbelianQuotient(Quotient):
         m = 0
         for r in rows:
             m = math.gcd(m, r[-1])
-        return PeriodResult(1 if m % 2 else 2, True, ())
+        return 1 if m % 2 else 2
 
     def describe(self):
         return (f"free abelian rank {self.rank}, generator vectors "
@@ -543,7 +530,7 @@ class FreeKillQuotient(Quotient):
     def _period_search(self):
         """A killed letter is a cyclically admissible N-word of length 1,
         and construction requires one, so the period is 1."""
-        return PeriodResult(1, True, ())
+        return 1
 
     def describe(self):
         names = [f"g{k + 1}" for k in sorted(self.killed)]

@@ -124,38 +124,58 @@ def eval_word(word, identity, img, mul):
 # ---------------------------------------------------------------------------
 # brute-force quantities
 
+def _prefix_walk(d, L, identity, img, mul):
+    """Depth-first walk over the reduced words of length 1..L in
+    lexicographic preorder, carrying prefix products so that each word
+    costs one mul. Yields (word, image, first): ``first`` says that no
+    proper nonempty prefix of the word has image id."""
+    stack = [((l,), mul(identity, img(l)), True)
+             for l in range(2 * d - 1, -1, -1)]
+    while stack:
+        w, g, first = stack.pop()
+        yield w, g, first
+        if len(w) < L:
+            deeper = first and g != identity
+            for l in range(2 * d - 1, -1, -1):
+                if l != inv(w[-1]):
+                    stack.append((w + (l,), mul(g, img(l)), deeper))
+
+
+@functools.cache
+def _walk_summary(d, L, identity, img, mul):
+    """One walk feeds both oracles below: the first-return words in walk
+    order, and per length n = 1..L a dict image -> number of words."""
+    first_returns = []
+    counts = [{} for _ in range(L)]
+    for w, g, first in _prefix_walk(d, L, identity, img, mul):
+        per_n = counts[len(w) - 1]
+        per_n[g] = per_n.get(g, 0) + 1
+        if first and g == identity:
+            first_returns.append(w)
+    return tuple(first_returns), counts
+
+
 def brute_fiber_sums(d, n_max, identity, img, mul, target=None,
                      sup_sum=None):
     """a_n = sum over reduced words of length n with image == target of
     exp(S_w f), n = 1..n_max. sup_sum(word) defaults to 0 (counting)."""
     if target is None:
         target = identity
-    out = []
-    for n in range(1, n_max + 1):
-        total = 0.0
-        for w in brute_words(d, n):
-            if eval_word(w, identity, img, mul) == target:
-                total += math.exp(sup_sum(w)) if sup_sum else 1.0
-        out.append(total)
+    if sup_sum is None:
+        counts = _walk_summary(d, n_max, identity, img, mul)[1]
+        return [float(per_n.get(target, 0)) for per_n in counts]
+    out = [0.0] * n_max
+    for w, g, _ in _prefix_walk(d, n_max, identity, img, mul):
+        if g == target:
+            out[len(w) - 1] += math.exp(sup_sum(w))
     return out
 
 
 def brute_first_returns(d, L, identity, img, mul):
     """Words of length <= L with image id and no proper nonempty prefix of
     image id, in lexicographic order (by length, then letters)."""
-    found = []
-    for n in range(1, L + 1):
-        for w in brute_words(d, n):
-            g = identity
-            ok = True
-            for i, letter in enumerate(w):
-                g = mul(g, img(letter))
-                if g == identity and i < n - 1:
-                    ok = False
-                    break
-            if ok and g == identity:
-                found.append(w)
-    return found
+    found = _walk_summary(d, L, identity, img, mul)[0]
+    return sorted(found, key=lambda w: (len(w), w))
 
 
 def brute_period(d, n_search, identity, img, mul):

@@ -1,5 +1,7 @@
 """Static checks on the library source that need no linter: every name a
-module imports is used in it (or re-exported through ``__all__``)."""
+module imports is used in it (or re-exported through ``__all__``), and no
+function imports from the package itself (those imports go at module top,
+where a cycle would show at once)."""
 
 import ast
 import pathlib
@@ -37,6 +39,15 @@ def _used_names(tree):
     return used
 
 
+def _local_package_imports(tree):
+    """Lines of ``from .x import y`` statements inside function bodies."""
+    return sorted({node.lineno
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level > 0})
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"pressure.py", "quotients.py",
                                          "spectra.py", "cli.py"}
@@ -57,3 +68,19 @@ def test_check_detects_an_unused_import():
     used = _used_names(tree)
     assert sorted(n for n in _imported_names(tree) if n not in used) == \
         ["os", "tau"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_package_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = _local_package_imports(tree)
+    assert not lines, \
+        f"{path.name} imports from the package inside functions: {lines}"
+
+
+def test_check_detects_a_function_local_package_import():
+    tree = ast.parse("from .a import b\n"
+                     "def f():\n    import os\n    from .c import d\n"
+                     "class K:\n    def g(self):\n"
+                     "        from ..e import h\n")
+    assert _local_package_imports(tree) == [4, 7]

@@ -159,12 +159,15 @@ class TestFiberPartition:
                                rtol=1e-10, atol=1e-12), name
 
     def test_weighted_sums_match_brute(self, bundle):
-        # exact sup-sum weighting, including depth-2 boundary terms
+        # exact sup-sum weighting, including depth-2 boundary terms, on the
+        # ball DP and on the renewal (F2 with g2 killed)
+        cases = {"z2": bundle["z2"], "zmod2": bundle["zmod2"],
+                 "fk2": (2, FreeKillQuotient(2, {1}),
+                         oracles.freekill_ops({1}))}
         for depth in (1, 2):
             pot = _random_pot(2, depth, seed=depth + 3)
             table = {w: pot.value(w) for w in window_states(2, depth)[0]}
-            for name in ("z2", "zmod2"):
-                d, q, (ident, img, mul) = bundle[name]
+            for name, (d, q, (ident, img, mul)) in cases.items():
                 want = oracles.brute_fiber_sums(
                     d, 6, ident, img, mul,
                     sup_sum=lambda w: oracles.brute_sup_sum(2, depth, table,
@@ -211,6 +214,45 @@ class TestFiberPartition:
         assert np.isfinite(logs).all()
         assert logs[-1] == pytest.approx(want, abs=1e-9)
 
+    # log a_n of the renewal as computed by the per-pair matrix loops it
+    # replaced; the stacked-GEMM sums differ from them only by rounding
+    # (observed <= 2.9e-14). Letters (10, -10, 0.3, -0.7) on F2 are the
+    # drifting potential whose identity fiber the ball DP loses (see
+    # test_ball_dp_refuses_sunken_target_mass).
+    @pytest.mark.parametrize(
+        "d, killed, letters, n_max, target, empty, pins", [
+        (3, {2}, [-1.0] * 6, 40, (), [],
+         {10: 1.492906414256191, 20: 5.289953695694436,
+          40: 13.593235812155138}),
+        (3, {2}, [0.3, -0.2, 0.1, 0.4, -0.5, 0.2], 80, (), [],
+         {10: 12.101726357293867, 20: 26.608063122802232,
+          40: 56.337596098001825, 80: 116.61750030443768}),
+        (3, {2}, [0.3, -0.2, 0.1, 0.4, -0.5, 0.2], 80, (0,), [],
+         {10: 12.074785115137637, 20: 26.624624281480653,
+          40: 56.380246705220316, 80: 116.67550637547177}),
+        (3, {2}, [0.3, -0.2, 0.1, 0.4, -0.5, 0.2], 80, (0, 2), [1],
+         {10: 11.550913193989897, 20: 26.154949406150383,
+          40: 55.948166842078706, 80: 116.26555149933142}),
+        (2, {1}, [10.0, -10.0, 0.3, -0.7], 120, (), [],
+         {10: 9.198628478918438, 20: 19.90466777846011,
+          40: 41.638971881162014, 80: 85.44391501985697,
+          120: 129.39048624317942}),
+        (3, {2}, [0.0] * 6, 160, (), [],
+         {10: 11.49290641425619, 20: 25.289953695694432,
+          40: 53.593235812155136, 80: 111.01407704547135,
+          120: 168.8043449586719, 160: 226.7536831353341}),
+    ], ids=["fk3-f-1", "fk3-asym-id", "fk3-asym-a", "fk3-asym-ac",
+            "fk2-drift", "fk3-f0-160"])
+    def test_renewal_matches_pinned_series(self, d, killed, letters, n_max,
+                                           target, empty, pins):
+        pot = Potential.from_letter_values(d, letters)
+        logs = fiber_partition(pot, FreeKillQuotient(d, killed), n_max,
+                               target=target).log_values
+        assert list(np.flatnonzero(np.isneginf(logs)) + 1) == empty
+        assert np.isfinite(np.delete(logs, np.array(empty, int) - 1)).all()
+        for n, want in pins.items():
+            assert logs[n - 1] == pytest.approx(want, rel=0, abs=1e-12), n
+
     @pytest.mark.parametrize("shift", [-200.0, -10.0, 10.0, 200.0])
     def test_retilt_is_exact_under_constant_shifts(self, fk3, shift):
         # a constant potential c scales a_n by e^(c n) exactly; the shifts
@@ -251,7 +293,7 @@ class TestFiberPartition:
         for name, (d, q, _) in bundle.items():
             series = fiber_partition(Potential.constant(d, 0.0), q, 8)
             p = series.period
-            assert p == q.period().value, name
+            assert p == q.period(), name
             for n, lv in zip(series.lengths, series.log_values):
                 if n % p != 0:
                     assert lv == -math.inf, (name, n)
