@@ -9,6 +9,20 @@ the fibers of a quotient map. Comparing the full and restricted values
 gives numerical amenability and dimension-gap diagnostics.
 """
 
+import importlib
+import os
+
+# OpenBLAS starts a busy-waiting worker per core at load, and no operand here
+# is big enough to use it: load numpy on one BLAS thread unless the caller set
+# a count. OpenBLAS reads the variable only at load, so it is removed again.
+if not any(name in os.environ for name in
+           ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .config import RunConfig, load_config
 from .diagnostics import (GibbsData, SymmetricAverageResult, VerdictReport,
                           amenability_report, divergence_probe, gibbs_verify,

@@ -4,7 +4,8 @@ Everything here is deliberately slow and simple: plain tuples, full
 enumeration, no matrices, no recurrences shared with the library. Tests
 compare library output against these oracles on small instances, so the
 oracles must stay independent of the code under test (they import nothing
-from freeshift).
+from freeshift). reduced_word_counts counts words by an exact integer
+recurrence instead of enumerating them; tests check it against brute_words.
 
 Conventions (shared with the library by construction, asserted in tests):
 letters are ints 0..2d-1, letter 2k is the (k+1)-th generator, 2k+1 its
@@ -238,18 +239,44 @@ def brute_sup_sum(d, depth, table, word):
 
 
 @functools.cache
+def reduced_word_counts(d, n_max):
+    """Per length n = 1..n_max, a dict (last letter, letter-count vector)
+    -> number of reduced words of length n that end in that letter and use
+    letter l exactly vector[l] times. Exact integers, built by appending
+    one letter at a time; tests check it against brute_words."""
+    layer = {}
+    for l in range(2 * d):
+        vec = [0] * (2 * d)
+        vec[l] = 1
+        layer[(l, tuple(vec))] = 1
+    out = [layer]
+    for _ in range(n_max - 1):
+        nxt = {}
+        for (last, vec), c in layer.items():
+            for l in range(2 * d):
+                if l != inv(last):
+                    key = (l, vec[:l] + (vec[l] + 1,) + vec[l + 1:])
+                    nxt[key] = nxt.get(key, 0) + c
+        layer = nxt
+        out.append(layer)
+    return out
+
+
+@functools.cache
 def _sum_histograms(d, n_max, psi_letter, zeta_letter):
     """Per length n = 1..n_max, the sorted (S psi, S zeta) pairs of all
-    reduced words with their counts. Independent of beta, so one
-    enumeration serves every beta asked of the same potentials."""
+    reduced words with their counts. For depth-1 potentials a word's sums
+    depend only on its letter counts, so they are folded from
+    reduced_word_counts instead of walking every word. Independent of
+    beta, so one table serves every beta asked of the same potentials."""
     per_n = []
-    for n in range(1, n_max + 1):
+    for layer in reduced_word_counts(d, n_max):
         acc = {}
-        for w in brute_words(d, n):
-            sp = sum(psi_letter[l] for l in w)
-            sz = sum(zeta_letter[l] for l in w)
+        for (_, vec), c in layer.items():
+            sp = sum(k * v for k, v in zip(vec, psi_letter))
+            sz = sum(k * v for k, v in zip(vec, zeta_letter))
             key = (round(sp, 12), round(sz, 12))
-            acc[key] = acc.get(key, 0) + 1
+            acc[key] = acc.get(key, 0) + c
         per_n.append(sorted(acc.items()))
     return per_n
 

@@ -406,24 +406,81 @@ class TestOverridesAndErrors:
         assert payload["error"]["type"] == "NumericError"
 
 
+# FK3 with a wide psi: its partition makes the largest GEMMs of the CLI runs
+FK3_WIDE = """\
+[model]
+d = 3
+
+[quotient]
+type = freekill
+killed = 3
+
+[zeta]
+ratios = 0.5, 0.333333333333, 0.25
+
+[psi]
+letters = 10, -10, 0
+"""
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+def child_env(**settings):
+    """Environment of a child interpreter: the caller's without any BLAS
+    thread count, src on the path (the child does not see pytest's
+    pythonpath setting), then settings."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.update(settings)
+    return env
+
+
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, tmp_path):
-        ini = tmp_path / "s.ini"
-        ini.write_text(SPECTRUM)
-        # the child interpreter does not see pytest's pythonpath setting
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        (tmp_path / "s.ini").write_text(SPECTRUM)
+        (tmp_path / "w.ini").write_text(FK3_WIDE)
+        runs = (("spectrum", "s.ini"), ("partition", "w.ini", "--n-max", "80"))
         outs, csvs = [], []
         for k in (1, 2):
-            out = tmp_path / f"run{k}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "freeshift.cli", "spectrum",
-                 "--config", str(ini), "--out", str(out),
-                 "--threads", str(k * 2)],
-                capture_output=True, text=True, check=True, env=env)
-            outs.append(proc.stdout.replace(str(out), "OUT"))
-            csvs.append(b"".join(sorted(
-                p.read_bytes() for p in out.iterdir())))
-        assert outs[0] == outs[1]
-        assert csvs[0] == csvs[1]
+            env = child_env(OPENBLAS_NUM_THREADS=str(k))
+            for cmd, ini, *flags in runs:
+                out = tmp_path / f"{cmd}{k}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "freeshift.cli", cmd,
+                     "--config", str(tmp_path / ini), "--out", str(out),
+                     "--threads", str(k * 2), *flags],
+                    capture_output=True, text=True, check=True, env=env)
+                outs.append(proc.stdout.replace(str(out), "OUT"))
+                csvs.append(b"".join(sorted(
+                    p.read_bytes() for p in out.iterdir())))
+        assert outs[:2] == outs[2:]
+        assert csvs[:2] == csvs[2:]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counting OS threads needs /proc/self/task")
+class TestBlasThreads:
+    PROBE = ("import os; before = dict(os.environ); import freeshift.cli; "
+             "import numpy as np; a = np.ones((512, 512)); a @ a; "
+             "print(len(os.listdir('/proc/self/task')), "
+             "dict(os.environ) == before, "
+             "os.environ.get('OPENBLAS_NUM_THREADS'))")
+
+    def probe(self, **settings):
+        proc = subprocess.run([sys.executable, "-c", self.PROBE],
+                              capture_output=True, text=True, check=True,
+                              env=child_env(**settings))
+        return proc.stdout.split()
+
+    def test_import_pins_one_thread_and_leaves_environ(self):
+        assert self.probe() == ["1", "True", "None"]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 cores")
+    @pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+    def test_preset_thread_count_is_honoured(self, name):
+        tasks, same, value = self.probe(**{name: "2"})
+        assert (tasks, same) == ("2", "True")
+        assert value == ("2" if name == "OPENBLAS_NUM_THREADS" else "None")

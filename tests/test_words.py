@@ -31,6 +31,17 @@ class TestCounting:
         assert words == sorted(words)
         assert all(is_reduced(w) and len(w) == n for w in words)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_oracle_word_counts_match_enumeration(self, d):
+        # the series oracle folds its sums from these counts
+        layers = oracles.reduced_word_counts(d, 8)
+        for n, layer in enumerate(layers, start=1):
+            want = {}
+            for w in oracles.brute_words(d, n):
+                key = (w[-1], tuple(w.count(l) for l in range(2 * d)))
+                want[key] = want.get(key, 0) + 1
+            assert layer == want
+
     def test_enumeration_matches_brute(self):
         assert list(enumerate_words(2, 4)) == sorted(oracles.brute_words(2, 4))
 
