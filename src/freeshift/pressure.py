@@ -11,14 +11,15 @@ For finite image groups that growth rate is again an exact eigenvalue
 problem for the lifted transfer matrix on (window, element) pairs. With
 d >= 2 that matrix is irreducible (the loop images at a letter generate the
 group), so the Perron root of the whole matrix gives the rate. For
-infinite image groups the library computes a_n exactly by dynamic
-programming and extrapolates the rate from the series:
+infinite image groups the library computes a_n exactly and extrapolates
+the rate from the series. Both fiber engines step over extended states
+(the last k-1 letters, from the empty context) with one set of tilted
+per-letter matrices, and complete the trailing windows at readout:
 
-* free abelian images: vectorized DP over (window, ball element); a length-n
-  prefix cannot leave the radius-n ball, so indexing ball(n_max) is exact.
-  The ball, its index and its letter-shift table come from
-  Quotient.ball_table, built once per (quotient, n_max), so the repeated
-  evaluations of a free-energy root share them;
+* free abelian images (and finite ones): forward DP over (state, ball
+  element); a length-n prefix cannot leave the radius-n ball, so indexing
+  ball(n_max), built once per (quotient, n_max) by Quotient.ball_table,
+  is exact;
 * free images (killed generators): excursion renewal on the image tree;
   paths decompose uniquely at their last visits to each node of the geodesic
   spine, giving first-passage matrix convolutions over window states, run
@@ -36,8 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ResourceError, ValidationError
-from .potentials import (birkhoff_sup_sum, boundary_completion,
-                         window_states)
+from .potentials import boundary_completion, window_states
 from .quotients import (FiniteQuotient, FreeAbelianQuotient,
                         FreeKillQuotient, letter_shifts)
 from .words import enumerate_words, is_reduced
@@ -168,6 +168,9 @@ def perron_eigen(M, period=1, tol=1e-13, max_iter=100_000, want_left=False):
     for it in range(1, max_iter + 1):
         w = Mp @ v
         wmax = w.max()
+        if not math.isfinite(wmax):
+            raise NumericError(f"power iteration overflowed the float "
+                               f"range (largest entry {Mp.max():g})")
         if wmax <= 0:
             raise NumericError("transfer matrix has a zero row block")
         ratios = w / v
@@ -289,97 +292,7 @@ def fiber_partition_many(pot, quotient, n_max, targets,
             for i, t in enumerate(targets)}
 
 
-def _short_fiber_logs(pot, quotient, n_upto, targets):
-    """Brute force for lengths below the window size: enumerate words."""
-    out = np.full((len(targets), n_upto), NEG_INF)
-    tindex = {t: i for i, t in enumerate(targets)}
-    for n in range(1, n_upto + 1):
-        acc = [[] for _ in targets]
-        for w in enumerate_words(pot.d, n):
-            g = quotient.eval_word(w)
-            i = tindex.get(g)
-            if i is not None:
-                acc[i].append(birkhoff_sup_sum(pot, w))
-        for i, vals in enumerate(acc):
-            if vals:
-                m = max(vals)
-                out[i, n - 1] = m + math.log(
-                    sum(math.exp(v - m) for v in vals))
-    return out
-
-
-def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
-    d = pot.d
-    m = max(pot.depth, 1)
-    windows, index, src, new_letter = _window_graph(d, m)
-    W = len(windows)
-    # group shift per letter: next_idx[l][g] = index of elements[g] * img(l)
-    elements, eindex, next_idx = quotient.ball_table(
-        n_max, max_elements=max_states)
-    B = len(elements)
-    if W * B > max_states:
-        raise ResourceError("fiber DP state space exceeds budget",
-                            required=W * B, budget=max_states)
-    tpos = []
-    for t in targets:
-        if t not in eindex:
-            raise ValidationError(
-                f"target {t!r} outside the radius-{n_max} ball")
-        tpos.append(eindex[t])
-
-    out = np.full((len(targets), n_max), NEG_INF)
-    if m > 1:
-        out[:, :m - 1] = _short_fiber_logs(pot, quotient, m - 1, targets)
-
-    # exp of the trailing-window completion per window state
-    bnd = np.array([boundary_completion(pot, w[-(pot.depth - 1):])
-                    if pot.depth > 1 else 0.0 for w in windows])
-    ebnd = np.exp(bnd)
-    weights = np.exp(pot.values)
-
-    A = np.zeros((W, B))
-    for j, w in enumerate(windows):
-        g = quotient.eval_word(w)
-        A[j, eindex[g]] += weights[j]
-    logscale = 0.0
-
-    def readout(n, peak):
-        for i, gp in enumerate(tpos):
-            s = float(A[:, gp] @ ebnd)
-            if 0 < s < MASS_FLOOR * peak:
-                # states feeding this target sink below the float range
-                # of the peak-normalised DP and are lost without a trace
-                raise NumericError(
-                    f"fiber DP lost precision: target {targets[i]!r} holds "
-                    f"{s / peak:.1e} of the peak mass at length {n}")
-            if s > 0:
-                out[i, n - 1] = logscale + math.log(s)
-
-    readout(m, A.max())
-    for n in range(m + 1, n_max + 1):
-        gathered = A[src, :].sum(axis=1)          # (W, B): sum over sources
-        A2 = np.zeros_like(A)
-        for j in range(W):
-            ni = next_idx[new_letter[j]]
-            valid = ni >= 0
-            row = gathered[j]
-            # out-of-ball shifts carry provably dead mass (a length-n
-            # prefix sits in ball(n)); drop and verify
-            if not valid.all() and row[~valid].any():
-                raise NumericError("fiber DP dropped live mass; ball "
-                                   "indexing is inconsistent")
-            A2[j, ni[valid]] = row[valid] * weights[j]
-        A = A2
-        peak = A.max()
-        if peak <= 0:
-            break        # no admissible continuations carry weight: done
-        A /= peak
-        logscale += math.log(peak)
-        readout(n, 1.0)
-    return out
-
-
-# -- excursion renewal on the image tree (free-kill quotients) -------------
+# -- tilted steps over extended window states (both fiber engines) --------
 
 def _extended_states(d, cap):
     """Words of length <= cap (the DP window contexts), lexicographic by
@@ -410,11 +323,84 @@ def _step_matrices(pot, c):
             val = pot.value(grown[-k:]) if len(grown) >= k else 0.0
             if abs(val - c) > MAX_LOG_STEP:
                 raise NumericError(
-                    f"potential range too wide for the tilted renewal: "
+                    f"potential range too wide for the renewal and ball DP: "
                     f"step weight e^{val - c:g} leaves the float range")
             mats[a, i, sindex[s2]] = math.exp(val - c)
     return states, sindex, mats
 
+
+def _start_tilt(pot):
+    """The tilt c both fiber engines start from: 0 when the untilted sums
+    fit, so such runs are exactly the plain recurrences; otherwise
+    max f + log(2d-1) >= P(f), where every tilted row sum is at most 1."""
+    c = float(pot.values.max()) + math.log(2 * pot.d - 1)
+    return c if abs(c) >= math.log(TILT_RANGE[1]) / 2 else 0.0
+
+
+# -- ball DP (finite and free abelian quotients) ---------------------------
+
+def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
+    """Forward DP on the tilted steps over (extended state, ball element):
+    A[s, g] is e^(-c n) times the weight of the length-n words in context
+    s with image g, from mass 1 at (empty context, identity). A length-n
+    prefix stays in ball(n), so ball(n_max) indexes it exactly. Levels are
+    normalised to peak 1; c and the log peak go to the log scale."""
+    c = _start_tilt(pot)
+    states, sindex, steps = _step_matrices(pot, c)
+    # shifts[l, g] = index of elements[g] * img(l), -1 outside the ball
+    elements, eindex, shifts = quotient.ball_table(
+        n_max, max_elements=max_states)
+    S, B = len(states), len(elements)
+    if S * B > max_states:
+        raise ResourceError("fiber DP state space exceeds budget",
+                            required=S * B, budget=max_states)
+    for t in targets:
+        if t not in eindex:
+            raise ValidationError(
+                f"target {t!r} outside the radius-{n_max} ball")
+    # appending a lands in the states ending in a, so rows dest[a] of
+    # K.T @ A are fed by a alone; they move along the group by img(a):
+    # the new mass at h is the flow at h img(a)^-1
+    K = steps.sum(axis=0)
+    dest = [np.array([i for i, s in enumerate(states) if s[-1:] == (a,)])
+            for a in range(2 * pot.d)]
+    leaves = [np.flatnonzero(row < 0) for row in shifts]
+    bnd = np.exp([boundary_completion(pot, s) for s in states])
+
+    out = np.full((len(targets), n_max), NEG_INF)
+    A = np.zeros((S, B + 1))      # column B: a zero pad, read by shift -1
+    A[sindex[()], eindex[quotient.identity]] = 1.0
+    logscale = 0.0
+    for n in range(1, n_max + 1):
+        flow = K.T @ A
+        A = np.zeros_like(A)
+        for a, rows in enumerate(dest):
+            # a-shifts leaving the ball carry provably dead mass (a
+            # length-n prefix sits in ball(n)); verify before dropping it
+            fed = flow[rows]
+            if fed[:, leaves[a]].any():
+                raise NumericError("fiber DP dropped live mass; ball "
+                                   "indexing is inconsistent")
+            A[rows, :B] = fed[:, shifts[a ^ 1]]
+        peak = A.max()
+        if peak <= 0:
+            break        # no admissible continuations carry weight: done
+        A /= peak
+        logscale += c + math.log(peak)
+        for i, t in enumerate(targets):
+            mass = float(A[:, eindex[t]] @ bnd)
+            if 0 < mass < MASS_FLOOR:
+                # the states feeding t sank below the float range of the
+                # peak-normalised DP and are lost without a trace
+                raise NumericError(
+                    f"fiber DP lost precision: target {t!r} holds "
+                    f"{mass:.1e} of the peak mass at length {n}")
+            if mass > 0:
+                out[i, n - 1] = logscale + math.log(mass)
+    return out
+
+
+# -- excursion renewal on the image tree (free-kill quotients) -------------
 
 def _fiber_renewal(pot, quotient, n_max, targets):
     """Excursion renewal in linear arithmetic on tilted series: every
@@ -438,12 +424,7 @@ def _fiber_renewal(pot, quotient, n_max, targets):
         if not (is_reduced(w) and set(w) <= survivor_set):
             raise ValidationError(
                 f"target {t!r} is not a reduced survivor word")
-    # c starts at 0 when the untilted sums fit, so such runs are exactly
-    # the plain recurrences; otherwise at max f + log(2d-1) >= P(f), where
-    # every tilted row sum is at most 1
-    c = float(pot.values.max()) + math.log(2 * pot.d - 1)
-    if abs(c) < math.log(TILT_RANGE[1]) / 2:
-        c = 0.0
+    c = _start_tilt(pot)
     states, sindex, steps = _step_matrices(pot, c)
     S = len(states)
     survivors = np.array(quotient.survivor_letters, dtype=np.int64)
@@ -591,7 +572,8 @@ def restricted_pressure(pot, quotient, n_max=40, tol=1e-13):
 def partition_sum_matrix(pot, n):
     """Exact Z_n = sum over Sigma^n of exp(S_w f) via matrix powers:
     interior window weights accumulated by the transfer matrix, boundary
-    completions added at readout (exactly as the fiber DP does)."""
+    completions of each last window's final k-1 letters added at
+    readout."""
     tm = TransferMatrix(pot)
     m = tm.m
     if n < m:
@@ -599,7 +581,5 @@ def partition_sum_matrix(pot, n):
     vec = tm.initial_vector()
     for _ in range(n - m):
         vec = tm.matrix.T @ vec
-    windows, _ = window_states(pot.d, m)
-    ebnd = np.exp([boundary_completion(pot, w[-(pot.depth - 1):])
-                   if pot.depth > 1 else 0.0 for w in windows])
+    ebnd = np.exp([boundary_completion(pot, w[1:]) for w in tm.windows])
     return float(vec @ ebnd)

@@ -1,9 +1,11 @@
 """Static checks on the library source that need no linter: every name a
-module imports is used in it (or re-exported through ``__all__``), and no
+module imports is used in it (or re-exported through ``__all__``), no
 function imports from the package itself (those imports go at module top,
-where a cycle would show at once)."""
+where a cycle would show at once), and every module-level private function
+is referenced somewhere in the package."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -48,6 +50,30 @@ def _local_package_imports(tree):
                    if isinstance(node, ast.ImportFrom) and node.level > 0})
 
 
+def _orphan_helpers(trees):
+    """Module-level private functions that no other top-level statement of
+    the given modules references by name, attribute or import."""
+    refs = collections.Counter()
+    helpers = []
+    for tree in trees:
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and stmt.name.startswith("_")
+                    and not stmt.name.endswith("__")):
+                helpers.append(stmt.name)
+                names.discard(stmt.name)   # its own recursive calls
+            refs.update(names)
+    return sorted(h for h in helpers if not refs[h])
+
+
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"pressure.py", "quotients.py",
                                          "spectra.py", "cli.py"}
@@ -84,3 +110,21 @@ def test_check_detects_a_function_local_package_import():
                      "class K:\n    def g(self):\n"
                      "        from ..e import h\n")
     assert _local_package_imports(tree) == [4, 7]
+
+
+def test_no_orphan_private_helpers():
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+             for p in MODULES]
+    orphans = _orphan_helpers(trees)
+    assert not orphans, f"private functions nothing calls: {orphans}"
+
+
+def test_check_detects_an_orphan_helper():
+    trees = [ast.parse("def _used():\n    pass\n"
+                       "def _unused():\n    pass\n"
+                       "def _recursive(n):\n    return _recursive(n - 1)\n"
+                       "def __dunder__():\n    pass\n"),
+             ast.parse("from .a import _used\nimport b\n"
+                       "def _via_attribute():\n    pass\n"
+                       "def public():\n    return b._via_attribute()\n")]
+    assert _orphan_helpers(trees) == ["_recursive", "_unused"]

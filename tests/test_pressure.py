@@ -20,6 +20,82 @@ def _random_pot(d, depth, seed, scale=1.0):
     return Potential(d, depth, rng.uniform(-scale, scale, len(windows)))
 
 
+# log a_n (n <= 10) of the ball DP on _random_pot(d, depth, seed=50 + depth)
+# as computed by the window-indexed DP it replaced, with brute force below
+# the window size; the two differ only by rounding (observed <= 3.6e-15).
+# Rows: (quotient, depth, target, lengths with an empty fiber, pins); a
+# None target is the identity, and the S3 target 2 is the image of g1.
+BALL_DP_PINS = [
+    ("s3", 1, None, [1],
+     {2: 1.8455871443256795, 3: -0.8695933101288764, 4: 3.9644170839323722,
+      9: 9.356785736806469, 10: 11.104631874619336}),
+    ("s3", 1, 2, [2],
+     {1: 1.1322591976637089, 3: 2.816687159131197, 4: 1.6468809845101506,
+      9: 9.891413278401735, 10: 10.682278183951539}),
+    ("s3", 2, None, [1],
+     {2: 0.9320175046477872, 3: 0.9129743086865612, 4: 5.062204467489496,
+      9: 10.878049647459578, 10: 12.392563242667158}),
+    ("s3", 2, 2, [2],
+     {1: 1.338156703231018, 3: 3.1540585808564234, 4: 3.422603463981912,
+      9: 11.187912827863634, 10: 12.25856522324015}),
+    ("s3", 3, None, [1],
+     {2: 1.8892602274974597, 3: 1.9272212693214867, 4: 5.018791480188538,
+      9: 12.03674916991681, 10: 13.474433322394125}),
+    ("s3", 3, 2, [2],
+     {1: 1.5933920386957516, 3: 3.241217297529473, 4: 5.066071714187501,
+      9: 11.936977207283881, 10: 13.372974691247027}),
+    ("z1", 1, None, [],
+     {1: 0.17119351042377629, 2: -0.3497189041372797,
+      3: 1.4653308109079046, 4: 2.472466096412883, 9: 6.986929608403935,
+      10: 7.948107596706036}),
+    ("z1", 1, (1,), [],
+     {1: 0.8848823925408335, 2: 1.749223083524555, 3: 1.9209373572625283,
+      4: 2.7444722512996025, 9: 7.614816895849888, 10: 8.558804586158546}),
+    ("z1", 2, None, [],
+     {1: 1.1810407520527606, 2: 1.0317548490080175, 3: 2.9158738872598295,
+      4: 4.673029678957301, 9: 10.858686846582962,
+      10: 12.084163876962872}),
+    ("z1", 2, (1,), [],
+     {1: 0.23152590960486563, 2: 2.0271100934857973, 3: 2.883062570091673,
+      4: 3.8150535313584952, 9: 10.733659420114318,
+      10: 12.095665018265137}),
+    ("z1", 3, None, [],
+     {1: 1.5796971903547048, 2: 2.4017097228446476, 3: 3.372859878824631,
+      4: 5.17077731043595, 9: 11.63837501877477, 10: 12.929410657749226}),
+    ("z1", 3, (1,), [],
+     {1: 0.9965904693777559, 2: 3.101737168970332, 3: 4.400536484896287,
+      4: 5.190769873969524, 9: 11.733993545250286,
+      10: 13.084886005174932}),
+    ("z2", 1, None, [1, 2, 3, 5, 7, 9],
+     {4: 1.533650974607307, 10: 6.729970097082607}),
+    ("z2", 1, (1, 0), [2, 4, 6, 8, 10],
+     {1: 0.8848823925408335, 3: 0.5330798919099364, 9: 6.439765564631802}),
+    ("z2", 2, None, [1, 2, 3, 5, 7, 9],
+     {4: 3.2586977204789975, 10: 9.337762455711735}),
+    ("z2", 2, (1, 0), [2, 4, 6, 8, 10],
+     {1: 0.23152590960486563, 3: 1.4774313964852015,
+      9: 8.410755250293377}),
+    ("z2", 3, None, [1, 2, 3, 5, 7, 9],
+     {4: 4.302705925975304, 10: 11.63153121800788}),
+    ("z2", 3, (1, 0), [2, 4, 6, 8, 10],
+     {1: 0.9965904693777559, 3: 2.847262898163874, 9: 10.440136711774858}),
+    ("z3", 1, None, [1, 2, 3, 5, 7, 9],
+     {4: 3.031140350229299, 10: 11.127473440350185}),
+    ("z3", 1, (1, 0, 1), [1, 3, 5, 7, 9],
+     {2: 2.1504380144725297, 4: 3.711406870622854,
+      10: 12.206490805368396}),
+    ("z3", 2, None, [1, 2, 3, 5, 7, 9],
+     {4: 4.16025253722194, 10: 13.203178957252701}),
+    ("z3", 2, (1, 0, 1), [1, 3, 5, 7, 9],
+     {2: 0.7061552681855057, 4: 3.646984827427699, 10: 12.70229690904878}),
+    ("z3", 3, None, [1, 2, 3, 5, 7, 9],
+     {4: 4.865939638890578, 10: 14.150277178065561}),
+    ("z3", 3, (1, 0, 1), [1, 3, 5, 7, 9],
+     {2: 2.3834208364184857, 4: 4.5769801731546815,
+      10: 14.02718837336636}),
+]
+
+
 class TestFullPressure:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_zero_potential_closed_form(self, d):
@@ -105,6 +181,17 @@ class TestPerron:
         with pytest.raises(NumericError):
             perron_eigen(M, tol=0.0, max_iter=200)
 
+    def test_overflow_fails_fast(self):
+        # e^710 and a row sum of 2e308 leave the float range; with one
+        # iteration allowed the error must name the overflow, not the
+        # unreached enclosure
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="float range"):
+            full_pressure(Potential.constant(2, 710.0))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericError, match="float range"):
+            perron_eigen(np.full((2, 2), 1e308), max_iter=1)
+
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_rejects_nonpositive_max_iter(self, max_iter):
         with pytest.raises(ValidationError, match="max_iter"):
@@ -159,12 +246,13 @@ class TestFiberPartition:
                                rtol=1e-10, atol=1e-12), name
 
     def test_weighted_sums_match_brute(self, bundle):
-        # exact sup-sum weighting, including depth-2 boundary terms, on the
-        # ball DP and on the renewal (F2 with g2 killed)
+        # exact sup-sum weighting, including the depth-2 and depth-3
+        # boundary terms and the lengths below the window, on the ball DP
+        # and on the renewal (F2 with g2 killed)
         cases = {"z2": bundle["z2"], "zmod2": bundle["zmod2"],
                  "fk2": (2, FreeKillQuotient(2, {1}),
                          oracles.freekill_ops({1}))}
-        for depth in (1, 2):
+        for depth in (1, 2, 3):
             pot = _random_pot(2, depth, seed=depth + 3)
             table = {w: pot.value(w) for w in window_states(2, depth)[0]}
             for name, (d, q, (ident, img, mul)) in cases.items():
@@ -281,6 +369,36 @@ class TestFiberPartition:
         pot = Potential.from_letter_values(3, [800, 800, -800, -800, 0, 0])
         with pytest.raises(NumericError, match="too wide"):
             fiber_partition(pot, fk3, 10)
+
+    @pytest.mark.parametrize(
+        "name, depth, target, empty, pins", BALL_DP_PINS,
+        ids=[f"{q}-depth{k}-{'id' if t is None else 'other'}"
+             for q, k, t, _, _ in BALL_DP_PINS])
+    def test_ball_dp_matches_pinned_series(self, bundle, name, depth, target,
+                                           empty, pins):
+        d, q, _ = bundle[name]
+        pot = _random_pot(d, depth, seed=50 + depth)
+        logs = fiber_partition(pot, q, 10, target=target).log_values
+        assert list(np.flatnonzero(np.isneginf(logs)) + 1) == empty
+        assert np.isfinite(np.delete(logs, np.array(empty, int) - 1)).all()
+        for n, want in pins.items():
+            assert logs[n - 1] == pytest.approx(want, rel=0, abs=1e-12), n
+
+    @pytest.mark.parametrize("name", ["z1", "s3"])
+    @pytest.mark.parametrize("shift", [-800.0, -200.0, 200.0, 800.0])
+    def test_ball_dp_is_exact_under_constant_shifts(self, bundle, name,
+                                                    shift):
+        # adding c to f scales a_n by e^(c n) exactly; at |c| = 800 the
+        # untilted step weights e^(f + c) leave the float range
+        d, q, _ = bundle[name]
+        base = _random_pot(d, 1, seed=17)
+        want = fiber_partition(base, q, 40).log_values
+        got = fiber_partition(Potential(d, 1, base.values + shift), q, 40)
+        empty = np.isneginf(want)
+        assert np.array_equal(np.isneginf(got.log_values), empty)
+        assert np.allclose(got.log_values[~empty],
+                           (want + shift * got.lengths)[~empty],
+                           rtol=1e-12, atol=0)
 
     def test_ball_dp_refuses_sunken_target_mass(self, z1):
         # the identity fiber of a drifting potential falls far below the
