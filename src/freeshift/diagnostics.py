@@ -131,11 +131,20 @@ def half_bound_check(quotient, zeta, curves=None, alphas=None, n_max=40,
                      sigma_factor=SIGMA_FACTOR, u_tol=DEFAULT_U_TOL,
                      tol=1e-13):
     """delta_N >= delta/2, and with ``curves`` (the pair of full and
-    restricted free-energy curves on the same betas) also b_N(alpha) >=
-    b(alpha)/2 on the common interior alpha range; reports every slack,
-    classifies on the minimum."""
-    d_full = delta(zeta, u_tol=u_tol, tol=tol)
-    d_n = delta(zeta, quotient=quotient, n_max=n_max, u_tol=u_tol, tol=tol)
+    restricted free-energy curves of some psi and this zeta, on the same
+    betas) also b_N(alpha) >= b(alpha)/2 on the common interior alpha
+    range; reports every slack, classifies on the minimum. When the curves
+    contain beta = 0, their points there are delta and delta_N (t(0) does
+    not depend on psi) and are not solved again."""
+    roots = None
+    if curves is not None:
+        full_curve, n_curve = _curve_pair(curves)
+        zero = np.flatnonzero(full_curve.betas == 0.0)
+        if zero.size:
+            roots = full_curve.points[zero[0]], n_curve.points[zero[0]]
+    d_full, d_n = roots or (
+        delta(zeta, u_tol=u_tol, tol=tol),
+        delta(zeta, quotient=quotient, n_max=n_max, u_tol=u_tol, tol=tol))
     quantities = [
         _qty("delta", d_full.t, d_full.sigma, d_full.method),
         _qty("delta_N", d_n.t, d_n.sigma, d_n.method),
@@ -146,7 +155,6 @@ def half_bound_check(quotient, zeta, curves=None, alphas=None, n_max=40,
                + NOISE_FLOOR}]
     notes = [f"quotient: {quotient.describe()}"]
     if curves is not None:
-        full_curve, n_curve = _curve_pair(curves)
         spec_full = legendre(full_curve, alphas)
         spec_n = legendre(n_curve, spec_full.alphas)
         sig_full = float(full_curve.sigmas.max())

@@ -27,10 +27,19 @@ per-letter matrices, and complete the trailing windows at readout:
   stacked array indexed by (survivor slot, length, state, state), so a
   length's convolutions are one batched GEMM over the length axis.
 
-Perron roots are computed by power iteration with Collatz-Wielandt ratio
-enclosures, so every exact eigenvalue carries a certified residual.
+Every transfer matrix, full or lifted, is pattern * exp(f[col]): a 0/1
+edge pattern built once per (d, m, quotient), whose column j carries the
+weight of the window it enters. Perron roots are computed by power
+iteration with Collatz-Wielandt ratio enclosures, checked every few steps
+(a whole number of periods), so every exact eigenvalue carries a certified
+residual. One engine serves a single matrix (perron_eigen) and K weight
+rows on one pattern at once (pressure_rows, one GEMM per step for all
+rows, which also returns d/du P(f + u g) from the left and right Perron
+vectors). Weights are tilted to largest weight 1 and the tilt added back
+to log rho, so P(f + c) = P(f) + c holds for any constant c.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,10 +64,12 @@ MASS_FLOOR = 1e-200
 # ---------------------------------------------------------------------------
 # transfer matrices
 
+@functools.lru_cache(maxsize=None)
 def _window_graph(d, m):
     """Predecessor table: src[j] lists the 2d-1 windows w1 with
     w1[1:] == w2[:-1] for w2 = windows[j] (m>=2), or w1 != w2-inverse
-    (m == 1). new_letter[j] is the letter appended when entering w2."""
+    (m == 1). new_letter[j] is the letter appended when entering w2.
+    Cached per (d, m); the arrays are read-only."""
     windows, index = window_states(d, m)
     src = np.empty((len(windows), 2 * d - 1), dtype=np.int64)
     new_letter = np.empty(len(windows), dtype=np.int64)
@@ -70,7 +81,59 @@ def _window_graph(d, m):
             preds = [index[(x,) + w2[:-1]]
                      for x in range(2 * d) if x != (w2[0] ^ 1)]
         src[j] = preds
+    src.flags.writeable = new_letter.flags.writeable = False
     return windows, index, src, new_letter
+
+
+def transfer_pattern(d, m, quotient=None):
+    """(pattern, col) of the transfer matrix over m-windows, lifted to
+    (window, element) pairs over a finite quotient: every transfer matrix
+    here is pattern * exp(f[col]), with pattern its 0/1 edge pattern and
+    col[j] the window that column j enters. Built once per (d, m,
+    quotient); both arrays are read-only."""
+    if quotient is not None:
+        if not isinstance(quotient, FiniteQuotient):
+            raise ValidationError(
+                "lifted transfer matrices need a finite quotient")
+        if d != quotient.d:
+            raise ValidationError("potential and quotient rank mismatch")
+        n_states = len(window_states(d, m)[0]) * quotient.table.shape[0]
+        if n_states > LiftedTransferMatrix.MAX_STATES:
+            raise ResourceError(
+                "lifted transfer matrix too large; use fiber_partition plus "
+                "growth_rate", required=n_states,
+                budget=LiftedTransferMatrix.MAX_STATES)
+    return _pattern(d, m, quotient)
+
+
+@functools.lru_cache(maxsize=8)
+def _pattern(d, m, quotient):
+    windows, _, src, new_letter = _window_graph(d, m)
+    W = len(windows)
+    if quotient is None:
+        pattern = np.zeros((W, W))
+        pattern[src, np.arange(W)[:, None]] = 1.0
+        col = np.arange(W)
+    else:
+        # flat state = window_idx * order + element; entering window j
+        # multiplies the element by the image of its new letter
+        order = quotient.table.shape[0]
+        shifts = letter_shifts(quotient, range(order))
+        pattern = np.zeros((W * order, W * order))
+        pattern[src[:, :, None] * order + np.arange(order),
+                (np.arange(W)[:, None] * order
+                 + shifts[new_letter])[:, None, :]] = 1.0
+        col = np.repeat(np.arange(W), order)
+    pattern.flags.writeable = col.flags.writeable = False
+    return pattern, col
+
+
+def _tilt(log_weights):
+    """exp(log_weights - shift) with shift the maximum of each row, so the
+    largest weight of every row is 1, and the shifts. A tilted matrix has
+    log rho smaller by exactly the shift, whatever its range."""
+    shift = log_weights.max(axis=-1, keepdims=True)
+    return np.exp(log_weights - shift), shift[..., 0]
 
 
 class TransferMatrix:
@@ -79,15 +142,17 @@ class TransferMatrix:
     def __init__(self, pot):
         self.pot = pot
         self.m = max(pot.depth, 1)
-        windows, index, src, new_letter = _window_graph(pot.d, self.m)
-        self.windows = windows
-        self.index = index
-        n = len(windows)
-        M = np.zeros((n, n))
-        w = np.exp(pot.values)
-        for j in range(n):
-            M[src[j], j] = w[j]
-        self.matrix = M
+        self.windows, self.index = window_states(pot.d, self.m)
+        self.pattern, self.col = transfer_pattern(pot.d, self.m)
+
+    @property
+    def matrix(self):
+        return self.pattern * np.exp(self.pot.values)[self.col]
+
+    def tilted(self):
+        """(matrix e^-shift, shift), shift the largest potential value."""
+        weights, shift = _tilt(self.pot.values[self.col])
+        return self.pattern * weights, float(shift)
 
     def initial_vector(self):
         """Weights of the first window, so that
@@ -96,7 +161,7 @@ class TransferMatrix:
         return np.exp(self.pot.values)
 
 
-class LiftedTransferMatrix:
+class LiftedTransferMatrix(TransferMatrix):
     """Transfer matrix of the group extension over a finite quotient:
     states are (window, element) pairs, transitions multiply the element by
     the image of the appended letter.
@@ -110,36 +175,20 @@ class LiftedTransferMatrix:
     MAX_STATES = 20_000
 
     def __init__(self, pot, quotient):
-        if not isinstance(quotient, FiniteQuotient):
-            raise ValidationError(
-                "lifted transfer matrices need a finite quotient")
-        if pot.d != quotient.d:
-            raise ValidationError("potential and quotient rank mismatch")
         self.pot = pot
         self.quotient = quotient
         self.m = max(pot.depth, 1)
-        windows, index, src, new_letter = _window_graph(pot.d, self.m)
-        order = quotient.table.shape[0]
-        n_states = len(windows) * order
-        if n_states > self.MAX_STATES:
-            raise ResourceError(
-                "lifted transfer matrix too large; use fiber_partition plus "
-                "growth_rate", required=n_states, budget=self.MAX_STATES)
-        self.windows = windows
-        self.order = order
-        # flat state = window_idx * order + element
-        M = np.zeros((n_states, n_states))
-        w = np.exp(pot.values)
-        shifts = letter_shifts(quotient, range(order))
-        elems = np.arange(order)
-        for j in range(len(windows)):
-            M[src[j][:, None] * order + elems,
-              j * order + shifts[new_letter[j]]] = w[j]
-        self.matrix = M
+        self.pattern, self.col = transfer_pattern(pot.d, self.m, quotient)
+        self.windows = window_states(pot.d, self.m)[0]
+        self.order = quotient.table.shape[0]
 
 
 # ---------------------------------------------------------------------------
 # Perron eigendata with certified enclosures
+
+# power steps between enclosure checks, rounded up to whole periods
+CHECK_STRIDE = 4
+
 
 @dataclass
 class PerronResult:
@@ -150,8 +199,117 @@ class PerronResult:
     left: np.ndarray = None
 
 
+def _perron_batch(pattern, weights, period, tol, max_iter, want_left,
+                  start=None):
+    """Perron data of the K matrices M_k = pattern * weights[k] (column j
+    scaled by weights[k, j]) by one batched power iteration on M_k^period.
+
+    A step of every row is one GEMM (weights * V) @ pattern.T, and of the
+    left iterates weights * (L @ pattern); each step is normalised to peak
+    1 per row. After every q steps, q the first multiple of the period from
+    CHECK_STRIDE, the Collatz-Wielandt ratios (M^p v)_i / v_i of each live
+    row are checked; a row is done once they pinch rho(M^p) to relative
+    width ``tol``, on the left iterate too when it is wanted. ``start``
+    (right, left) replaces the all-ones start vectors.
+
+    Returns rho of each M_k (the p-th root of the enclosure midpoint), the
+    half-widths of the enclosures of rho(M_k^p), the power steps of M^p
+    taken, and the right (and left) Perron vectors of M_k at peak 1. For
+    p > 1 the M^p iterates mix the p cyclic classes arbitrarily, so the
+    vectors are recovered as r = sum_{k<p} (M/rho)^k r_p (likewise on the
+    left), which M maps to rho r."""
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    K, n = weights.shape
+    p = period
+    q = -(-CHECK_STRIDE // p)           # power steps of M^p between checks
+    ones = np.ones((K, n))
+    V = ones if start is None else start[0]
+    L = (ones if start is None else start[1]) if want_left else None
+    W = weights
+    rho, half = np.empty(K), np.empty(K)
+    iterations = np.zeros(K, dtype=np.int64)
+    right = np.empty((K, n))
+    left = np.empty((K, n)) if want_left else None
+
+    def normalised(X):
+        peak = X.max(axis=1)
+        if not math.isfinite(peak.max()):
+            raise NumericError(f"power iteration overflowed the float "
+                               f"range (largest entry {pattern.max():g})")
+        if peak.min() <= 0:
+            raise NumericError("transfer matrix has a zero row block")
+        return X / peak[:, None], peak
+
+    def width(X, X0, growth):
+        ratios = growth[:, None] * X / X0
+        lo, hi = ratios.min(axis=1), ratios.max(axis=1)
+        if not math.isfinite((hi - lo).max()):
+            raise NumericError(
+                "power iteration cannot certify the Perron root: an iterate "
+                "has zero entries (a reducible matrix, or weights spanning "
+                "more than the float range)")
+        return lo, hi, hi - lo <= tol * hi
+
+    live = np.arange(K)
+    steps = 0
+    while live.size:
+        todo = min(q, max_iter - steps)
+        for _ in range(todo - 1):
+            for _ in range(p):
+                V = normalised((W * V) @ pattern.T)[0]
+                if want_left:
+                    L = normalised(W * (L @ pattern))[0]
+        V0, L0 = V, L
+        gv = gl = 1.0
+        for _ in range(p):
+            V, peak = normalised((W * V) @ pattern.T)
+            gv = gv * peak
+            if want_left:
+                L, peak = normalised(W * (L @ pattern))
+                gl = gl * peak
+        steps += todo
+        lo, hi, done = width(V, V0, gv)
+        if want_left:
+            done &= width(L, L0, gl)[2]
+        if done.any():
+            rows = live[done]
+            rho[rows] = (0.5 * (lo + hi)[done]) ** (1.0 / p)
+            half[rows] = 0.5 * (hi - lo)[done]
+            iterations[rows] = steps
+            right[rows] = V[done]
+            if want_left:
+                left[rows] = L[done]
+            keep = ~done
+            live, V, W = live[keep], V[keep], W[keep]
+            if want_left:
+                L = L[keep]
+        if live.size and steps >= max_iter:
+            raise NumericError(
+                f"power iteration did not converge in {max_iter} iterations "
+                f"(enclosure width {(hi - lo)[~done].max():g}, "
+                f"tol {tol:g})")
+    if p > 1:
+        right = _cycle_sum(right, lambda X: (weights * X) @ pattern.T, rho,
+                           p)
+        if want_left:
+            left = _cycle_sum(left, lambda X: weights * (X @ pattern), rho,
+                              p)
+    return rho, half, iterations, right, left
+
+
+def _cycle_sum(X, apply, rho, p):
+    """sum_{k<p} (M/rho)^k X, rows at peak 1."""
+    total, term = X.copy(), X
+    for _ in range(p - 1):
+        term = apply(term) / rho[:, None]
+        total += term
+    return total / total.max(axis=1)[:, None]
+
+
 def perron_eigen(M, period=1, tol=1e-13, max_iter=100_000, want_left=False):
-    """Power iteration on M^period from the all-ones vector.
+    """Power iteration on M^period from the all-ones vector: the K = 1 case
+    of the batched engine.
 
     Stops when the Collatz-Wielandt ratios (M^p v)_i / v_i pinch the
     spectral radius of M^p to relative width ``tol``; that enclosure is the
@@ -160,32 +318,37 @@ def perron_eigen(M, period=1, tol=1e-13, max_iter=100_000, want_left=False):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("perron_eigen needs a square matrix")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    Mp = np.linalg.matrix_power(M, period) if period > 1 else M
-    v = np.ones(Mp.shape[0])
-    rho_p = None
-    for it in range(1, max_iter + 1):
-        w = Mp @ v
-        wmax = w.max()
-        if not math.isfinite(wmax):
-            raise NumericError(f"power iteration overflowed the float "
-                               f"range (largest entry {Mp.max():g})")
-        if wmax <= 0:
-            raise NumericError("transfer matrix has a zero row block")
-        ratios = w / v
-        lo, hi = ratios.min(), ratios.max()
-        rho_p = 0.5 * (lo + hi)
-        v = w / wmax
-        if hi - lo <= tol * max(1.0, hi):
-            left = None
-            if want_left:
-                left = perron_eigen(Mp.T, 1, tol, max_iter).right
-            rho = rho_p ** (1.0 / period)
-            return PerronResult(rho, 0.5 * (hi - lo), it, v, left)
-    raise NumericError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(enclosure width {hi - lo:g}, tol {tol:g})")
+    rho, half, iterations, right, left = _perron_batch(
+        M, np.ones((1, len(M))), period, tol, max_iter, want_left)
+    return PerronResult(float(rho[0]), float(half[0]), int(iterations[0]),
+                        right[0], None if left is None else left[0])
+
+
+@dataclass
+class PressureRows:
+    """Exact pressures of K potentials on one scope, with the derivatives
+    d/du P(f_k + u g) at u = 0, which equal the equilibrium integrals of g
+    (Ruelle, Thermodynamic Formalism): sum l g r / sum l r over the
+    left and right Perron vectors."""
+
+    values: np.ndarray
+    slopes: np.ndarray
+    residuals: np.ndarray     # certified bound on each value's error
+    start: tuple              # (right, left): warm start for nearby rows
+
+
+def pressure_rows(pattern, col, period, values, g, tol=1e-13,
+                  max_iter=100_000, start=None):
+    """Pressures of the potentials values[k] (window tables) and slopes
+    along the window table g, on the scope of ``transfer_pattern``, by one
+    batched power iteration. Each row is tilted to largest weight 1 and
+    its shift added back, so no row can overflow."""
+    weights, shift = _tilt(values[:, col])
+    rho, half, _, right, left = _perron_batch(
+        pattern, weights, period, tol, max_iter, True, start)
+    lr = left * right
+    return PressureRows(np.log(rho) + shift, (lr @ g[col]) / lr.sum(axis=1),
+                        half / rho ** period / period, (right, left))
 
 
 @dataclass
@@ -203,27 +366,29 @@ class PressureResult:
     detail: dict = field(default_factory=dict)
 
 
+def _exact_pressure(tm, period, tol):
+    """PressureResult of log rho(tm.matrix), solved on the tilted matrix."""
+    M, shift = tm.tilted()
+    pe = perron_eigen(M, period, tol)
+    return PressureResult(math.log(pe.rho) + shift, 0.0, "exact-eigenvalue",
+                          pe.residual / max(pe.rho ** period, 1e-300)
+                          / period,
+                          {"iterations": pe.iterations, "states": len(M)})
+
+
 def full_pressure(pot, tol=1e-13):
     """log spectral radius of the transfer matrix; P(0) = log(2d-1)."""
-    tm = TransferMatrix(pot)
-    pe = perron_eigen(tm.matrix, 1, tol)
-    return PressureResult(math.log(pe.rho), 0.0, "exact-eigenvalue",
-                          pe.residual / max(pe.rho, 1e-300),
-                          {"iterations": pe.iterations,
-                           "states": tm.matrix.shape[0]})
+    return _exact_pressure(TransferMatrix(pot), 1, tol)
 
 
 def restricted_pressure_exact(pot, quotient, tol=1e-13):
     """Restricted pressure over a finite quotient: (1/p) log rho of the
     p-th power of the lifted transfer matrix, which is irreducible (see
     LiftedTransferMatrix)."""
-    lifted = LiftedTransferMatrix(pot, quotient)
     p = quotient.period()
-    pe = perron_eigen(lifted.matrix, p, tol)
-    return PressureResult(math.log(pe.rho), 0.0, "exact-eigenvalue",
-                          pe.residual / max(pe.rho ** p, 1e-300) / p,
-                          {"iterations": pe.iterations,
-                           "states": lifted.matrix.shape[0], "period": p})
+    res = _exact_pressure(LiftedTransferMatrix(pot, quotient), p, tol)
+    res.detail["period"] = p
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +744,8 @@ def partition_sum_matrix(pot, n):
     if n < m:
         raise ValidationError(f"need n >= window size {m}, got {n}")
     vec = tm.initial_vector()
+    M = tm.matrix
     for _ in range(n - m):
-        vec = tm.matrix.T @ vec
+        vec = M.T @ vec
     ebnd = np.exp([boundary_completion(pot, w[1:]) for w in tm.windows])
     return float(vec @ ebnd)

@@ -2,12 +2,20 @@
 
 The free energy t(beta) is the unique u solving P(beta psi + u zeta) = 0,
 where zeta is a geometric potential (strictly negative), so the pressure is
-strictly decreasing in u and the root is unique. It is found by Brent's
-method, whose every step keeps a bracket on which the pressure changes sign,
-so it converges on every scope, exact or extrapolated. Restricting
-the pressure to a quotient fiber gives t_N(beta); its value at beta = 0 is
-the critical exponent delta_N, which by Bowen's formula is the Hausdorff
-dimension of the radial limit set cut out by the quotient.
+strictly decreasing in u and the root is unique. Restricting the pressure
+to a quotient fiber gives t_N(beta); its value at beta = 0 is the critical
+exponent delta_N, which by Bowen's formula is the Hausdorff dimension of
+the radial limit set cut out by the quotient.
+
+On exact scopes (the full shift and finite quotients) P is convex in u
+with derivative P' = integral of zeta against the equilibrium measure, read
+from the left and right Perron vectors, and P' <= max zeta < 0. Newton's
+method therefore converges from any start, with no bracket; a curve solves
+all its betas at once, one batched power iteration per Newton round,
+warm-started from the previous round's Perron vectors, with the
+Collatz-Wielandt enclosure checked every few steps. Extrapolated scopes
+have no derivative and use Brent's method, whose every step keeps a
+bracket on which the pressure changes sign.
 
 When zeta is constant the root is available in closed form from a single
 pressure evaluation (P(beta psi) shifts linearly in u), which is also what
@@ -22,10 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .potentials import GeometricPotential, Potential, combine
-from .pressure import full_pressure, restricted_pressure
+from .potentials import Potential, combine
+from .pressure import (full_pressure, pressure_rows, restricted_pressure,
+                       transfer_pattern)
+from .quotients import FiniteQuotient
 
 DEFAULT_U_TOL = 1e-10
+# Newton rounds before an exact-scope root is declared uncertifiable; a
+# convex decreasing pressure needs far fewer (about 4 per point)
+NEWTON_MAX_ROUNDS = 100
 DEFAULT_BETA_RANGE = (-4.0, 4.0)
 DEFAULT_BETA_STEP = 0.05
 
@@ -50,13 +63,77 @@ class FreeEnergyPoint:
     evaluations: int
 
 
-def _check_zeta(zeta):
-    if not isinstance(zeta, GeometricPotential):
-        # accept plain potentials that happen to be strictly negative
-        if isinstance(zeta, Potential) and zeta.max < 0:
-            return
+def _checked_psi(psi, zeta):
+    """psi (zero for None) after checking zeta is strictly negative and
+    both share the rank."""
+    # plain potentials that happen to be strictly negative are accepted
+    if not (isinstance(zeta, Potential) and zeta.max < 0):
         raise ValidationError(
             "zeta must be a geometric potential (all values < 0)")
+    if psi is None:
+        return Potential.constant(zeta.d, 0.0)
+    if psi.d != zeta.d:
+        raise ValidationError("psi and zeta have different ranks")
+    return psi
+
+
+def _newton_scope(zeta, quotient):
+    """True where the scope's pressure is an exact eigenvalue and zeta is
+    not constant (constant zeta has a closed form)."""
+    return ((quotient is None or isinstance(quotient, FiniteQuotient))
+            and float(np.ptp(zeta.values)) != 0.0)
+
+
+def _root_bound(zeta, u_tol):
+    """The root certificate: |P(t)| may not exceed this."""
+    return max(1e-9, float(np.abs(zeta.values).max()) * u_tol)
+
+
+def _newton_roots(psi, zeta, betas, quotient=None, u_tol=DEFAULT_U_TOL,
+                  u_max=1e6, tol=1e-13):
+    """Roots of P(beta psi + u zeta) = 0 for every beta at once on an exact
+    scope, by Newton steps u <- u - P/P' from u = 0. Each round evaluates
+    every live row in one batched power iteration, warm-started from its
+    previous Perron vectors. A row stops at a point where P was evaluated,
+    once its step is at most u_tol / 2 and |P| passes the root
+    certificate."""
+    depth = max(psi.depth, zeta.depth)
+    pattern, col = transfer_pattern(zeta.d, depth, quotient)
+    period = 1 if quotient is None else quotient.period()
+    a = psi.as_depth(depth).values
+    z = zeta.as_depth(depth).values
+    bound = _root_bound(zeta, u_tol)
+    betas = np.asarray(betas, dtype=float)
+    u = np.zeros(len(betas))
+    t, residual = np.empty(len(betas)), np.empty(len(betas))
+    evaluations = np.zeros(len(betas), dtype=np.int64)
+    live, start = np.arange(len(betas)), None
+    for _ in range(NEWTON_MAX_ROUNDS):
+        rows = pressure_rows(pattern, col, period,
+                             betas[live, None] * a + u[live, None] * z, z,
+                             tol, start=start)
+        evaluations[live] += 1
+        step = -rows.values / rows.slopes
+        done = (np.abs(step) <= 0.5 * u_tol) & (np.abs(rows.values) <= bound)
+        t[live[done]] = u[live[done]]
+        residual[live[done]] = np.abs(rows.values[done])
+        keep = ~done
+        live = live[keep]
+        if not live.size:
+            break
+        u[live] += step[keep]
+        if np.abs(u[live]).max() > u_max:
+            raise NumericError(
+                f"free-energy Newton step left [-{u_max:g}, {u_max:g}]")
+        start = tuple(v[keep] for v in rows.start)
+    else:
+        raise NumericError(
+            f"free-energy root certificate failed: |P| = "
+            f"{np.abs(rows.values[keep]).max():g} exceeds {bound:g} "
+            f"after {NEWTON_MAX_ROUNDS} Newton steps")
+    return [FreeEnergyPoint(float(b), float(tt), 0.0, "exact-eigenvalue",
+                            float(r), int(e))
+            for b, tt, r, e in zip(betas, t, residual, evaluations)]
 
 
 def _scope_pressure(psi, zeta, quotient, n_max, tol):
@@ -123,14 +200,15 @@ def free_energy(psi, zeta, beta, quotient=None, n_max=40,
     """Solve P(beta psi + u zeta, scope) = 0 for u.
 
     psi may be None (treated as zero). Exact scopes certify
-    |pressure at root| <= 1e-9; extrapolated scopes report sigma =
-    sigma_lambda / |mean zeta| and certify the residual within 3 sigma.
+    |pressure at root| <= 1e-9 and solve by Newton steps (the one-row case
+    of free_energy_curve); extrapolated scopes solve by Brent's method,
+    report sigma = sigma_lambda / |mean zeta| and certify the residual
+    within 3 sigma.
     """
-    _check_zeta(zeta)
-    if psi is None:
-        psi = Potential.constant(zeta.d, 0.0)
-    if psi.d != zeta.d:
-        raise ValidationError("psi and zeta have different ranks")
+    psi = _checked_psi(psi, zeta)
+    if _newton_scope(zeta, quotient):
+        return _newton_roots(psi, zeta, [beta], quotient, u_tol, u_max,
+                             tol)[0]
     zbar = float(zeta.values.mean())
     ev = _scope_pressure(psi, zeta, quotient, n_max, tol)
 
@@ -183,18 +261,15 @@ def free_energy(psi, zeta, beta, quotient=None, n_max=40,
             "pressure failed to decrease across the bracket "
             f"[{lo:g}, {hi:g}]: {plo:g} -> {phi:g}")
     t = _brent_root(P, lo, plo, hi, phi, u_tol)
-    final = results[t]
+    final = results[t]          # an extrapolated pressure
     residual = abs(final.value)
-    sigma = final.sigma / abs(zbar) if final.method == "extrapolated" \
-        else final.sigma
-    bound = 1e-9 if final.method == "exact-eigenvalue" \
-        else 3 * final.sigma + 1e-9
-    if residual > max(bound, float(np.abs(zeta.values).max()) * u_tol):
+    bound = 3 * final.sigma + 1e-9
+    if residual > max(bound, _root_bound(zeta, u_tol)):
         raise NumericError(
             f"free-energy root certificate failed: |P| = {residual:g} "
             f"exceeds {bound:g}")
-    return FreeEnergyPoint(float(beta), t, sigma, final.method,
-                           residual, len(results))
+    return FreeEnergyPoint(float(beta), t, final.sigma / abs(zbar),
+                           final.method, residual, len(results))
 
 
 def delta(zeta, quotient=None, n_max=40, **kw):
@@ -284,14 +359,18 @@ class FreeEnergyCurve:
 
 def free_energy_curve(psi, zeta, betas=None, quotient=None, n_max=40,
                       **kw):
-    """t(beta) over a grid, one independent root per grid point, in grid
-    order."""
+    """t(beta) over a grid, in grid order: on exact scopes all roots at
+    once by batched Newton steps, otherwise one free_energy per point."""
     if betas is None:
         betas = default_beta_grid()
     betas = np.asarray(betas, dtype=float)
     tag = "full" if quotient is None else quotient.describe()
-    points = [free_energy(psi, zeta, b, quotient=quotient, n_max=n_max, **kw)
-              for b in betas]
+    if _newton_scope(zeta, quotient):
+        points = _newton_roots(_checked_psi(psi, zeta), zeta, betas,
+                               quotient, **kw)
+    else:
+        points = [free_energy(psi, zeta, b, quotient=quotient, n_max=n_max,
+                              **kw) for b in betas]
     return FreeEnergyCurve(betas, points, tag)
 
 

@@ -88,6 +88,28 @@ class TestHalfBound:
         assert rep.classification == "holds"
         assert any(s["name"].startswith("b_N") for s in rep.slacks)
 
+    def test_curves_at_beta_zero_give_the_deltas(self, fk3, monkeypatch):
+        # t(0) = delta whatever psi is, so curves through beta = 0 already
+        # hold delta and delta_N; no root is solved again
+        zeta = Potential.constant(3, -1.0)
+        psi = Potential.from_letter_values(3, [-0.3, -0.5, 0.1, 0.2, 0, 0])
+        curves = _curves(fk3, psi, zeta, np.array([-1.0, 0.0, 1.0]),
+                         n_max=30)
+        want = half_bound_check(fk3, zeta, n_max=30)
+
+        def no_delta(*args, **kwargs):
+            raise AssertionError("delta solved again")
+
+        monkeypatch.setattr(diag, "delta", no_delta)
+        rep = half_bound_check(fk3, zeta, curves=curves, n_max=30)
+        got = {q["quantity"]: q for q in rep.quantities}
+        for name, point in zip(("delta", "delta_N"),
+                               (curves[0].points[1], curves[1].points[1])):
+            assert got[name]["value"] == point.t
+            assert got[name]["sigma"] == point.sigma
+        for q in want.quantities:
+            assert got[q["quantity"]]["value"] == q["value"]
+
 
 class TestPressureInequality:
     def test_zero_potential_on_z2(self, z2):

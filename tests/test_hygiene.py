@@ -1,8 +1,9 @@
 """Static checks on the library source that need no linter: every name a
 module imports is used in it (or re-exported through ``__all__``), no
 function imports from the package itself (those imports go at module top,
-where a cycle would show at once), and every module-level private function
-is referenced somewhere in the package."""
+where a cycle would show at once), every module-level private function
+is referenced somewhere in the package, and no runtime check is an
+``assert`` (``python -O`` strips those; checks raise typed errors)."""
 
 import ast
 import collections
@@ -128,3 +129,26 @@ def test_check_detects_an_orphan_helper():
                        "def _via_attribute():\n    pass\n"
                        "def public():\n    return b._via_attribute()\n")]
     assert _orphan_helpers(trees) == ["_recursive", "_unused"]
+
+
+def _asserts(tree):
+    """Lines of every assert statement."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert))
+
+
+def test_no_assert_in_src():
+    found = {p.name: _asserts(ast.parse(p.read_text(encoding="utf-8"),
+                                        filename=str(p)))
+             for p in MODULES}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"assert statements in the library: {found}"
+
+
+def test_check_detects_an_injected_assert():
+    path = SRC / "spectra.py"
+    text = path.read_text(encoding="utf-8")
+    assert not _asserts(ast.parse(text))
+    lines = text.count("\n")
+    copy = text + "\n\ndef _probe(x):\n    assert x > 0, x\n    return x\n"
+    assert _asserts(ast.parse(copy)) == [lines + 4]

@@ -182,15 +182,44 @@ class TestPerron:
             perron_eigen(M, tol=0.0, max_iter=200)
 
     def test_overflow_fails_fast(self):
-        # e^710 and a row sum of 2e308 leave the float range; with one
-        # iteration allowed the error must name the overflow, not the
-        # unreached enclosure
-        with np.errstate(over="ignore"), \
-                pytest.raises(NumericError, match="float range"):
-            full_pressure(Potential.constant(2, 710.0))
+        # e^710 leaves the float range, but full_pressure solves the
+        # matrix tilted to largest weight 1 and adds the tilt back
+        got = full_pressure(Potential.constant(2, 710.0)).value
+        assert got == pytest.approx(math.log(3) + 710.0, abs=1e-12)
+        # a row sum of 2e308 leaves the float range; with one iteration
+        # allowed the error must name the overflow, not the unreached
+        # enclosure
         with np.errstate(over="ignore"), \
                 pytest.raises(NumericError, match="float range"):
             perron_eigen(np.full((2, 2), 1e308), max_iter=1)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("shift", [-800.0, 800.0])
+    def test_exact_routes_shift_by_constants(self, s3, depth, shift):
+        # P(f + c) = P(f) + c, on both exact routes, far beyond the range
+        # where exp(f + c) fits a float
+        pot = _random_pot(2, depth, seed=60 + depth)
+        moved = Potential(2, depth, pot.values + shift)
+        assert full_pressure(moved).value == pytest.approx(
+            full_pressure(pot).value + shift, abs=1e-12)
+        assert restricted_pressure_exact(moved, s3).value == pytest.approx(
+            restricted_pressure_exact(pot, s3).value + shift, abs=1e-12)
+
+    def test_period_2_vectors_are_perron_vectors_of_m(self):
+        # the M^2 iterates mix the two cyclic classes; the returned vectors
+        # must still satisfy M r = rho r and l M = rho l
+        A = np.array([[0, 0, 2.0], [0, 0, 1.0], [0.5, 3.0, 0]])
+        res = perron_eigen(A, period=2, want_left=True)
+        assert np.allclose(A @ res.right, res.rho * res.right, atol=1e-12)
+        assert np.allclose(res.left @ A, res.rho * res.left, atol=1e-12)
+
+    def test_zero_entries_fail_fast(self):
+        # the second row of M v is 0, so its Collatz-Wielandt ratio is
+        # undefined; the error must come at the first check, not after
+        # max_iter iterations of nan enclosures
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match="zero entries"):
+            perron_eigen(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_rejects_nonpositive_max_iter(self, max_iter):

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from freeshift import (FreeAbelianQuotient, GeometricPotential, Potential,
+import freeshift.spectra as spectra_mod
+from freeshift import (FiniteQuotient, FreeAbelianQuotient,
+                       GeometricPotential, NumericError, Potential,
                        ValidationError, bowen_dimension, cogrowth, combine,
                        default_beta_grid, delta, free_energy,
                        free_energy_curve, full_pressure, legendre,
-                       level_set_dimension, restricted_pressure)
+                       level_set_dimension, restricted_pressure,
+                       window_states)
+from freeshift.pressure import pressure_rows, transfer_pattern
 
 
 class TestFreeEnergy:
@@ -86,12 +90,145 @@ class TestFreeEnergy:
         assert len(evals) == 161
         assert np.mean(evals) <= 10 and max(evals) <= 12
 
+    def test_exact_scopes_never_reach_brent(self, two_ratio_zeta,
+                                            psi_minus_one, s3, monkeypatch):
+        def no_brent(*args, **kwargs):
+            raise AssertionError("Brent's method on an exact scope")
+
+        monkeypatch.setattr(spectra_mod, "_brent_root", no_brent)
+        for quotient in (None, s3):
+            free_energy(psi_minus_one, two_ratio_zeta, 0.5,
+                        quotient=quotient)
+            free_energy_curve(psi_minus_one, two_ratio_zeta, [-1.0, 1.0],
+                              quotient=quotient)
+            delta(two_ratio_zeta, quotient=quotient)
+
     def test_restricted_uses_quotient(self, two_ratio_zeta, z2):
         full = free_energy(None, two_ratio_zeta, 0.0)
         rest = free_energy(None, two_ratio_zeta, 0.0, quotient=z2, n_max=30)
         assert rest.method == "extrapolated"
         assert rest.sigma > 0
         assert rest.t <= full.t + 3 * rest.sigma + 1e-9
+
+
+def _scope_case(name):
+    """(psi, zeta, quotient) of one exact scope for the Newton tests."""
+    rng = np.random.default_rng(70)
+    two_ratio = GeometricPotential.from_letter_values(
+        2, np.log([0.5, 0.5, 1 / 3, 1 / 3]))
+    psi1 = Potential.from_letter_values(2, [-0.2, 0.3, -0.6, 0.1])
+    s3_table = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4],
+                [2, 4, 0, 5, 1, 3], [3, 5, 1, 4, 0, 2],
+                [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
+    if name == "full":
+        return psi1, two_ratio, None
+    if name == "s3":
+        return psi1, two_ratio, FiniteQuotient(2, s3_table, 0, [1, 2])
+    if name == "zmod2":
+        return psi1, two_ratio, FiniteQuotient(2, [[0, 1], [1, 0]], 0,
+                                               [1, 1])
+    if name == "depth2":
+        windows, _ = window_states(2, 2)
+        psi2 = Potential(2, 2, rng.uniform(-0.5, 0.5, len(windows)))
+        return psi2, two_ratio, FiniteQuotient(2, s3_table, 0, [1, 2])
+    zeta3 = GeometricPotential.from_letter_values(
+        3, np.log([0.5, 0.5, 1 / 3, 1 / 3, 0.25, 0.25]))
+    psi3 = Potential.from_letter_values(3, rng.uniform(-0.5, 0.5, 6))
+    return psi3, zeta3, (None if name == "d3" else FiniteQuotient(
+        3, [[0, 1], [1, 0]], 0, [1, 1, 1]))
+
+
+SCOPES = ["full", "s3", "zmod2", "depth2", "d3", "d3-zmod2"]
+NEWTON_BETAS = [-2.0, -0.5, 0.0, 1.0, 3.0]
+
+
+class TestNewtonCurves:
+    """The batched Newton solver of exact scopes against independent
+    references."""
+
+    @pytest.mark.parametrize("name", SCOPES)
+    def test_curve_matches_reference_bisection(self, name):
+        psi, zeta, quotient = _scope_case(name)
+        curve = free_energy_curve(psi, zeta, NEWTON_BETAS, quotient=quotient)
+        for beta, point in zip(NEWTON_BETAS, curve.points):
+            def pressure(u):
+                pot = combine((beta, psi), (u, zeta))
+                if quotient is None:
+                    return full_pressure(pot).value
+                return restricted_pressure(pot, quotient).value
+
+            want = oracles.bisect_root(pressure, -16.0, 16.0)
+            assert abs(point.t - want) <= 1e-10, (beta, point.t, want)
+            assert point.residual <= 1e-9
+            assert point.method == "exact-eigenvalue" and point.sigma == 0
+
+    @pytest.mark.parametrize("name", SCOPES)
+    def test_one_point_equals_its_curve_row(self, name):
+        psi, zeta, quotient = _scope_case(name)
+        curve = free_energy_curve(psi, zeta, NEWTON_BETAS, quotient=quotient)
+        for beta, point in zip(NEWTON_BETAS, curve.points):
+            one = free_energy(psi, zeta, beta, quotient=quotient)
+            assert abs(one.t - point.t) <= 1e-10
+
+    @pytest.mark.parametrize("name", SCOPES)
+    def test_rows_certified_and_slopes_are_derivatives(self, name):
+        # every row's enclosure is within tol, and the slope from the
+        # Perron vectors is dP/du (central differences, h = 1e-5)
+        psi, zeta, quotient = _scope_case(name)
+        depth = max(psi.depth, zeta.depth)
+        pattern, col = transfer_pattern(zeta.d, depth, quotient)
+        period = 1 if quotient is None else quotient.period()
+        a = psi.as_depth(depth).values
+        z = zeta.as_depth(depth).values
+        betas = np.array(NEWTON_BETAS)[:, None]
+        h, tol = 1e-5, 1e-13
+        rows = [pressure_rows(pattern, col, period, betas * a + u * z, z,
+                              tol)
+                for u in (-h, 0.0, h)]
+        assert (rows[1].residuals <= tol).all()
+        fd = (rows[2].values - rows[0].values) / (2 * h)
+        assert np.abs(rows[1].slopes - fd).max() <= 1e-7
+        assert (rows[1].slopes <= z.max()).all()
+        assert (rows[1].slopes >= z.min()).all()
+
+    @pytest.mark.parametrize("name", ["full", "s3"])
+    def test_roots_beyond_float_range(self, name):
+        # beta psi + u zeta reaches about +-800 along the Newton steps,
+        # beyond exp's range; each row is tilted, so every evaluation stays
+        # finite and the roots match bisection on the tilted pressures
+        psi, zeta, quotient = _scope_case(name)
+        moved = Potential(2, 1, psi.values + 400.0)
+        curve = free_energy_curve(moved, zeta, [-2.0, 2.0],
+                                  quotient=quotient)
+        for beta, point in zip((-2.0, 2.0), curve.points):
+            def pressure(u):
+                pot = combine((beta, moved), (u, zeta))
+                if quotient is None:
+                    return full_pressure(pot).value
+                return restricted_pressure(pot, quotient).value
+
+            # |u| <= 1300 keeps the spread of u zeta inside exp's range
+            want = oracles.bisect_root(pressure, -1300.0, 1300.0,
+                                       u_tol=1e-11)
+            assert abs(want) > 700
+            assert abs(point.t - want) <= 1e-9
+
+    def test_uncertified_roots_raise(self, two_ratio_zeta, s3,
+                                     monkeypatch):
+        # the root of delta is about 1.244: a u_max below it stops the
+        # Newton steps, and a single round cannot certify it
+        with pytest.raises(NumericError, match="Newton step left"):
+            delta(two_ratio_zeta, quotient=s3, u_max=1.0)
+        monkeypatch.setattr(spectra_mod, "NEWTON_MAX_ROUNDS", 1)
+        with pytest.raises(NumericError, match="certificate failed"):
+            delta(two_ratio_zeta, quotient=s3)
+
+    def test_s3_curve_takes_few_evaluations(self, two_ratio_zeta,
+                                            psi_minus_one, s3):
+        curve = free_energy_curve(psi_minus_one, two_ratio_zeta, quotient=s3)
+        evals = [p.evaluations for p in curve.points]
+        assert len(evals) == 161
+        assert np.mean(evals) <= 5
 
 
 class TestDimensions:
