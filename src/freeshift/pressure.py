@@ -85,29 +85,13 @@ def _window_graph(d, m):
     return windows, index, src, new_letter
 
 
+@functools.lru_cache(maxsize=8)
 def transfer_pattern(d, m, quotient=None):
     """(pattern, col) of the transfer matrix over m-windows, lifted to
     (window, element) pairs over a finite quotient: every transfer matrix
     here is pattern * exp(f[col]), with pattern its 0/1 edge pattern and
     col[j] the window that column j enters. Built once per (d, m,
     quotient); both arrays are read-only."""
-    if quotient is not None:
-        if not isinstance(quotient, FiniteQuotient):
-            raise ValidationError(
-                "lifted transfer matrices need a finite quotient")
-        if d != quotient.d:
-            raise ValidationError("potential and quotient rank mismatch")
-        n_states = len(window_states(d, m)[0]) * quotient.table.shape[0]
-        if n_states > LiftedTransferMatrix.MAX_STATES:
-            raise ResourceError(
-                "lifted transfer matrix too large; use fiber_partition plus "
-                "growth_rate", required=n_states,
-                budget=LiftedTransferMatrix.MAX_STATES)
-    return _pattern(d, m, quotient)
-
-
-@functools.lru_cache(maxsize=8)
-def _pattern(d, m, quotient):
     windows, _, src, new_letter = _window_graph(d, m)
     W = len(windows)
     if quotient is None:
@@ -115,6 +99,17 @@ def _pattern(d, m, quotient):
         pattern[src, np.arange(W)[:, None]] = 1.0
         col = np.arange(W)
     else:
+        if not isinstance(quotient, FiniteQuotient):
+            raise ValidationError(
+                "lifted transfer matrices need a finite quotient")
+        if d != quotient.d:
+            raise ValidationError("potential and quotient rank mismatch")
+        n_states = W * quotient.table.shape[0]
+        if n_states > LiftedTransferMatrix.MAX_STATES:
+            raise ResourceError(
+                "lifted transfer matrix too large; use fiber_partition plus "
+                "growth_rate", required=n_states,
+                budget=LiftedTransferMatrix.MAX_STATES)
         # flat state = window_idx * order + element; entering window j
         # multiplies the element by the image of its new letter
         order = quotient.table.shape[0]
@@ -199,8 +194,8 @@ class PerronResult:
     left: np.ndarray = None
 
 
-def _perron_batch(pattern, weights, period, tol, max_iter, want_left,
-                  start=None):
+def _perron_batch(pattern, weights, period, tol, max_iter=100_000,
+                  want_left=False, start=None):
     """Perron data of the K matrices M_k = pattern * weights[k] (column j
     scaled by weights[k, j]) by one batched power iteration on M_k^period.
 
@@ -255,19 +250,16 @@ def _perron_batch(pattern, weights, period, tol, max_iter, want_left,
     steps = 0
     while live.size:
         todo = min(q, max_iter - steps)
-        for _ in range(todo - 1):
-            for _ in range(p):
-                V = normalised((W * V) @ pattern.T)[0]
-                if want_left:
-                    L = normalised(W * (L @ pattern))[0]
-        V0, L0 = V, L
-        gv = gl = 1.0
-        for _ in range(p):
+        for i in range(todo * p):
+            if i == (todo - 1) * p:     # the last power step is checked
+                V0, L0, gv, gl = V, L, 1.0, 1.0
             V, peak = normalised((W * V) @ pattern.T)
-            gv = gv * peak
             if want_left:
-                L, peak = normalised(W * (L @ pattern))
-                gl = gl * peak
+                L, peak_left = normalised(W * (L @ pattern))
+            if i >= (todo - 1) * p:
+                gv = gv * peak
+                if want_left:
+                    gl = gl * peak_left
         steps += todo
         lo, hi, done = width(V, V0, gv)
         if want_left:
@@ -337,15 +329,14 @@ class PressureRows:
     start: tuple              # (right, left): warm start for nearby rows
 
 
-def pressure_rows(pattern, col, period, values, g, tol=1e-13,
-                  max_iter=100_000, start=None):
+def pressure_rows(pattern, col, period, values, g, tol=1e-13, start=None):
     """Pressures of the potentials values[k] (window tables) and slopes
     along the window table g, on the scope of ``transfer_pattern``, by one
     batched power iteration. Each row is tilted to largest weight 1 and
     its shift added back, so no row can overflow."""
     weights, shift = _tilt(values[:, col])
     rho, half, _, right, left = _perron_batch(
-        pattern, weights, period, tol, max_iter, True, start)
+        pattern, weights, period, tol, want_left=True, start=start)
     lr = left * right
     return PressureRows(np.log(rho) + shift, (lr @ g[col]) / lr.sum(axis=1),
                         half / rho ** period / period, (right, left))
