@@ -5,12 +5,11 @@ import pytest
 
 import oracles
 import freeshift.spectra as spectra_mod
-from freeshift import (FiniteQuotient, FreeAbelianQuotient,
-                       GeometricPotential, NumericError, Potential,
-                       ValidationError, bowen_dimension, cogrowth, combine,
-                       default_beta_grid, delta, free_energy,
-                       free_energy_curve, full_pressure, legendre,
-                       level_set_dimension, restricted_pressure,
+from freeshift import (FreeAbelianQuotient, GeometricPotential,
+                       NumericError, Potential, ValidationError,
+                       bowen_dimension, cogrowth, combine, default_beta_grid,
+                       delta, free_energy, free_energy_curve, full_pressure,
+                       legendre, level_set_dimension, restricted_pressure,
                        window_states)
 from freeshift.pressure import pressure_rows, transfer_pattern
 
@@ -81,8 +80,9 @@ class TestFreeEnergy:
     @pytest.mark.parametrize("scope", ["full", "s3"])
     def test_evaluations_per_point(self, two_ratio_zeta, psi_minus_one, s3,
                                    scope):
-        # Brent's method converges superlinearly; bisection to the same
-        # tolerance takes about 39 pressure evaluations per point here
+        # the root finder (Newton on these exact scopes) converges
+        # superlinearly; bisection to the same tolerance takes about 39
+        # pressure evaluations per point here
         quotient = s3 if scope == "s3" else None
         curve = free_energy_curve(psi_minus_one, two_ratio_zeta,
                                   quotient=quotient)
@@ -111,31 +111,25 @@ class TestFreeEnergy:
         assert rest.t <= full.t + 3 * rest.sigma + 1e-9
 
 
-def _scope_case(name):
+def _scope_case(name, finite_cases):
     """(psi, zeta, quotient) of one exact scope for the Newton tests."""
     rng = np.random.default_rng(70)
-    two_ratio = GeometricPotential.from_letter_values(
+    quotient = {"s3": "s3", "zmod2": "zmod2", "depth2": "s3",
+                "d3-zmod2": "zmod2 [1,1,1]"}.get(name)
+    quotient = finite_cases[quotient][1] if quotient else None
+    if name.startswith("d3"):
+        zeta = GeometricPotential.from_letter_values(
+            3, np.log([0.5, 0.5, 1 / 3, 1 / 3, 0.25, 0.25]))
+        return (Potential.from_letter_values(3, rng.uniform(-0.5, 0.5, 6)),
+                zeta, quotient)
+    zeta = GeometricPotential.from_letter_values(
         2, np.log([0.5, 0.5, 1 / 3, 1 / 3]))
-    psi1 = Potential.from_letter_values(2, [-0.2, 0.3, -0.6, 0.1])
-    s3_table = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4],
-                [2, 4, 0, 5, 1, 3], [3, 5, 1, 4, 0, 2],
-                [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
-    if name == "full":
-        return psi1, two_ratio, None
-    if name == "s3":
-        return psi1, two_ratio, FiniteQuotient(2, s3_table, 0, [1, 2])
-    if name == "zmod2":
-        return psi1, two_ratio, FiniteQuotient(2, [[0, 1], [1, 0]], 0,
-                                               [1, 1])
     if name == "depth2":
         windows, _ = window_states(2, 2)
-        psi2 = Potential(2, 2, rng.uniform(-0.5, 0.5, len(windows)))
-        return psi2, two_ratio, FiniteQuotient(2, s3_table, 0, [1, 2])
-    zeta3 = GeometricPotential.from_letter_values(
-        3, np.log([0.5, 0.5, 1 / 3, 1 / 3, 0.25, 0.25]))
-    psi3 = Potential.from_letter_values(3, rng.uniform(-0.5, 0.5, 6))
-    return psi3, zeta3, (None if name == "d3" else FiniteQuotient(
-        3, [[0, 1], [1, 0]], 0, [1, 1, 1]))
+        return (Potential(2, 2, rng.uniform(-0.5, 0.5, len(windows))), zeta,
+                quotient)
+    return (Potential.from_letter_values(2, [-0.2, 0.3, -0.6, 0.1]), zeta,
+            quotient)
 
 
 SCOPES = ["full", "s3", "zmod2", "depth2", "d3", "d3-zmod2"]
@@ -147,8 +141,8 @@ class TestNewtonCurves:
     references."""
 
     @pytest.mark.parametrize("name", SCOPES)
-    def test_curve_matches_reference_bisection(self, name):
-        psi, zeta, quotient = _scope_case(name)
+    def test_curve_matches_reference_bisection(self, name, finite_cases):
+        psi, zeta, quotient = _scope_case(name, finite_cases)
         curve = free_energy_curve(psi, zeta, NEWTON_BETAS, quotient=quotient)
         for beta, point in zip(NEWTON_BETAS, curve.points):
             def pressure(u):
@@ -163,18 +157,18 @@ class TestNewtonCurves:
             assert point.method == "exact-eigenvalue" and point.sigma == 0
 
     @pytest.mark.parametrize("name", SCOPES)
-    def test_one_point_equals_its_curve_row(self, name):
-        psi, zeta, quotient = _scope_case(name)
+    def test_one_point_equals_its_curve_row(self, name, finite_cases):
+        psi, zeta, quotient = _scope_case(name, finite_cases)
         curve = free_energy_curve(psi, zeta, NEWTON_BETAS, quotient=quotient)
         for beta, point in zip(NEWTON_BETAS, curve.points):
             one = free_energy(psi, zeta, beta, quotient=quotient)
             assert abs(one.t - point.t) <= 1e-10
 
     @pytest.mark.parametrize("name", SCOPES)
-    def test_rows_certified_and_slopes_are_derivatives(self, name):
+    def test_rows_certified_and_slopes_are_derivatives(self, name, finite_cases):
         # every row's enclosure is within tol, and the slope from the
         # Perron vectors is dP/du (central differences, h = 1e-5)
-        psi, zeta, quotient = _scope_case(name)
+        psi, zeta, quotient = _scope_case(name, finite_cases)
         depth = max(psi.depth, zeta.depth)
         pattern, col = transfer_pattern(zeta.d, depth, quotient)
         period = 1 if quotient is None else quotient.period()
@@ -192,11 +186,11 @@ class TestNewtonCurves:
         assert (rows[1].slopes >= z.min()).all()
 
     @pytest.mark.parametrize("name", ["full", "s3"])
-    def test_roots_beyond_float_range(self, name):
+    def test_roots_beyond_float_range(self, name, finite_cases):
         # beta psi + u zeta reaches about +-800 along the Newton steps,
         # beyond exp's range; each row is tilted, so every evaluation stays
         # finite and the roots match bisection on the tilted pressures
-        psi, zeta, quotient = _scope_case(name)
+        psi, zeta, quotient = _scope_case(name, finite_cases)
         moved = Potential(2, 1, psi.values + 400.0)
         curve = free_energy_curve(moved, zeta, [-2.0, 2.0],
                                   quotient=quotient)
