@@ -179,11 +179,18 @@ class TestNewtonCurves:
         rows = [pressure_rows(pattern, col, period, betas * a + u * z, z,
                               tol)
                 for u in (-h, 0.0, h)]
-        assert (rows[1].residuals <= tol).all()
+        # a warm start may be any positive vectors; the slopes must not
+        # depend on them
+        skewed = np.random.default_rng(3).uniform(
+            0.1, 1.0, (len(betas), len(col)))
+        rows.append(pressure_rows(pattern, col, period, betas * a, z, tol,
+                                  start=(skewed, skewed[::-1])))
         fd = (rows[2].values - rows[0].values) / (2 * h)
-        assert np.abs(rows[1].slopes - fd).max() <= 1e-7
-        assert (rows[1].slopes <= z.max()).all()
-        assert (rows[1].slopes >= z.min()).all()
+        for row in rows[1], rows[3]:
+            assert (row.residuals <= tol).all()
+            assert np.abs(row.slopes - fd).max() <= 1e-7
+            assert (row.slopes <= z.max()).all()
+            assert (row.slopes >= z.min()).all()
 
     @pytest.mark.parametrize("name", ["full", "s3"])
     def test_roots_beyond_float_range(self, name, finite_cases):
