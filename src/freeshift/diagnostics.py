@@ -133,9 +133,13 @@ def half_bound_check(quotient, zeta, curves=None, alphas=None, n_max=40,
     """delta_N >= delta/2, and with ``curves`` (the pair of full and
     restricted free-energy curves of some psi and this zeta, on the same
     betas) also b_N(alpha) >= b(alpha)/2 on the common interior alpha
-    range; reports every slack, classifies on the minimum. When the curves
-    contain beta = 0, their points there are delta and delta_N (t(0) does
-    not depend on psi) and are not solved again."""
+    range; reports every slack, classifies on the minimum.
+
+    When the curves contain beta = 0, their points there are taken as delta
+    and delta_N (t(0) does not depend on psi) and are not solved again:
+    then ``n_max``, ``u_tol`` and ``tol`` are not used, and the curves must
+    have been solved for this zeta and quotient, which is not checked (a
+    FreeEnergyCurve does not record them)."""
     roots = None
     if curves is not None:
         full_curve, n_curve = _curve_pair(curves)

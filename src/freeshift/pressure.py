@@ -28,7 +28,7 @@ per-letter matrices, and complete the trailing windows at readout:
   length's convolutions are one batched GEMM over the length axis.
 
 Every transfer matrix, full or lifted, is pattern * exp(f[col]): a 0/1
-edge pattern built once per (d, m, quotient), whose column j carries the
+edge pattern of the (lifted) window graph, whose column j carries the
 weight of the window it enters. Perron roots are computed by power
 iteration with Collatz-Wielandt ratio enclosures, checked every few steps
 (a whole number of periods), so every exact eigenvalue carries a certified
@@ -39,7 +39,6 @@ vectors). Weights are tilted to largest weight 1 and the tilt added back
 to log rho, so P(f + c) = P(f) + c holds for any constant c.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -64,12 +63,10 @@ MASS_FLOOR = 1e-200
 # ---------------------------------------------------------------------------
 # transfer matrices
 
-@functools.lru_cache(maxsize=None)
 def _window_graph(d, m):
     """Predecessor table: src[j] lists the 2d-1 windows w1 with
     w1[1:] == w2[:-1] for w2 = windows[j] (m>=2), or w1 != w2-inverse
-    (m == 1). new_letter[j] is the letter appended when entering w2.
-    Cached per (d, m); the arrays are read-only."""
+    (m == 1). new_letter[j] is the letter appended when entering w2."""
     windows, index = window_states(d, m)
     src = np.empty((len(windows), 2 * d - 1), dtype=np.int64)
     new_letter = np.empty(len(windows), dtype=np.int64)
@@ -81,17 +78,14 @@ def _window_graph(d, m):
             preds = [index[(x,) + w2[:-1]]
                      for x in range(2 * d) if x != (w2[0] ^ 1)]
         src[j] = preds
-    src.flags.writeable = new_letter.flags.writeable = False
     return windows, index, src, new_letter
 
 
-@functools.lru_cache(maxsize=8)
 def transfer_pattern(d, m, quotient=None):
     """(pattern, col) of the transfer matrix over m-windows, lifted to
     (window, element) pairs over a finite quotient: every transfer matrix
     here is pattern * exp(f[col]), with pattern its 0/1 edge pattern and
-    col[j] the window that column j enters. Built once per (d, m,
-    quotient); both arrays are read-only."""
+    col[j] the window that column j enters."""
     windows, _, src, new_letter = _window_graph(d, m)
     W = len(windows)
     if quotient is None:
@@ -119,7 +113,6 @@ def transfer_pattern(d, m, quotient=None):
                 (np.arange(W)[:, None] * order
                  + shifts[new_letter])[:, None, :]] = 1.0
         col = np.repeat(np.arange(W), order)
-    pattern.flags.writeable = col.flags.writeable = False
     return pattern, col
 
 
@@ -144,11 +137,6 @@ class TransferMatrix:
     def matrix(self):
         return self.pattern * np.exp(self.pot.values)[self.col]
 
-    def tilted(self):
-        """(matrix e^-shift, shift), shift the largest potential value."""
-        weights, shift = _tilt(self.pot.values[self.col])
-        return self.pattern * weights, float(shift)
-
     def initial_vector(self):
         """Weights of the first window, so that
         initial @ matrix^(n-m) @ ones = sum over Sigma^n of exp(interior
@@ -156,7 +144,7 @@ class TransferMatrix:
         return np.exp(self.pot.values)
 
 
-class LiftedTransferMatrix(TransferMatrix):
+class LiftedTransferMatrix:
     """Transfer matrix of the group extension over a finite quotient:
     states are (window, element) pairs, transitions multiply the element by
     the image of the appended letter.
@@ -176,6 +164,10 @@ class LiftedTransferMatrix(TransferMatrix):
         self.pattern, self.col = transfer_pattern(pot.d, self.m, quotient)
         self.windows = window_states(pot.d, self.m)[0]
         self.order = quotient.table.shape[0]
+
+    @property
+    def matrix(self):
+        return self.pattern * np.exp(self.pot.values)[self.col]
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +201,9 @@ def _perron_batch(pattern, weights, period, tol, max_iter=100_000,
 
     Returns rho of each M_k (the p-th root of the enclosure midpoint), the
     half-widths of the enclosures of rho(M_k^p), the power steps of M^p
-    taken, and the right (and left) Perron vectors of M_k at peak 1. For
-    p > 1 the M^p iterates mix the p cyclic classes arbitrarily, so the
-    vectors are recovered as r = sum_{k<p} (M/rho)^k r_p (likewise on the
-    left), which M maps to rho r."""
+    taken, and the right (and left) Perron vectors of M_k^p at peak 1. For
+    p > 1 those are the Perron vectors of M_k with each of the p cyclic
+    classes scaled by its own positive factor."""
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     K, n = weights.shape
@@ -281,37 +272,26 @@ def _perron_batch(pattern, weights, period, tol, max_iter=100_000,
                 f"power iteration did not converge in {max_iter} iterations "
                 f"(enclosure width {(hi - lo)[~done].max():g}, "
                 f"tol {tol:g})")
-    if p > 1:
-        right = _cycle_sum(right, lambda X: (weights * X) @ pattern.T, rho,
-                           p)
-        if want_left:
-            left = _cycle_sum(left, lambda X: weights * (X @ pattern), rho,
-                              p)
     return rho, half, iterations, right, left
 
 
-def _cycle_sum(X, apply, rho, p):
-    """sum_{k<p} (M/rho)^k X, rows at peak 1."""
-    total, term = X.copy(), X
-    for _ in range(p - 1):
-        term = apply(term) / rho[:, None]
-        total += term
-    return total / total.max(axis=1)[:, None]
-
-
-def perron_eigen(M, period=1, tol=1e-13, max_iter=100_000, want_left=False):
+def perron_eigen(M, period=1, tol=1e-13, max_iter=100_000, want_left=False,
+                 *, weights=None):
     """Power iteration on M^period from the all-ones vector: the K = 1 case
-    of the batched engine.
+    of the batched engine. With ``weights``, the matrix is M with column j
+    scaled by weights[j], which is never formed.
 
     Stops when the Collatz-Wielandt ratios (M^p v)_i / v_i pinch the
     spectral radius of M^p to relative width ``tol``; that enclosure is the
-    returned residual (exactness certificate). Deterministic.
+    returned residual (exactness certificate). For period > 1 the returned
+    vectors are those of M^period. Deterministic.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("perron_eigen needs a square matrix")
+    weights = np.ones(len(M)) if weights is None else weights
     rho, half, iterations, right, left = _perron_batch(
-        M, np.ones((1, len(M))), period, tol, max_iter, want_left)
+        M, weights[None], period, tol, max_iter, want_left)
     return PerronResult(float(rho[0]), float(half[0]), int(iterations[0]),
                         right[0], None if left is None else left[0])
 
@@ -333,7 +313,13 @@ def pressure_rows(pattern, col, period, values, g, tol=1e-13, start=None):
     """Pressures of the potentials values[k] (window tables) and slopes
     along the window table g, on the scope of ``transfer_pattern``, by one
     batched power iteration. Each row is tilted to largest weight 1 and
-    its shift added back, so no row can overflow."""
+    its shift added back, so no row can overflow.
+
+    For period > 1 the vectors are those of M^p, with each cyclic class
+    scaled by its own factor. The slopes still hold on a lift over a finite
+    quotient: left multiplication by the group is a weight-preserving
+    automorphism that moves every class onto every other, so each class
+    carries the same mean of g."""
     weights, shift = _tilt(values[:, col])
     rho, half, _, right, left = _perron_batch(
         pattern, weights, period, tol, want_left=True, start=start)
@@ -358,13 +344,17 @@ class PressureResult:
 
 
 def _exact_pressure(tm, period, tol):
-    """PressureResult of log rho(tm.matrix), solved on the tilted matrix."""
-    M, shift = tm.tilted()
-    pe = perron_eigen(M, period, tol)
-    return PressureResult(math.log(pe.rho) + shift, 0.0, "exact-eigenvalue",
+    """PressureResult of log rho(tm.matrix), solved on the pattern with
+    its weights tilted to largest weight 1, so no second dense matrix is
+    built."""
+    weights, shift = _tilt(tm.pot.values[tm.col])
+    pe = perron_eigen(tm.pattern, period, tol, weights=weights)
+    return PressureResult(math.log(pe.rho) + float(shift), 0.0,
+                          "exact-eigenvalue",
                           pe.residual / max(pe.rho ** period, 1e-300)
                           / period,
-                          {"iterations": pe.iterations, "states": len(M)})
+                          {"iterations": pe.iterations,
+                           "states": len(tm.col)})
 
 
 def full_pressure(pot, tol=1e-13):

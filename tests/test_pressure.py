@@ -205,14 +205,6 @@ class TestPerron:
         assert restricted_pressure_exact(moved, s3).value == pytest.approx(
             restricted_pressure_exact(pot, s3).value + shift, abs=1e-12)
 
-    def test_period_2_vectors_are_perron_vectors_of_m(self):
-        # the M^2 iterates mix the two cyclic classes; the returned vectors
-        # must still satisfy M r = rho r and l M = rho l
-        A = np.array([[0, 0, 2.0], [0, 0, 1.0], [0.5, 3.0, 0]])
-        res = perron_eigen(A, period=2, want_left=True)
-        assert np.allclose(A @ res.right, res.rho * res.right, atol=1e-12)
-        assert np.allclose(res.left @ A, res.rho * res.left, atol=1e-12)
-
     def test_zero_entries_fail_fast(self):
         # the second row of M v is 0, so its Collatz-Wielandt ratio is
         # undefined; the error must come at the first check, not after
