@@ -289,7 +289,10 @@ def perron_eigen(M, period=1, tol=1e-13, max_iter=100_000, want_left=False,
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError("perron_eigen needs a square matrix")
-    weights = np.ones(len(M)) if weights is None else weights
+    weights = (np.ones(len(M)) if weights is None
+               else np.asarray(weights, dtype=float))
+    if weights.shape != (len(M),):
+        raise ValidationError("perron_eigen needs one weight per column")
     rho, half, iterations, right, left = _perron_batch(
         M, weights[None], period, tol, max_iter, want_left)
     return PerronResult(float(rho[0]), float(half[0]), int(iterations[0]),

@@ -175,6 +175,18 @@ class TestPerron:
         with pytest.raises(ValidationError):
             perron_eigen(np.ones((2, 3)))
 
+    def test_weights_scale_columns(self):
+        rng = np.random.default_rng(13)
+        M = rng.uniform(0.5, 1.5, size=(5, 5))
+        w = rng.uniform(0.1, 2.0, size=5)
+        res = perron_eigen(M, weights=w, want_left=True)
+        ref = perron_eigen(M * w, want_left=True)
+        assert res.rho == pytest.approx(ref.rho, rel=1e-13)
+        assert np.allclose(res.left @ (M * w), res.rho * res.left,
+                           atol=1e-12)
+        with pytest.raises(ValidationError, match="weight per column"):
+            perron_eigen(M, weights=w[:4])
+
     def test_unreachable_tolerance_raises(self):
         rng = np.random.default_rng(5)
         M = rng.uniform(0.5, 1.5, size=(12, 12))
