@@ -36,9 +36,11 @@ from .potentials import (GeometricPotential, Potential, birkhoff_sup_sum,
                          save_potential_csv, window_states)
 from .pressure import (FiberSeries, GrowthFit, LiftedTransferMatrix,
                        PerronResult, PressureResult, TransferMatrix,
-                       fiber_partition, fiber_partition_many, full_pressure,
-                       growth_rate, partition_sum_matrix, perron_eigen,
-                       restricted_pressure, restricted_pressure_exact)
+                       extrapolated_pressure, fiber_partition,
+                       fiber_partition_many, full_pressure, growth_rate,
+                       partition_sum_matrix, perron_eigen,
+                       restricted_pressure, restricted_pressure_exact,
+                       restricted_pressure_twisted)
 from .quotients import (FiniteQuotient, FreeAbelianQuotient, FreeKillQuotient,
                         Quotient)
 from .spectra import (CogrowthResult, FreeEnergyCurve, FreeEnergyPoint,
@@ -91,6 +93,7 @@ __all__ = [
     "delta",
     "divergence_probe",
     "enumerate_words",
+    "extrapolated_pressure",
     "fiber_partition",
     "fiber_partition_many",
     "free_energy",
@@ -112,6 +115,7 @@ __all__ = [
     "random_inverse_symmetric",
     "restricted_pressure",
     "restricted_pressure_exact",
+    "restricted_pressure_twisted",
     "save_potential_csv",
     "symmetric_on_average_statistic",
     "window_states",

@@ -24,7 +24,8 @@ from .diagnostics import (VerdictReport, amenability_report,
                           symmetric_on_average_statistic)
 from .errors import FreeshiftError, UndefinedRatioError, ValidationError
 from .potentials import Potential, random_inverse_symmetric
-from .pressure import fiber_partition, full_pressure, restricted_pressure
+from .pressure import (extrapolated_pressure, fiber_partition,
+                       full_pressure, restricted_pressure)
 from .spectra import (bowen_dimension, cogrowth, default_beta_grid, delta,
                       free_energy_curve, legendre)
 from .words import Alphabet
@@ -49,8 +50,14 @@ def _need_quotient(cfg, command):
 def cmd_pressure(cfg, args):
     res = {"full": _pressure(full_pressure(cfg.psi, tol=cfg.tol_eigen))}
     if cfg.quotient is not None:
-        res["restricted"] = _pressure(restricted_pressure(
-            cfg.psi, cfg.quotient, n_max=cfg.n_max, tol=cfg.tol_eigen))
+        restricted = restricted_pressure(
+            cfg.psi, cfg.quotient, n_max=cfg.n_max, tol=cfg.tol_eigen)
+        res["restricted"] = _pressure(restricted)
+        if restricted.method == "exact-twisted":
+            # the growth fit of the identity-fiber series up to n_max, next
+            # to the exact value it is a finite-n estimate of
+            res["restricted_fit"] = _pressure(extrapolated_pressure(
+                cfg.psi, cfg.quotient, n_max=cfg.n_max))
     return res, []
 
 

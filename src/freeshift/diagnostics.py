@@ -22,6 +22,7 @@ from .errors import NumericError, UndefinedRatioError, ValidationError
 from .pressure import (TransferMatrix, fiber_partition, fiber_partition_many,
                        full_pressure, growth_rate, perron_eigen,
                        restricted_pressure)
+from .quotients import FreeAbelianQuotient
 from .spectra import DEFAULT_U_TOL, delta, legendre
 
 ABS_MARGIN = 1e-3
@@ -211,13 +212,25 @@ def pressure_inequality_check(quotient, pot, n_max=40,
     return _report("bound", quantities, slacks, notes)
 
 
+def _exact_rate(pot, quotient):
+    """The exact fiber rate lambda_N on a free abelian quotient (the
+    twisted pressure), None elsewhere: there the probe and the statistic
+    fit the rate from the series itself."""
+    if isinstance(quotient, FreeAbelianQuotient):
+        return restricted_pressure(pot, quotient)
+    return None
+
+
 def divergence_probe(quotient, pot, n_max=60, min_terms=6):
     """Polynomial-correction exponent of the fiber series.
 
-    Fits a_n e^(-n lambda_hat) ~ C n^(-gamma) on the tail and classifies
+    Fits a_n e^(-n lambda) ~ C n^(-gamma) on the tail and classifies
     divergence-type (gamma <= 1) versus convergence-type (gamma > 1) by the
-    point estimate. The true divergence type is a statement about an
-    infinite series; this is a labeled heuristic, not a proof.
+    point estimate. On a free abelian quotient lambda is the exact
+    restricted pressure and the fit is c - gamma log n + c1/n; elsewhere
+    lambda comes from the growth fit. The true divergence type is a
+    statement about an infinite series; this is a labeled heuristic, not a
+    proof.
     """
     series = fiber_partition(pot, quotient, n_max)
     finite = np.isfinite(series.log_values)
@@ -225,28 +238,34 @@ def divergence_probe(quotient, pot, n_max=60, min_terms=6):
         raise NumericError(
             f"divergence probe needs >= {min_terms} nonzero fiber terms, "
             f"got {int(finite.sum())}")
-    fit = growth_rate(series)
     ns = series.lengths[finite].astype(float)
     ys = series.log_values[finite]
     start = int(len(ns) * 0.25)
     start = min(start, len(ns) - 4)
     ns_t, ys_t = ns[start:], ys[start:]
-    # residual log-log regression: log a_n - n lambda_hat on log n
-    resid = ys_t - fit.lam * ns_t
-    X = np.column_stack([np.ones(len(ns_t)), np.log(ns_t)])
+    exact = _exact_rate(pot, quotient)
+    if exact is None:
+        fit = growth_rate(series)
+        lam = _qty("lambda_hat", fit.lam, fit.sigma, "extrapolated")
+        window = fit.window
+        columns = [np.ones(len(ns_t)), np.log(ns_t)]
+    else:
+        lam = _qty("lambda_hat", exact.value, exact.sigma, exact.method)
+        window = (int(ns_t[0]), int(ns_t[-1]))
+        columns = [np.ones(len(ns_t)), np.log(ns_t), 1.0 / ns_t]
+    # residual log-log regression: log a_n - n lambda on log n
+    resid = ys_t - lam["value"] * ns_t
+    X = np.column_stack(columns)
     coef, *_ = np.linalg.lstsq(X, resid, rcond=None)
     gamma = float(-coef[1])
     r = resid - X @ coef
-    dof = max(len(ns_t) - 2, 1)
+    dof = max(len(ns_t) - X.shape[1], 1)
     cov = float(r @ r) / dof * np.linalg.inv(X.T @ X)
     gamma_err = math.sqrt(max(cov[1, 1], 0.0))
-    quantities = [
-        _qty("lambda_hat", fit.lam, fit.sigma, "extrapolated"),
-        _qty("gamma_hat", gamma, gamma_err, "extrapolated"),
-    ]
+    quantities = [lam, _qty("gamma_hat", gamma, gamma_err, "extrapolated")]
     slacks = [{"name": "gamma-1", "slack": gamma - 1.0, "tol": gamma_err}]
     notes = [f"quotient: {quotient.describe()}",
-             f"fit window n in {fit.window}, {len(ns_t)} points",
+             f"fit window n in {window}, {len(ns_t)} points",
              "heuristic probe: finite-n surrogate for the divergence type "
              "of the critical series"]
     return _report("probe", quantities, slacks, notes)
@@ -265,9 +284,11 @@ def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None):
 
         sum_{k<=n} e^(-k lam) a_k(g)  /  sum_{k<=n} e^(-k lam) a_k(g^{-1})
 
-    where a_k(g) are the exact g-fiber partition sums and lam is the fitted
-    fiber growth rate. A finite surrogate for the symmetric-on-average
-    ratio (the true statistic takes sup over all of G and limsup in n)."""
+    where a_k(g) are the exact g-fiber partition sums and lam is the fiber
+    growth rate: exact on a free abelian quotient (the twisted pressure),
+    fitted from the identity series elsewhere. A finite surrogate for the
+    symmetric-on-average ratio (the true statistic takes sup over all of G
+    and limsup in n)."""
     if n_max is None:
         n_max = n
     if n_max < n:
@@ -280,7 +301,9 @@ def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None):
             if t not in targets:
                 targets.append(t)
     series = fiber_partition_many(pot, quotient, n_max, targets)
-    lam = growth_rate(series[quotient.identity]).lam
+    exact = _exact_rate(pot, quotient)
+    lam = (growth_rate(series[quotient.identity]).lam if exact is None
+           else exact.value)
 
     def partial(g):
         s = series[g]

@@ -10,16 +10,25 @@ rate of the partition sums
 For finite image groups that growth rate is again an exact eigenvalue
 problem for the lifted transfer matrix on (window, element) pairs. With
 d >= 2 that matrix is irreducible (the loop images at a letter generate the
-group), so the Perron root of the whole matrix gives the rate. For
-infinite image groups the library computes a_n exactly and extrapolates
-the rate from the series. Both fiber engines step over extended states
-(the last k-1 letters, from the empty context) with one set of tilted
-per-letter matrices, and complete the trailing windows at readout:
+group), so the Perron root of the whole matrix gives the rate. For free
+abelian images Z^k it is exact too: the large-deviation rate of the Z^k
+cocycle at 0, lambda_N(f) = min over theta of P(f + <theta, v(last
+letter)>) with theta in the span of the letter vectors v (Lalley 1989;
+Pollicott-Sharp 1994), found by Newton steps in theta on the full window
+pattern. For free images (killed generators) the library computes a_n
+exactly and extrapolates the rate from the series.
+
+The partition sums a_n themselves come from two fiber engines. Both step
+over extended states (the last k-1 letters, from the empty context) with
+one set of tilted per-letter matrices, and complete the trailing windows
+at readout:
 
 * free abelian images (and finite ones): forward DP over (state, ball
   element); a length-n prefix cannot leave the radius-n ball, so indexing
   ball(n_max), built once per (quotient, n_max) by Quotient.ball_table,
-  is exact;
+  is exact. On Z^k each letter also carries the optimal twist
+  e^<theta*, v>, taken off again at readout, so the identity fiber stays
+  near the peak of the normalised DP however strongly f drifts;
 * free images (killed generators): excursion renewal on the image tree;
   paths decompose uniquely at their last visits to each node of the geodesic
   spine, giving first-passage matrix convolutions over window states, run
@@ -34,9 +43,11 @@ iteration with Collatz-Wielandt ratio enclosures, checked every few steps
 (a whole number of periods), so every exact eigenvalue carries a certified
 residual. One engine serves a single matrix (perron_eigen) and K weight
 rows on one pattern at once (pressure_rows, one GEMM per step for all
-rows, which also returns d/du P(f + u g) from the left and right Perron
-vectors). Weights are tilted to largest weight 1 and the tilt added back
-to log rho, so P(f + c) = P(f) + c holds for any constant c.
+rows, which also returns d/du P(f + u g) along one or several window
+tables g from the left and right Perron vectors; the twisted pressure
+reads its theta-gradient there). Weights are tilted to largest weight 1
+and the tilt added back to log rho, so P(f + c) = P(f) + c holds for any
+constant c.
 """
 
 import math
@@ -309,14 +320,16 @@ class PressureRows:
     values: np.ndarray
     slopes: np.ndarray
     residuals: np.ndarray     # certified bound on each value's error
-    start: tuple              # (right, left): warm start for nearby rows
+    start: tuple              # (right, left[, phi]): warm start
+    solves: int = 1           # batched eigen solves behind the values
 
 
 def pressure_rows(pattern, col, period, values, g, tol=1e-13, start=None):
     """Pressures of the potentials values[k] (window tables) and slopes
     along the window table g, on the scope of ``transfer_pattern``, by one
     batched power iteration. Each row is tilted to largest weight 1 and
-    its shift added back, so no row can overflow.
+    its shift added back, so no row can overflow. A (W, c) table g gives
+    (K, c) slopes, one column per direction.
 
     For period > 1 the vectors are those of M^p, with each cyclic class
     scaled by its own factor. The slopes still hold on a lift over a finite
@@ -327,7 +340,8 @@ def pressure_rows(pattern, col, period, values, g, tol=1e-13, start=None):
     rho, half, _, right, left = _perron_batch(
         pattern, weights, period, tol, want_left=True, start=start)
     lr = left * right
-    return PressureRows(np.log(rho) + shift, (lr @ g[col]) / lr.sum(axis=1),
+    return PressureRows(np.log(rho) + shift,
+                        ((lr @ g[col]).T / lr.sum(axis=1)).T,
                         half / rho ** period / period, (right, left))
 
 
@@ -336,8 +350,9 @@ class PressureResult:
     """A pressure value with its provenance.
 
     ``method`` is "exact-eigenvalue" (sigma 0, residual = certified
-    enclosure of the log eigenvalue) or "extrapolated" (sigma from the
-    growth fit)."""
+    enclosure of the log eigenvalue), "exact-twisted" (sigma 0, residual =
+    enclosure plus the certificate of the minimum over the twist) or
+    "extrapolated" (sigma from the growth fit)."""
 
     value: float
     sigma: float
@@ -373,6 +388,155 @@ def restricted_pressure_exact(pot, quotient, tol=1e-13):
     res = _exact_pressure(LiftedTransferMatrix(pot, quotient), p, tol)
     res.detail["period"] = p
     return res
+
+
+# ---------------------------------------------------------------------------
+# twisted pressure (free abelian quotients)
+
+# central-difference step of the Hessian in the twist, and Newton rounds
+# before a twist minimum is declared uncertifiable
+HESSIAN_STEP = 1e-4
+TWIST_MAX_ROUNDS = 100
+
+
+def _letter_vectors(quotient):
+    """(2d, k) float array of the letter images of a free abelian
+    quotient."""
+    return np.array([quotient.letter_image(a)
+                     for a in range(quotient.alphabet.size)], dtype=float)
+
+
+def twist_table(quotient, windows):
+    """(B, G): B an orthonormal basis (r, k) of the span of the letter
+    vectors, the right singular vectors of their matrix with nonzero
+    singular value (r is the rank of the image, 0 when every vector is 0),
+    and G[j] the coordinates in B of the vector of the last letter of
+    windows[j]. The twist by theta = B.T phi adds G @ phi to a window
+    table."""
+    letters = _letter_vectors(quotient)
+    # eigh of the Gram matrix gives the right singular vectors, and shares
+    # its LAPACK routine with the Hessian's eigvalsh
+    sq, vecs = np.linalg.eigh(letters.T @ letters)
+    basis = vecs[:, sq > sq.max(initial=0.0) * len(sq) * 1e-12].T
+    return basis, (letters @ basis.T)[[w[-1] for w in windows]]
+
+
+def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
+    """lambda_k = min over phi of P(values[k] + G phi) on the full window
+    pattern (period 1), by Newton steps in phi for all rows at once.
+
+    Each round is one pressure_rows call over every live row and its 2r
+    central-difference neighbours phi +- h e_i. Their slopes along the
+    columns of G are the gradient of P in phi; the neighbours' differences
+    give the Hessian H. P is convex, so a row stops at a point where it was
+    evaluated once |grad|^2 / (2 lambda_min(H)) <= tol; its residual is
+    that bound plus the Perron enclosure. Otherwise it tries the Newton
+    step cut to a trust radius, which doubles after a full step that lowers
+    P and halves when a step does not, so a far minimum (a strongly
+    drifting potential) is reached without overshoot. Returns
+    PressureRows with the slopes along g (by the envelope theorem, the
+    derivatives of the minima) and start = (right, left, phi), which also
+    warm-starts rows of a later call."""
+    K, W = values.shape
+    r = G.shape[1]
+    lead = 0 if g is None else 1        # slope columns before the gradient
+    table = G if g is None else np.column_stack([g, G])
+    probes = np.vstack([np.zeros((1, r)),
+                        HESSIAN_STEP * np.kron(np.eye(r), [[1.0], [-1.0]])])
+    n_probe = len(probes)
+    phi = np.zeros((K, r)) if start is None else start[2].copy()
+    vecs = None if start is None else start[:2]
+    # the last point each row accepted, and the step tried from it
+    base = {"phi": phi.copy(), "P": np.zeros(K), "res": np.zeros(K),
+            "grad": np.zeros((K, r)), "H": np.zeros((K, r, r))}
+    step = np.zeros((K, r))            # 0 until a row tries a step
+    radius = np.ones(K)
+    values_out, residuals = np.empty(K), np.empty(K)
+    slopes_out = None if g is None else np.empty(K)
+    right, left = np.empty((K, W)), np.empty((K, W))
+    live = np.arange(K)
+    for solves in range(1, TWIST_MAX_ROUNDS + 1):
+        pots = (values[live, None, :]
+                + (phi[live, None, :] + probes) @ G.T).reshape(-1, W)
+        rows = pressure_rows(
+            pattern, np.arange(W), 1, pots, table, tol,
+            start=None if vecs is None
+            else tuple(np.repeat(v, n_probe, axis=0) for v in vecs))
+        slopes = rows.slopes.reshape(len(live), n_probe, -1)
+        P, res = rows.values[::n_probe], rows.residuals[::n_probe]
+        H = (slopes[:, 1::2, lead:] - slopes[:, 2::2, lead:]) \
+            / (2 * HESSIAN_STEP)
+        vecs = tuple(v[::n_probe] for v in rows.start)
+
+        # a tried step is kept when P fell (Armijo, within the enclosures)
+        drop = np.einsum("ij,ij->i", base["grad"][live], step[live])
+        length = np.linalg.norm(step[live], axis=1)
+        keep = (length == 0) | (P <= base["P"][live] + 1e-4 * drop + res
+                                + base["res"][live])
+        radius[live[keep & (length >= radius[live] * (1 - 1e-12))]] *= 2
+        radius[live[~keep]] = 0.5 * length[~keep]
+        acc = live[keep]
+        base["phi"][acc] = phi[acc]
+        for name, val in (("P", P), ("res", res),
+                          ("grad", slopes[:, 0, lead:]),
+                          ("H", 0.5 * (H + H.transpose(0, 2, 1)))):
+            base[name][acc] = val[keep]
+
+        # the gradient certificate at every row's base point
+        grad, hess = base["grad"][live], base["H"][live]
+        g2 = (grad ** 2).sum(axis=1)
+        lam = (np.linalg.eigvalsh(hess).min(axis=1) if r
+               else np.full(len(live), np.inf))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(g2 == 0, 0.0,
+                             np.where(lam > 0, g2 / (2 * lam), np.inf))
+        done = keep & (bound <= tol)
+        fin = live[done]
+        values_out[fin] = P[done]
+        if g is not None:
+            slopes_out[fin] = slopes[done, 0, 0]
+        residuals[fin] = res[done] + bound[done]
+        right[fin], left[fin] = vecs[0][done], vecs[1][done]
+        live, vecs = live[~done], tuple(v[~done] for v in vecs)
+        if not live.size:
+            return PressureRows(values_out, slopes_out, residuals,
+                                (right, left, phi), solves)
+
+        # Newton step from the base (steepest descent where the Hessian
+        # is not positive), cut to the trust radius
+        grad, hess, g2, lam = grad[~done], hess[~done], g2[~done], lam[~done]
+        d = -grad / np.sqrt(g2)[:, None] * radius[live, None]
+        newton = lam > 0
+        if newton.any():
+            d[newton] = -np.linalg.solve(hess[newton],
+                                         grad[newton, :, None])[..., 0]
+        d *= np.minimum(1.0, radius[live] / np.linalg.norm(d, axis=1))[:, None]
+        step[live] = d
+        phi[live] = base["phi"][live] + d
+    raise NumericError(
+        f"twisted pressure: the gradient certificate did not pass in "
+        f"{TWIST_MAX_ROUNDS} Newton rounds")
+
+
+def restricted_pressure_twisted(pot, quotient, tol=1e-13):
+    """Restricted pressure over a free abelian quotient F_d -> Z^k:
+    lambda_N(f) = min over theta in the span of the letter vectors v of
+    P(f + <theta, v(last letter)>), the large-deviation rate of the Z^k
+    cocycle at 0 (Lalley 1989; Pollicott-Sharp 1994). Exact, on the full
+    window pattern; theta = 0 for inverse-symmetric f, and lambda_N = P(f)
+    when every vector is 0."""
+    if pot.d != quotient.d:
+        raise ValidationError("potential and quotient rank mismatch")
+    tm = TransferMatrix(pot)
+    basis, G = twist_table(quotient, tm.windows)
+    rows = twisted_rows(tm.pattern, G, pot.values[None], tol=tol)
+    # a single row tries one Newton step in every round but its last
+    return PressureResult(
+        float(rows.values[0]), 0.0, "exact-twisted",
+        float(rows.residuals[0]),
+        {"theta": (rows.start[2][0] @ basis).tolist(),
+         "newton_steps": rows.solves - 1, "eigen_solves": rows.solves,
+         "states": len(tm.col)})
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +616,14 @@ def _extended_states(d, cap):
     return states, {s: i for i, s in enumerate(states)}
 
 
-def _step_matrices(pot, c):
+def _step_matrices(pot, c, twist=None):
     """Per-letter transition matrices over extended window states, tilted
     by e^(-c) and stacked as one (2d, S, S) array. Entry [a, s, s'] is
-    exp(f(completed window) - c) when appending letter a to context s is
-    admissible and completes a window, exp(-c) before the first window
-    completes, 0 otherwise."""
+    exp(f(completed window) + twist[a] - c) when appending letter a to
+    context s is admissible and completes a window, exp(twist[a] - c)
+    before the first window completes, 0 otherwise."""
     d, k = pot.d, pot.depth
+    twist = np.zeros(2 * d) if twist is None else twist
     cap = max(k - 1, 1)
     states, sindex = _extended_states(d, cap)
     S = len(states)
@@ -469,7 +634,8 @@ def _step_matrices(pot, c):
                 continue
             grown = s + (a,)
             s2 = grown if len(grown) <= cap else grown[-cap:]
-            val = pot.value(grown[-k:]) if len(grown) >= k else 0.0
+            val = (pot.value(grown[-k:]) if len(grown) >= k else 0.0) \
+                + twist[a]
             if abs(val - c) > MAX_LOG_STEP:
                 raise NumericError(
                     f"potential range too wide for the renewal and ball DP: "
@@ -493,9 +659,22 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
     A[s, g] is e^(-c n) times the weight of the length-n words in context
     s with image g, from mass 1 at (empty context, identity). A length-n
     prefix stays in ball(n), so ball(n_max) indexes it exactly. Levels are
-    normalised to peak 1; c and the log peak go to the log scale."""
+    normalised to peak 1; c and the log peak go to the log scale.
+
+    On a free abelian quotient every letter a also carries e^<theta*, v(a)>,
+    theta* the minimiser of the twisted pressure: a word with image g then
+    weighs e^<theta*, g> more, which the readout takes off again. The
+    twisted walk has no drift, so the identity fiber stays near the peak
+    mass, however strongly f alone drifts."""
     c = _start_tilt(pot)
-    states, sindex, steps = _step_matrices(pot, c)
+    theta = twist = None
+    # inversion negates the cocycle, so inverse-symmetric f has theta* = 0
+    if (isinstance(quotient, FreeAbelianQuotient)
+            and not pot.is_inverse_symmetric()):
+        theta = np.array(restricted_pressure_twisted(pot, quotient)
+                         .detail["theta"])
+        twist = _letter_vectors(quotient) @ theta
+    states, sindex, steps = _step_matrices(pot, c, twist)
     # shifts[l, g] = index of elements[g] * img(l), -1 outside the ball
     elements, eindex, shifts = quotient.ball_table(
         n_max, max_elements=max_states)
@@ -520,6 +699,8 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
     A = np.zeros((S, B + 1))      # column B: a zero pad, read by shift -1
     A[sindex[()], eindex[quotient.identity]] = 1.0
     logscale = 0.0
+    untwist = [0.0 if theta is None else float(theta @ np.asarray(t, float))
+               for t in targets]
     for n in range(1, n_max + 1):
         flow = K.T @ A
         A = np.zeros_like(A)
@@ -545,7 +726,7 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
                     f"fiber DP lost precision: target {t!r} holds "
                     f"{mass:.1e} of the peak mass at length {n}")
             if mass > 0:
-                out[i, n - 1] = logscale + math.log(mass)
+                out[i, n - 1] = logscale + math.log(mass) - untwist[i]
     return out
 
 
@@ -706,10 +887,20 @@ def growth_rate(series, min_points=4, drop_fraction=0.25):
 
 
 def restricted_pressure(pot, quotient, n_max=40, tol=1e-13):
-    """Dispatch: exact lifted eigenvalue for finite quotients, fiber DP
-    plus growth fit otherwise."""
+    """Dispatch: exact lifted eigenvalue for finite quotients, exact
+    twisted minimum for free abelian ones, identity-fiber series plus
+    growth fit (extrapolated_pressure) for free-kill ones; ``n_max`` only
+    enters the last."""
     if isinstance(quotient, FiniteQuotient):
         return restricted_pressure_exact(pot, quotient, tol)
+    if isinstance(quotient, FreeAbelianQuotient):
+        return restricted_pressure_twisted(pot, quotient, tol)
+    return extrapolated_pressure(pot, quotient, n_max)
+
+
+def extrapolated_pressure(pot, quotient, n_max=40):
+    """The growth fit of the identity-fiber series up to n_max as a
+    PressureResult, on any quotient."""
     series = fiber_partition(pot, quotient, n_max)
     fit = growth_rate(series)
     return PressureResult(fit.lam, fit.sigma, "extrapolated", fit.rms,

@@ -110,17 +110,25 @@ class Quotient(ABC):
         key = (radius, max_elements)
         if key not in self._ball_tables:
             elements = tuple(self.ball(radius, max_elements))
-            shifts = letter_shifts(self, elements)
+            shifts = self._letter_shifts(elements, radius)
             shifts.flags.writeable = False
             self._ball_tables[key] = (
                 elements, {e: i for i, e in enumerate(elements)}, shifts)
         return self._ball_tables[key]
+
+    def _letter_shifts(self, elements, radius):
+        """letter_shifts(self, elements) for elements = ball(radius)."""
+        return letter_shifts(self, elements)
 
     def ball(self, radius, max_elements=5_000_000):
         """All elements reachable from the identity by at most ``radius``
         letter images, sorted by sort_key."""
         if radius < 0:
             raise ValidationError(f"radius must be >= 0, got {radius}")
+        return self._ball(radius, max_elements)
+
+    def _ball(self, radius, max_elements):
+        """ball() by breadth-first search over element objects."""
         images = [self.letter_image(l) for l in range(self.alphabet.size)]
         seen = {self.identity}
         frontier = [self.identity]
@@ -401,6 +409,15 @@ def letter_shifts(quotient, elements):
     return shifts
 
 
+def _sorted_index(table, values):
+    """Index of each of ``values`` in the sorted array ``table``, -1 where
+    it is absent."""
+    if not len(table):
+        return np.full(np.shape(values), -1)
+    pos = np.minimum(np.searchsorted(table, values), len(table) - 1)
+    return np.where(table[pos] == values, pos, -1)
+
+
 class FreeAbelianQuotient(Quotient):
     """Quotient onto (a subgroup of) Z^rank via integer image vectors.
 
@@ -445,6 +462,64 @@ class FreeAbelianQuotient(Quotient):
 
     def sort_key(self, elem):
         return elem
+
+    # -- vectorised ball table: lattice points as int64 codes ---------------
+
+    def _codec(self, radius):
+        """(offset, base) of int64 codes for the lattice points within
+        radius + 1 letters of the identity: code = sum_i (x_i + offset)
+        base^(rank-1-i) with offset = (radius + 1) max|v|, so no digit
+        carries and codes order like the tuples (sort_key). None when
+        base^rank would overflow int64."""
+        offset = (radius + 1) * max(abs(x) for v in self.generator_vectors
+                                    for x in v)
+        base = 2 * offset + 1
+        if base ** self.rank > np.iinfo(np.int64).max:
+            return None
+        return offset, base
+
+    def _encode(self, points, offset, base):
+        weights = base ** np.arange(self.rank - 1, -1, -1, dtype=np.int64)
+        return (np.asarray(points, dtype=np.int64) + offset) @ weights
+
+    def _ball(self, radius, max_elements):
+        """BFS by level sets of codes. The letter images are symmetric, so
+        the neighbours of level L lie in levels L-1..L+1, and a candidate of
+        level L+1 is new unless it is in level L-1 or L."""
+        codec = self._codec(radius)
+        if codec is None:
+            return super()._ball(radius, max_elements)
+        offset, base = codec
+        steps = self._encode(self._letter_images, 0, base)
+        prev = np.empty(0, dtype=np.int64)
+        cur = self._encode([self.identity], offset, base)
+        levels, total = [cur], 1
+        for _ in range(radius):
+            cand = np.sort((cur[:, None] + steps).ravel())
+            cand = cand[np.r_[True, cand[1:] != cand[:-1]]]
+            new = cand[(_sorted_index(cur, cand) < 0)
+                       & (_sorted_index(prev, cand) < 0)]
+            prev, cur = cur, new
+            levels.append(new)
+            total += len(new)
+            if total > max_elements:
+                raise ResourceError("ball exceeded element budget",
+                                    required=total, budget=max_elements)
+        digits = np.unravel_index(np.sort(np.concatenate(levels)),
+                                  (base,) * self.rank)
+        return list(zip(*((x - offset).tolist() for x in digits)))
+
+    def _letter_shifts(self, elements, radius):
+        """letter_shifts of ball(radius) by binary search of the shifted
+        codes; a neighbour outside the ball still has a code of its own,
+        so a miss is -1."""
+        codec = self._codec(radius)
+        if codec is None:
+            return super()._letter_shifts(elements, radius)
+        # ball() lists the elements in code order
+        codes = self._encode(elements, *codec)
+        return _sorted_index(codes, codes + self._encode(
+            self._letter_images, 0, codec[1])[:, None])
 
     def _period_search(self):
         """Exact period by integer elimination. With d >= 2 the N-words

@@ -7,15 +7,19 @@ to a quotient fiber gives t_N(beta); its value at beta = 0 is the critical
 exponent delta_N, which by Bowen's formula is the Hausdorff dimension of
 the radial limit set cut out by the quotient.
 
-On exact scopes (the full shift and finite quotients) P is convex in u
-with derivative P' = integral of zeta against the equilibrium measure, read
-from the left and right Perron vectors, and P' <= max zeta < 0. Newton's
-method therefore converges from any start, with no bracket; a curve solves
-all its betas at once, one batched power iteration per Newton round,
-warm-started from the previous round's Perron vectors, with the
+On exact scopes (the full shift, finite and free abelian quotients) P is
+convex in u with derivative P' = integral of zeta against the equilibrium
+measure, read from the left and right Perron vectors, and
+P' <= max zeta < 0. On a free abelian quotient P is the twisted minimum
+lambda_N, a partial minimum of a jointly convex function, so convex too,
+and by the envelope theorem its derivative is taken at the minimising
+twist. Newton's method therefore converges from any start, with no
+bracket; a curve solves all its betas at once, one batched power iteration
+(on Z^k, one batched twist minimisation) per Newton round, warm-started
+from the previous round's Perron vectors and twists, with the
 Collatz-Wielandt enclosure checked every few steps. Extrapolated scopes
-have no derivative and use Brent's method, whose every step keeps a
-bracket on which the pressure changes sign.
+(free-kill quotients) have no derivative and use Brent's method, whose
+every step keeps a bracket on which the pressure changes sign.
 
 When zeta is constant the root is available in closed form from a single
 pressure evaluation (P(beta psi) shifts linearly in u), which is also what
@@ -30,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .potentials import Potential, combine
+from .potentials import Potential, combine, window_states
 from .pressure import (full_pressure, pressure_rows, restricted_pressure,
-                       transfer_pattern)
-from .quotients import FiniteQuotient
+                       transfer_pattern, twist_table, twisted_rows)
+from .quotients import FiniteQuotient, FreeAbelianQuotient
 
 DEFAULT_U_TOL = 1e-10
 # Newton rounds before an exact-scope root is declared uncertifiable; a
@@ -78,9 +82,11 @@ def _checked_psi(psi, zeta):
 
 
 def _newton_scope(zeta, quotient):
-    """True where the scope's pressure is an exact eigenvalue and zeta is
-    not constant (constant zeta has a closed form)."""
-    return ((quotient is None or isinstance(quotient, FiniteQuotient))
+    """True where the scope's pressure is exact with a derivative in u
+    (the full shift, finite and free abelian quotients) and zeta is not
+    constant (constant zeta has a closed form)."""
+    return ((quotient is None
+             or isinstance(quotient, (FiniteQuotient, FreeAbelianQuotient)))
             and float(np.ptp(zeta.values)) != 0.0)
 
 
@@ -89,17 +95,40 @@ def _root_bound(zeta, u_tol):
     return max(1e-9, float(np.abs(zeta.values).max()) * u_tol)
 
 
+def _scope_rows(zeta, depth, quotient, tol):
+    """(rows, method): rows(values, start) evaluates the scope's pressure
+    of K window tables with the slopes along zeta, warm-started by
+    ``start``; one batched power iteration on exact eigenvalue scopes, one
+    batched twist minimisation on free abelian ones."""
+    z = zeta.as_depth(depth).values
+    if isinstance(quotient, FreeAbelianQuotient):
+        pattern, _ = transfer_pattern(zeta.d, depth)
+        G = twist_table(quotient, window_states(zeta.d, depth)[0])[1]
+        return (lambda values, start: twisted_rows(pattern, G, values, z,
+                                                   tol, start),
+                "exact-twisted")
+    pattern, col = transfer_pattern(zeta.d, depth, quotient)
+    period = 1 if quotient is None else quotient.period()
+    return (lambda values, start: pressure_rows(pattern, col, period, values,
+                                                z, tol, start),
+            "exact-eigenvalue")
+
+
 def _newton_roots(psi, zeta, betas, quotient=None, u_tol=DEFAULT_U_TOL,
                   u_max=1e6, tol=1e-13):
     """Roots of P(beta psi + u zeta) = 0 for every beta at once on an exact
     scope, by Newton steps u <- u - P/P' from u = 0. Each round evaluates
-    every live row in one batched power iteration, warm-started from its
-    previous Perron vectors. A row stops at a point where P was evaluated,
-    once its step is at most u_tol / 2 and |P| passes the root
-    certificate."""
+    every live row in one batch, warm-started from its previous Perron
+    vectors (and, on a free abelian quotient, twist). A row stops at a
+    point where P was evaluated, once its step is at most u_tol / 2 and |P|
+    passes the root certificate.
+
+    On a free abelian quotient P is the twisted minimum lambda_N, a
+    partial minimum of a jointly convex function and so convex in u; by
+    the envelope theorem its derivative is the integral of zeta at the
+    minimising twist, again at most max zeta < 0."""
     depth = max(psi.depth, zeta.depth)
-    pattern, col = transfer_pattern(zeta.d, depth, quotient)
-    period = 1 if quotient is None else quotient.period()
+    evaluate, method = _scope_rows(zeta, depth, quotient, tol)
     a = psi.as_depth(depth).values
     z = zeta.as_depth(depth).values
     bound = _root_bound(zeta, u_tol)
@@ -109,9 +138,7 @@ def _newton_roots(psi, zeta, betas, quotient=None, u_tol=DEFAULT_U_TOL,
     evaluations = np.zeros(len(betas), dtype=np.int64)
     live, start = np.arange(len(betas)), None
     for _ in range(NEWTON_MAX_ROUNDS):
-        rows = pressure_rows(pattern, col, period,
-                             betas[live, None] * a + u[live, None] * z, z,
-                             tol, start=start)
+        rows = evaluate(betas[live, None] * a + u[live, None] * z, start)
         evaluations[live] += 1
         step = -rows.values / rows.slopes
         done = (np.abs(step) <= 0.5 * u_tol) & (np.abs(rows.values) <= bound)
@@ -131,8 +158,8 @@ def _newton_roots(psi, zeta, betas, quotient=None, u_tol=DEFAULT_U_TOL,
             f"free-energy root certificate failed: |P| = "
             f"{np.abs(rows.values[keep]).max():g} exceeds {bound:g} "
             f"after {NEWTON_MAX_ROUNDS} Newton steps")
-    return [FreeEnergyPoint(float(b), float(tt), 0.0, "exact-eigenvalue",
-                            float(r), int(e))
+    return [FreeEnergyPoint(float(b), float(tt), 0.0, method, float(r),
+                            int(e))
             for b, tt, r, e in zip(betas, t, residual, evaluations)]
 
 
@@ -201,9 +228,9 @@ def free_energy(psi, zeta, beta, quotient=None, n_max=40,
 
     psi may be None (treated as zero). Exact scopes certify
     |pressure at root| <= 1e-9 and solve by Newton steps (the one-row case
-    of free_energy_curve); extrapolated scopes solve by Brent's method,
-    report sigma = sigma_lambda / |mean zeta| and certify the residual
-    within 3 sigma.
+    of free_energy_curve); extrapolated scopes (free-kill quotients)
+    solve by Brent's method, report sigma = sigma_lambda / |mean zeta| and
+    certify the residual within 3 sigma.
     """
     psi = _checked_psi(psi, zeta)
     if _newton_scope(zeta, quotient):
@@ -305,7 +332,8 @@ class CogrowthResult:
 
 def cogrowth(quotient, n_max=40, tol=1e-13):
     """eta = delta_N / delta with unit-speed zeta, i.e. the fiber growth
-    rate at zero potential over log(2d - 1). Exact for finite quotients."""
+    rate at zero potential over log(2d - 1). Exact for finite and free
+    abelian quotients."""
     d = quotient.d
     zero = Potential.constant(d, 0.0)
     res = restricted_pressure(zero, quotient, n_max=n_max, tol=tol)

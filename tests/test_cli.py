@@ -85,6 +85,27 @@ gibbs_len = 4
 """
 
 
+# F3 with g3 killed: the quotient whose restricted values are still
+# extrapolated, with positive sigmas
+FK3 = """\
+[model]
+d = 3
+
+[quotient]
+type = freekill
+killed = 3
+
+[zeta]
+ratios = 0.25
+"""
+
+
+def fk3_ini(tmp_path):
+    p = tmp_path / "fk3.ini"
+    p.write_text(FK3)
+    return str(p)
+
+
 def zmod2_ini(tmp_path, extra="", name="zmod2.ini"):
     (tmp_path / "zmod2.table").write_text("2 0\n0 1\n1 0\n")
     p = tmp_path / name
@@ -124,9 +145,18 @@ class TestSubcommands:
         assert len(payload["config_hash"]) == 64
 
     def test_delta_with_quotient(self, capsys, z2_ini):
+        # Z^2 is amenable: the exact twisted delta_N equals delta
         code, payload, _ = run_cli(capsys, ["delta", "--config", z2_ini])
         assert code == 0
-        assert "delta_N" in payload
+        assert payload["delta_N"]["method"] == "exact-twisted"
+        assert payload["delta_N"]["sigma"] == 0
+        assert abs(payload["delta_N"]["value"]
+                   - payload["delta"]["value"]) <= 1e-9
+
+    def test_delta_with_free_kill_quotient(self, capsys, tmp_path):
+        code, payload, _ = run_cli(capsys, ["delta", "--config",
+                                            fk3_ini(tmp_path)])
+        assert code == 0
         assert payload["delta_N"]["method"] == "extrapolated"
         assert payload["delta_N"]["sigma"] > 0
 
@@ -135,7 +165,13 @@ class TestSubcommands:
         assert code == 0
         assert payload["full"]["value"] == pytest.approx(math.log(3),
                                                          abs=1e-12)
-        assert abs(payload["restricted"]["value"] - math.log(3)) <= 0.02
+        assert payload["restricted"]["method"] == "exact-twisted"
+        assert payload["restricted"]["value"] == pytest.approx(math.log(3),
+                                                               abs=1e-12)
+        # the growth fit at n_max 40 sits below the exact value
+        fit = payload["restricted_fit"]
+        assert fit["method"] == "extrapolated"
+        assert 0 < math.log(3) - fit["value"] <= 0.02
 
     def test_cogrowth_example(self, capsys, z2_ini):
         code, payload, _ = run_cli(capsys, ["cogrowth", "--config", z2_ini])
@@ -233,14 +269,15 @@ class TestSubcommands:
             1.0, abs=0.1)
 
     def test_sigma_factor_scales_tolerances(self, capsys, tmp_path):
+        # on FK3 the restricted values are extrapolated, so their sigmas
+        # are positive and the factor shows in every slack tolerance
         grid = ("[grid]\nbeta_min = 0\nbeta_max = 0.5\nbeta_step = 0.5\n\n"
                 "[budgets]\nn_max = 20\nhorizon = 10\ngibbs_len = 4\n")
-        zbase = Z2.replace("[budgets]\nn_max = 40\n", "")
         tols = []
         for factor in (3.0, 6.0):
             ini = tmp_path / f"k{factor:g}.ini"
-            ini.write_text(zbase + grid + f"\n[tolerances]\n"
-                                          f"sigma_factor = {factor}\n")
+            ini.write_text(FK3 + grid + f"\n[tolerances]\n"
+                                        f"sigma_factor = {factor}\n")
             code, payload, _ = run_cli(capsys, ["diagnose", "--config",
                                                 str(ini)])
             assert code == 0
@@ -399,9 +436,11 @@ class TestOverridesAndErrors:
         assert payload["error"]["type"] == "ResourceError"
         assert payload["error"]["exit_code"] == 3
 
-    def test_numeric_exit_4(self, capsys, z2_ini):
+    def test_numeric_exit_4(self, capsys, tmp_path):
+        # three fiber terms are too few for the growth fit of FK3's rate
         code, payload, _ = run_cli(
-            capsys, ["cogrowth", "--config", z2_ini, "--n-max", "7"])
+            capsys, ["cogrowth", "--config", fk3_ini(tmp_path), "--n-max",
+                     "3"])
         assert code == 4
         assert payload["error"]["type"] == "NumericError"
 
@@ -442,12 +481,17 @@ class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         (tmp_path / "s.ini").write_text(SPECTRUM)
         (tmp_path / "w.ini").write_text(FK3_WIDE)
-        runs = (("spectrum", "s.ini"), ("partition", "w.ini", "--n-max", "80"))
+        # Z^2 with an asymmetric psi: the twisted roots and the twisted
+        # ball DP have theta* != 0
+        (tmp_path / "a.ini").write_text(SPECTRUM.replace(
+            "constant = -1.0", "letters = -0.2, 0.3, -0.6, 0.1"))
+        runs = (("spectrum", "s.ini"), ("partition", "w.ini", "--n-max", "80"),
+                ("spectrum", "a.ini"), ("partition", "a.ini", "--n-max", "80"))
         outs, csvs = [], []
         for k in (1, 2):
             env = child_env(OPENBLAS_NUM_THREADS=str(k))
             for cmd, ini, *flags in runs:
-                out = tmp_path / f"{cmd}{k}"
+                out = tmp_path / f"{cmd}-{ini}-{k}"
                 proc = subprocess.run(
                     [sys.executable, "-m", "freeshift.cli", cmd,
                      "--config", str(tmp_path / ini), "--out", str(out),
@@ -456,8 +500,8 @@ class TestDeterminism:
                 outs.append(proc.stdout.replace(str(out), "OUT"))
                 csvs.append(b"".join(sorted(
                     p.read_bytes() for p in out.iterdir())))
-        assert outs[:2] == outs[2:]
-        assert csvs[:2] == csvs[2:]
+        assert outs[:len(runs)] == outs[len(runs):]
+        assert csvs[:len(runs)] == csvs[len(runs):]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

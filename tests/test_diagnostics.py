@@ -275,9 +275,17 @@ class TestVerdictReports:
                               d["verdict"], d["notes"])
         assert again.verify()
 
-    def test_every_number_has_provenance(self, z2):
-        rep = pressure_inequality_check(z2, Potential.constant(2, 0.0),
-                                        n_max=25)
-        for q in rep.quantities:
-            assert q["method"] in ("exact-eigenvalue", "extrapolated")
-            assert q["sigma"] >= 0
+    def test_every_number_has_provenance(self, z2, fk3):
+        # Z^2 restricted pressures are exact twisted minima (sigma 0);
+        # FK3's are still growth fits, with a positive sigma
+        for q, d, method in ((z2, 2, "exact-twisted"),
+                             (fk3, 3, "extrapolated")):
+            rep = pressure_inequality_check(q, Potential.constant(d, 0.0),
+                                            n_max=25)
+            for x in rep.quantities:
+                assert x["method"] in ("exact-eigenvalue", "exact-twisted",
+                                       "extrapolated")
+                assert x["sigma"] >= 0
+            restricted = rep.quantities[0]
+            assert restricted["method"] == method
+            assert (restricted["sigma"] == 0) == (method != "extrapolated")

@@ -10,8 +10,9 @@ from freeshift import (FreeAbelianQuotient, FreeKillQuotient,
                        ResourceError, TransferMatrix, ValidationError,
                        birkhoff_sup_sum, fiber_partition, fiber_partition_many,
                        full_pressure, growth_rate, partition_sum_matrix,
-                       perron_eigen, restricted_pressure,
-                       restricted_pressure_exact, window_states)
+                       perron_eigen, random_inverse_symmetric,
+                       restricted_pressure, restricted_pressure_exact,
+                       window_states)
 
 
 def _random_pot(d, depth, seed, scale=1.0):
@@ -338,8 +339,8 @@ class TestFiberPartition:
     # log a_n of the renewal as computed by the per-pair matrix loops it
     # replaced; the stacked-GEMM sums differ from them only by rounding
     # (observed <= 2.9e-14). Letters (10, -10, 0.3, -0.7) on F2 are the
-    # drifting potential whose identity fiber the ball DP loses (see
-    # test_ball_dp_refuses_sunken_target_mass).
+    # drifting potential whose identity fiber only the twisted ball DP
+    # follows (see test_ball_dp_follows_drifting_potential).
     @pytest.mark.parametrize(
         "d, killed, letters, n_max, target, empty, pins", [
         (3, {2}, [-1.0] * 6, 40, (), [],
@@ -434,11 +435,28 @@ class TestFiberPartition:
                            rtol=1e-12, atol=0)
 
     def test_ball_dp_refuses_sunken_target_mass(self, z1):
-        # the identity fiber of a drifting potential falls far below the
-        # peak of the normalised DP; past the float range it would vanish
-        pot = Potential.from_letter_values(2, [10, -10, 0.3, -0.7])
+        # a-steps weigh e^-20 against the b-steps, so the mass reaching
+        # the lattice point 25 sits about e^-500 below the peak of the
+        # normalised DP; past the float range it would vanish
+        pot = Potential.from_letter_values(2, [-20, -20, 0, 0])
         with pytest.raises(NumericError, match="lost precision"):
-            fiber_partition(pot, z1, 120)
+            fiber_partition(pot, z1, 40, target=(25,))
+
+    def test_ball_dp_follows_drifting_potential(self, z1):
+        # f = 10 <v, last letter> + (0, 0, 0.3, -0.7) drifts the walk by
+        # about one lattice step per a-letter; the DP twisted by
+        # theta* = -10 keeps the identity fiber at the peak, where the
+        # untwisted DP lost it from n = 52 on. Killing g2 in F2 is the same
+        # kernel on the renewal route.
+        pot = Potential.from_letter_values(2, [10, -10, 0.3, -0.7])
+        for target, fk_target in (((0,), ()), ((2,), (0, 0))):
+            got = fiber_partition(pot, z1, 60, target=target).log_values
+            want = fiber_partition(pot, FreeKillQuotient(2, {1}), 60,
+                                   target=fk_target).log_values
+            empty = np.isneginf(want)
+            assert np.array_equal(np.isneginf(got), empty)
+            assert np.allclose(got[~empty], want[~empty], rtol=1e-12,
+                               atol=0)
 
     def test_period_lattice_structure(self, bundle):
         for name, (d, q, _) in bundle.items():
@@ -519,3 +537,114 @@ class TestRestrictedPressure:
             res = restricted_pressure(pot, q, n_max=25)
             assert res.value <= math.log(2 * d - 1) + 3 * res.sigma + 1e-9, \
                 name
+
+
+# F2 -> Z with b killed, and the asymmetric letters of the Z^1 reference:
+# min over theta of P(f + theta <v, last letter>) = 1.0088228630 at
+# theta* = 0.185
+Z1_REF_LETTERS = [-0.7, -0.33, 0.03, 0.4]
+Z1_REF = 1.0088228630
+
+
+def _twisted_full(pot, letters, theta):
+    """P(f + <theta, v(last letter)>) for a depth-1 f, from numpy's dense
+    eigenvalues, for each row of theta."""
+    twist = np.asarray(theta, float) @ np.asarray(letters, float).T
+    vals = pot.values[None, :] + twist
+    pattern = np.ones((len(pot.values),) * 2)
+    for a in range(len(pot.values)):
+        pattern[a, a ^ 1] = 0.0
+    mats = pattern[None] * np.exp(vals)[:, None, :]
+    return np.log(np.abs(np.linalg.eigvals(mats)).max(axis=1))
+
+
+class TestTwistedPressure:
+    def test_z1_reference(self, z1):
+        res = restricted_pressure(
+            Potential.from_letter_values(2, Z1_REF_LETTERS), z1)
+        assert res.method == "exact-twisted" and res.sigma == 0.0
+        assert res.value == pytest.approx(Z1_REF, abs=1e-9)
+        assert res.residual <= 1e-12
+        assert res.detail["theta"][0] == pytest.approx(0.185, abs=1e-6)
+        assert res.detail["newton_steps"] >= 1
+
+    def test_matches_theta_grid_minimum(self, z1):
+        pot = Potential.from_letter_values(2, Z1_REF_LETTERS)
+        letters = [z1.letter_image(a) for a in range(4)]
+        grid = np.linspace(0.15, 0.22, 7001)[:, None]
+        lowest = _twisted_full(pot, letters, grid).min()
+        res = restricted_pressure(pot, z1)
+        # the grid minimum lies above the true one, by at most the
+        # curvature times the squared half spacing (~1e-11)
+        assert lowest - 1e-9 <= res.value <= lowest + 1e-12
+
+    def test_rank_deficient_image_is_a_minimum(self):
+        # F3 -> Z^2 with g3 -> g1 + g2: theta ranges over all of R^2
+        q = FreeAbelianQuotient(3, 2, [[1, 0], [0, 1], [1, 1]])
+        pot = _random_pot(3, 1, seed=8)
+        res = restricted_pressure(pot, q)
+        theta = np.array(res.detail["theta"])
+        assert np.abs(theta).max() > 0.05
+        letters = [q.letter_image(a) for a in range(6)]
+        h = 1e-3
+        probes = theta + np.array([[0, 0], [h, 0], [-h, 0], [0, h],
+                                   [0, -h], [h, h], [-h, -h]])
+        vals = _twisted_full(pot, letters, probes)
+        assert vals[0] == pytest.approx(res.value, abs=1e-12)
+        assert (vals[1:] >= res.value - 1e-12).all()
+        assert (vals[1:] - res.value).min() >= 1e-8   # strict minimum
+
+    def test_symmetric_potential_takes_one_solve_and_no_step(self, z2):
+        pot = random_inverse_symmetric(2, 4)
+        res = restricted_pressure(pot, z2)
+        assert res.detail["theta"] == [0.0, 0.0]
+        assert res.detail["newton_steps"] == 0
+        assert res.detail["eigen_solves"] == 1
+        assert res.value == pytest.approx(full_pressure(pot).value,
+                                          abs=1e-12)
+
+    def test_zero_image_is_full_pressure(self):
+        q = FreeAbelianQuotient(2, 1, [[0], [0]])
+        pot = Potential.from_letter_values(2, Z1_REF_LETTERS)
+        res = restricted_pressure(pot, q)
+        assert res.value == pytest.approx(full_pressure(pot).value,
+                                          abs=1e-12)
+        assert res.detail["eigen_solves"] == 1
+
+    @pytest.mark.parametrize("name, depth", [("z1", 1), ("z2", 2),
+                                             ("z3", 1)])
+    @pytest.mark.parametrize("shift", [-50.0, 3.7, 400.0])
+    def test_shift_identity(self, bundle, name, depth, shift):
+        d, q, _ = bundle[name]
+        pot = _random_pot(d, depth, seed=21)
+        moved = Potential(d, depth, pot.values + shift)
+        a, b = restricted_pressure(pot, q), restricted_pressure(moved, q)
+        assert b.value - a.value == pytest.approx(shift, abs=1e-10)
+
+    def test_drifting_potential(self, z1):
+        # f = 10 <v, last letter> + (0, 0, 0.3, -0.7): the twist cancels
+        # the drift exactly, theta* = -10
+        res = restricted_pressure(
+            Potential.from_letter_values(2, [10, -10, 0.3, -0.7]), z1)
+        assert res.detail["theta"][0] == pytest.approx(-10.0, abs=1e-8)
+        want = restricted_pressure(
+            Potential.from_letter_values(2, [0, 0, 0.3, -0.7]), z1)
+        assert res.value == pytest.approx(want.value, abs=1e-12)
+
+    def test_fit_approaches_exact_value_from_below(self, z1):
+        pot = Potential.from_letter_values(2, Z1_REF_LETTERS)
+        exact = restricted_pressure(pot, z1).value
+        fits = [growth_rate(fiber_partition(pot, z1, n)).lam
+                for n in (40, 80, 160)]
+        assert fits[0] < fits[1] < fits[2] < exact
+        assert exact - fits[2] <= 1e-3
+
+    def test_rank_mismatch_raises(self, z3):
+        with pytest.raises(ValidationError, match="rank mismatch"):
+            restricted_pressure(Potential.constant(2, 0.0), z3)
+
+    def test_uncertified_minimum_raises(self, z1, monkeypatch):
+        monkeypatch.setattr(pressure_mod, "TWIST_MAX_ROUNDS", 2)
+        with pytest.raises(NumericError, match="gradient certificate"):
+            restricted_pressure(
+                Potential.from_letter_values(2, [10, -10, 0.3, -0.7]), z1)

@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from freeshift import (FiniteQuotient, FreeAbelianQuotient, FreeKillQuotient,
-                       ResourceError, ValidationError)
+                       Quotient, ResourceError, ValidationError)
+from freeshift.quotients import letter_shifts
 from freeshift.words import is_reduced
 
 
@@ -113,6 +114,45 @@ class TestBallTable:
         assert not shifts.flags.writeable
         with pytest.raises(ValueError):
             shifts[0, 0] = 0
+
+
+LATTICES = [(2, [[1], [0]]), (2, [[1, 0], [0, 1]]),
+            (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            (3, [[1, 0], [0, 1], [1, 1]]), (2, [[2, 1], [0, 3]])]
+
+
+class TestLatticeBall:
+    """The int64-code level sets of FreeAbelianQuotient against the
+    generic breadth-first search over tuples."""
+
+    @pytest.mark.parametrize("d, vectors", LATTICES,
+                             ids=[str(v) for _, v in LATTICES])
+    def test_matches_generic_bfs(self, d, vectors):
+        q = FreeAbelianQuotient(d, len(vectors[0]), vectors)
+        for radius in range(13):
+            got = q.ball(radius)
+            want = Quotient._ball(q, radius, 5_000_000)
+            assert got == want, radius
+            elements, eindex, shifts = q.ball_table(radius)
+            assert np.array_equal(shifts, letter_shifts(q, elements))
+            assert all(elements[i] == e for e, i in eindex.items())
+
+    def test_budget_matches_generic_bfs(self, z2):
+        with pytest.raises(ResourceError) as got:
+            z2.ball(12, max_elements=100)
+        with pytest.raises(ResourceError) as want:
+            Quotient._ball(z2, 12, 100)
+        assert got.value.required == want.value.required
+        assert got.value.budget == want.value.budget == 100
+
+    def test_codes_that_would_overflow_use_the_generic_bfs(self):
+        big = 10 ** 7
+        q = FreeAbelianQuotient(3, 3, [[big, 0, 0], [0, big, 0], [0, 0, 1]])
+        assert q._codec(2) is None
+        assert q.ball(2) == Quotient._ball(q, 2, 5_000_000)
+        elements = q.ball_table(2)[0]
+        assert np.array_equal(q.ball_table(2)[2],
+                              letter_shifts(q, elements))
 
 
 class TestFirstReturns:

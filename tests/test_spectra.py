@@ -11,7 +11,8 @@ from freeshift import (FreeAbelianQuotient, GeometricPotential,
                        delta, free_energy, free_energy_curve, full_pressure,
                        legendre, level_set_dimension, restricted_pressure,
                        window_states)
-from freeshift.pressure import pressure_rows, transfer_pattern
+from freeshift.pressure import (pressure_rows, transfer_pattern, twist_table,
+                                twisted_rows)
 
 
 class TestFreeEnergy:
@@ -67,14 +68,17 @@ class TestFreeEnergy:
                           quotient=quotient)
         assert abs(got.t - want) <= 1e-10
 
-    def test_extrapolated_delta_matches_reference_bisection(
-            self, two_ratio_zeta, z2):
+    def test_extrapolated_delta_matches_reference_bisection(self, fk3):
+        # free-kill quotients are the one extrapolated scope left
+        zeta = GeometricPotential.from_letter_values(3, ZETA3)
+
         def pressure(u):
-            return restricted_pressure(combine((u, two_ratio_zeta)), z2,
+            return restricted_pressure(combine((u, zeta)), fk3,
                                        n_max=30).value
 
         want = oracles.bisect_root(pressure, 0.0, 2.0)
-        got = delta(two_ratio_zeta, quotient=z2, n_max=30)
+        got = delta(zeta, quotient=fk3, n_max=30)
+        assert got.method == "extrapolated"
         assert abs(got.t - want) <= 1e-9
 
     @pytest.mark.parametrize("scope", ["full", "s3"])
@@ -91,21 +95,37 @@ class TestFreeEnergy:
         assert np.mean(evals) <= 10 and max(evals) <= 12
 
     def test_exact_scopes_never_reach_brent(self, two_ratio_zeta,
-                                            psi_minus_one, s3, monkeypatch):
+                                            psi_minus_one, s3, z1, z2, z3,
+                                            monkeypatch):
         def no_brent(*args, **kwargs):
             raise AssertionError("Brent's method on an exact scope")
 
         monkeypatch.setattr(spectra_mod, "_brent_root", no_brent)
-        for quotient in (None, s3):
-            free_energy(psi_minus_one, two_ratio_zeta, 0.5,
-                        quotient=quotient)
-            free_energy_curve(psi_minus_one, two_ratio_zeta, [-1.0, 1.0],
-                              quotient=quotient)
-            delta(two_ratio_zeta, quotient=quotient)
+        zeta3 = GeometricPotential.from_letter_values(3, ZETA3)
+        psi3 = Potential.constant(3, -1.0)
+        rank_deficient = FreeAbelianQuotient(3, 2, [[1, 0], [0, 1], [1, 1]])
+        for psi, zeta, quotient in (
+                (psi_minus_one, two_ratio_zeta, None),
+                (psi_minus_one, two_ratio_zeta, s3),
+                (psi_minus_one, two_ratio_zeta, z1),
+                (psi_minus_one, two_ratio_zeta, z2),
+                (psi3, zeta3, z3), (psi3, zeta3, rank_deficient)):
+            free_energy(psi, zeta, 0.5, quotient=quotient)
+            free_energy_curve(psi, zeta, [-1.0, 1.0], quotient=quotient)
+            delta(zeta, quotient=quotient)
 
     def test_restricted_uses_quotient(self, two_ratio_zeta, z2):
+        # Z^2 is amenable: the exact twisted t_N equals t
         full = free_energy(None, two_ratio_zeta, 0.0)
-        rest = free_energy(None, two_ratio_zeta, 0.0, quotient=z2, n_max=30)
+        rest = free_energy(None, two_ratio_zeta, 0.0, quotient=z2)
+        assert rest.method == "exact-twisted"
+        assert rest.sigma == 0.0
+        assert abs(rest.t - full.t) <= 1e-9
+
+    def test_restricted_extrapolated_on_free_kill(self, fk3):
+        zeta = GeometricPotential.from_letter_values(3, ZETA3)
+        full = free_energy(None, zeta, 0.0)
+        rest = free_energy(None, zeta, 0.0, quotient=fk3, n_max=30)
         assert rest.method == "extrapolated"
         assert rest.sigma > 0
         assert rest.t <= full.t + 3 * rest.sigma + 1e-9
@@ -132,6 +152,7 @@ def _scope_case(name, finite_cases):
             quotient)
 
 
+ZETA3 = np.log([0.5, 0.5, 1 / 3, 1 / 3, 0.25, 0.25])
 SCOPES = ["full", "s3", "zmod2", "depth2", "d3", "d3-zmod2"]
 NEWTON_BETAS = [-2.0, -0.5, 0.0, 1.0, 3.0]
 
@@ -232,6 +253,82 @@ class TestNewtonCurves:
         assert np.mean(evals) <= 5
 
 
+def _lattice_case(name):
+    """(psi, zeta, quotient) of a free abelian scope for the twisted
+    Newton tests; the psi are not inverse-symmetric, so theta* != 0."""
+    rng = np.random.default_rng(71)
+    if name in ("z3", "rank-deficient"):
+        zeta = GeometricPotential.from_letter_values(3, ZETA3)
+        vectors = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]] if name == "z3"
+                   else [[1, 0], [0, 1], [1, 1]])
+        return (Potential.from_letter_values(3, rng.uniform(-0.5, 0.5, 6)),
+                zeta, FreeAbelianQuotient(3, len(vectors[0]), vectors))
+    zeta = GeometricPotential.from_letter_values(
+        2, np.log([0.5, 0.5, 1 / 3, 1 / 3]))
+    vectors = [[1], [0]] if name == "z1" else [[1, 0], [0, 1]]
+    if name == "z2-depth2":
+        windows, _ = window_states(2, 2)
+        psi = Potential(2, 2, rng.uniform(-0.5, 0.5, len(windows)))
+    else:
+        psi = Potential.from_letter_values(2, [-0.2, 0.3, -0.6, 0.1])
+    return psi, zeta, FreeAbelianQuotient(2, len(vectors[0]), vectors)
+
+
+LATTICE_SCOPES = ["z1", "z2", "z2-depth2", "z3", "rank-deficient"]
+
+
+class TestTwistedCurves:
+    """The batched Newton solver on free abelian quotients, where each
+    round minimises the twisted pressure, against bisection on the
+    one-potential twisted pressure."""
+
+    @pytest.mark.parametrize("name", LATTICE_SCOPES)
+    def test_curve_matches_reference_bisection(self, name):
+        # the bracket is 0.1 wide around each root (the oracle checks the
+        # sign change); far from it a twist minimum is slow to solve
+        psi, zeta, quotient = _lattice_case(name)
+        betas = NEWTON_BETAS[::2]
+        curve = free_energy_curve(psi, zeta, betas, quotient=quotient)
+        for beta, point in zip(betas, curve.points):
+            def pressure(u):
+                return restricted_pressure(combine((beta, psi), (u, zeta)),
+                                           quotient).value
+
+            want = oracles.bisect_root(pressure, point.t - 0.05,
+                                       point.t + 0.05, u_tol=1e-12)
+            assert abs(point.t - want) <= 1e-10, (beta, point.t, want)
+            assert point.residual <= 1e-9
+            assert point.method == "exact-twisted" and point.sigma == 0
+
+    @pytest.mark.parametrize("name", LATTICE_SCOPES)
+    def test_one_point_equals_its_curve_row(self, name):
+        psi, zeta, quotient = _lattice_case(name)
+        curve = free_energy_curve(psi, zeta, NEWTON_BETAS, quotient=quotient)
+        for beta, point in zip(NEWTON_BETAS, curve.points):
+            one = free_energy(psi, zeta, beta, quotient=quotient)
+            assert abs(one.t - point.t) <= 1e-10
+
+    @pytest.mark.parametrize("name", LATTICE_SCOPES)
+    def test_slopes_are_derivatives_of_the_minimum(self, name):
+        # envelope theorem: d/du lambda_N(f + u zeta) is the integral of
+        # zeta at the minimising twist (central differences, h = 1e-5)
+        psi, zeta, quotient = _lattice_case(name)
+        depth = max(psi.depth, zeta.depth)
+        pattern, _ = transfer_pattern(zeta.d, depth)
+        G = twist_table(quotient, window_states(zeta.d, depth)[0])[1]
+        a = psi.as_depth(depth).values
+        z = zeta.as_depth(depth).values
+        betas = np.array(NEWTON_BETAS)[:, None]
+        h = 1e-5
+        rows = [twisted_rows(pattern, G, betas * a + u * z, z)
+                for u in (-h, 0.0, h)]
+        fd = (rows[2].values - rows[0].values) / (2 * h)
+        assert np.abs(rows[1].slopes - fd).max() <= 1e-7
+        assert (rows[1].slopes <= z.max()).all()
+        assert (rows[1].residuals <= 1e-12).all()
+        assert np.abs(rows[1].start[2]).max() > 1e-3
+
+
 class TestDimensions:
     def test_bowen_two_ratio_matches_series_oracle(self, two_ratio_zeta,
                                                    recwarn):
@@ -260,7 +357,8 @@ class TestDimensions:
 
     def test_cogrowth_z2(self, z2):
         res = cogrowth(z2, n_max=40)
-        assert res.eta == pytest.approx(1.0, abs=0.02)
+        assert res.eta == pytest.approx(1.0, abs=1e-9)
+        assert res.sigma == 0.0 and res.method == "exact-twisted"
         assert res.ambient_rate == pytest.approx(math.log(3), abs=1e-12)
 
 
@@ -332,8 +430,9 @@ class TestCurvesAndSpectra:
         for pf, pn in zip(full.points, rest.points):
             assert pn.t <= pf.t + 3 * (pf.sigma + pn.sigma) + 1e-9
 
-    def test_curve_builds_one_ball(self, two_ratio_zeta, monkeypatch):
-        # every evaluation of the curve's roots reads one cached ball table
+    def test_curve_builds_no_ball(self, two_ratio_zeta, monkeypatch):
+        # the twisted pressure needs the window graph only: no evaluation
+        # of the curve's roots builds a ball or runs a fiber DP
         z2 = FreeAbelianQuotient(2, 2, [[1, 0], [0, 1]])
         calls = []
         ball = FreeAbelianQuotient.ball
@@ -347,7 +446,8 @@ class TestCurvesAndSpectra:
         curve = free_energy_curve(psi, two_ratio_zeta, betas=[-1.0, 0.0, 1.0],
                                   quotient=z2, n_max=40)
         assert sum(p.evaluations for p in curve.points) > 3
-        assert calls == [40]
+        assert {p.method for p in curve.points} == {"exact-twisted"}
+        assert calls == []
 
     def test_csv_output(self, curve, tmp_path):
         path = tmp_path / "curve.csv"
