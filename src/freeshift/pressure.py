@@ -623,7 +623,7 @@ def _step_matrices(pot, c, twist=None):
     context s is admissible and completes a window, exp(twist[a] - c)
     before the first window completes, 0 otherwise."""
     d, k = pot.d, pot.depth
-    twist = np.zeros(2 * d) if twist is None else twist
+    twist = [0.0] * (2 * d) if twist is None else twist.tolist()
     cap = max(k - 1, 1)
     states, sindex = _extended_states(d, cap)
     S = len(states)
