@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, UndefinedRatioError, ValidationError
-from .pressure import (TransferMatrix, fiber_partition, fiber_partition_many,
-                       full_pressure, growth_rate, perron_eigen,
-                       restricted_pressure)
-from .quotients import FreeAbelianQuotient
+from .pressure import (TransferMatrix, _tail_fit, fiber_partition,
+                       fiber_partition_many, full_pressure, growth_rate,
+                       perron_eigen, restricted_pressure)
+from .quotients import FiniteQuotient, FreeAbelianQuotient
 from .spectra import DEFAULT_U_TOL, delta, legendre
 
 ABS_MARGIN = 1e-3
@@ -213,10 +213,10 @@ def pressure_inequality_check(quotient, pot, n_max=40,
 
 
 def _exact_rate(pot, quotient):
-    """The exact fiber rate lambda_N on a free abelian quotient (the
-    twisted pressure), None elsewhere: there the probe and the statistic
-    fit the rate from the series itself."""
-    if isinstance(quotient, FreeAbelianQuotient):
+    """The exact fiber rate lambda_N (the restricted pressure) on finite
+    and free abelian quotients, None on free-kill ones: there the probe and
+    the statistic fit the rate from the series itself."""
+    if isinstance(quotient, (FiniteQuotient, FreeAbelianQuotient)):
         return restricted_pressure(pot, quotient)
     return None
 
@@ -226,46 +226,32 @@ def divergence_probe(quotient, pot, n_max=60, min_terms=6):
 
     Fits a_n e^(-n lambda) ~ C n^(-gamma) on the tail and classifies
     divergence-type (gamma <= 1) versus convergence-type (gamma > 1) by the
-    point estimate. On a free abelian quotient lambda is the exact
-    restricted pressure and the fit is c - gamma log n + c1/n; elsewhere
-    lambda comes from the growth fit. The true divergence type is a
-    statement about an infinite series; this is a labeled heuristic, not a
-    proof.
+    point estimate, with the tail fit of growth_rate. On finite and free
+    abelian quotients lambda is the exact restricted pressure, held in a
+    fit of c - gamma log n + c1/n; on free-kill ones it is fitted with
+    gamma, whose sigma (the verdict's tolerance) then carries its error.
+    The true divergence type is a statement about an infinite series; this
+    is a labeled heuristic, not a proof.
     """
     series = fiber_partition(pot, quotient, n_max)
-    finite = np.isfinite(series.log_values)
-    if int(finite.sum()) < min_terms:
+    terms = int(np.isfinite(series.log_values).sum())
+    if terms < min_terms:
         raise NumericError(
             f"divergence probe needs >= {min_terms} nonzero fiber terms, "
-            f"got {int(finite.sum())}")
-    ns = series.lengths[finite].astype(float)
-    ys = series.log_values[finite]
-    start = int(len(ns) * 0.25)
-    start = min(start, len(ns) - 4)
-    ns_t, ys_t = ns[start:], ys[start:]
+            f"got {terms}")
     exact = _exact_rate(pot, quotient)
     if exact is None:
         fit = growth_rate(series)
         lam = _qty("lambda_hat", fit.lam, fit.sigma, "extrapolated")
-        window = fit.window
-        columns = [np.ones(len(ns_t)), np.log(ns_t)]
     else:
+        fit = _tail_fit(series, exact.value)
         lam = _qty("lambda_hat", exact.value, exact.sigma, exact.method)
-        window = (int(ns_t[0]), int(ns_t[-1]))
-        columns = [np.ones(len(ns_t)), np.log(ns_t), 1.0 / ns_t]
-    # residual log-log regression: log a_n - n lambda on log n
-    resid = ys_t - lam["value"] * ns_t
-    X = np.column_stack(columns)
-    coef, *_ = np.linalg.lstsq(X, resid, rcond=None)
-    gamma = float(-coef[1])
-    r = resid - X @ coef
-    dof = max(len(ns_t) - X.shape[1], 1)
-    cov = float(r @ r) / dof * np.linalg.inv(X.T @ X)
-    gamma_err = math.sqrt(max(cov[1, 1], 0.0))
-    quantities = [lam, _qty("gamma_hat", gamma, gamma_err, "extrapolated")]
-    slacks = [{"name": "gamma-1", "slack": gamma - 1.0, "tol": gamma_err}]
+    quantities = [lam, _qty("gamma_hat", fit.gamma, fit.gamma_sigma,
+                            "extrapolated")]
+    slacks = [{"name": "gamma-1", "slack": fit.gamma - 1.0,
+               "tol": fit.gamma_sigma}]
     notes = [f"quotient: {quotient.describe()}",
-             f"fit window n in {window}, {len(ns_t)} points",
+             f"fit window n in {fit.window}, {fit.n_points} points",
              "heuristic probe: finite-n surrogate for the divergence type "
              "of the critical series"]
     return _report("probe", quantities, slacks, notes)
@@ -285,8 +271,8 @@ def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None):
         sum_{k<=n} e^(-k lam) a_k(g)  /  sum_{k<=n} e^(-k lam) a_k(g^{-1})
 
     where a_k(g) are the exact g-fiber partition sums and lam is the fiber
-    growth rate: exact on a free abelian quotient (the twisted pressure),
-    fitted from the identity series elsewhere. A finite surrogate for the
+    growth rate: exact on finite and free abelian quotients, fitted from
+    the identity series on free-kill ones. A finite surrogate for the
     symmetric-on-average ratio (the true statistic takes sup over all of G
     and limsup in n)."""
     if n_max is None:

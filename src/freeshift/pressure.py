@@ -18,17 +18,19 @@ Pollicott-Sharp 1994), found by Newton steps in theta on the full window
 pattern. For free images (killed generators) the library computes a_n
 exactly and extrapolates the rate from the series.
 
-The partition sums a_n themselves come from two fiber engines. Both step
-over extended states (the last k-1 letters, from the empty context) with
-one set of tilted per-letter matrices, and complete the trailing windows
-at readout:
+The partition sums a_n themselves come from two fiber engines. Both run
+on f - max f and add n max f back to every log a_n, exactly, since a
+length-n sup-sum has n window terms. Both step over extended states (the
+last k-1 letters, from the empty context) with one set of per-letter
+matrices, and complete the trailing windows at readout:
 
 * free abelian images (and finite ones): forward DP over (state, ball
-  element); a length-n prefix cannot leave the radius-n ball, so indexing
-  ball(n_max), built once per (quotient, n_max) by Quotient.ball_table,
-  is exact. On Z^k each letter also carries the optimal twist
-  e^<theta*, v>, taken off again at readout, so the identity fiber stays
-  near the peak of the normalised DP however strongly f drifts;
+  element), normalised to peak 1 at every length; a length-n prefix cannot
+  leave the radius-n ball, so indexing ball(n_max), built once per
+  (quotient, n_max) by Quotient.ball_table, is exact. On Z^k each letter
+  also carries the optimal twist e^<theta*, v>, taken off again at
+  readout, so the identity fiber stays near the peak of the normalised DP
+  however strongly f drifts;
 * free images (killed generators): excursion renewal on the image tree;
   paths decompose uniquely at their last visits to each node of the geodesic
   spine, giving first-passage matrix convolutions over window states, run
@@ -56,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, ResourceError, ValidationError
-from .potentials import boundary_completion, window_states
+from .potentials import Potential, boundary_completion, window_states
 from .quotients import (FiniteQuotient, FreeAbelianQuotient,
                         FreeKillQuotient, letter_shifts)
 from .words import enumerate_words, is_reduced
@@ -593,13 +595,18 @@ def fiber_partition_many(pot, quotient, n_max, targets,
         raise ValidationError(
             f"n_max={n_max} is below the fiber period {p}; no return "
             f"word fits")
+    # a length-n sup-sum has n window terms, so the engines run on f - max f
+    # (window weights and completions at most 1) and n max f goes back
+    top = pot.max
+    base = Potential(pot.d, pot.depth, pot.values - top)
     if isinstance(quotient, FreeKillQuotient):
-        logs = _fiber_renewal(pot, quotient, n_max, targets)
+        logs = _fiber_renewal(base, quotient, n_max, targets)
     elif isinstance(quotient, (FiniteQuotient, FreeAbelianQuotient)):
-        logs = _fiber_ball_dp(pot, quotient, n_max, targets, max_states)
+        logs = _fiber_ball_dp(base, quotient, n_max, targets, max_states)
     else:
         raise ValidationError(
             f"unsupported quotient type {type(quotient).__name__}")
+    logs = logs + top * np.arange(1, n_max + 1)
     meta = {"quotient": quotient.describe(), "depth": pot.depth}
     return {t: FiberSeries(n_max, logs[i], t, p, dict(meta))
             for i, t in enumerate(targets)}
@@ -616,7 +623,7 @@ def _extended_states(d, cap):
     return states, {s: i for i, s in enumerate(states)}
 
 
-def _step_matrices(pot, c, twist=None):
+def _step_matrices(pot, c=0.0, twist=None):
     """Per-letter transition matrices over extended window states, tilted
     by e^(-c) and stacked as one (2d, S, S) array. Entry [a, s, s'] is
     exp(f(completed window) + twist[a] - c) when appending letter a to
@@ -639,34 +646,26 @@ def _step_matrices(pot, c, twist=None):
             if abs(val - c) > MAX_LOG_STEP:
                 raise NumericError(
                     f"potential range too wide for the renewal and ball DP: "
-                    f"step weight e^{val - c:g} leaves the float range")
+                    f"step weight e^{val - c:g} leaves the float range "
+                    f"(max f - min f beyond about {MAX_LOG_STEP:g})")
             mats[a, i, sindex[s2]] = math.exp(val - c)
     return states, sindex, mats
-
-
-def _start_tilt(pot):
-    """The tilt c both fiber engines start from: 0 when the untilted sums
-    fit, so such runs are exactly the plain recurrences; otherwise
-    max f + log(2d-1) >= P(f), where every tilted row sum is at most 1."""
-    c = float(pot.values.max()) + math.log(2 * pot.d - 1)
-    return c if abs(c) >= math.log(TILT_RANGE[1]) / 2 else 0.0
 
 
 # -- ball DP (finite and free abelian quotients) ---------------------------
 
 def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
-    """Forward DP on the tilted steps over (extended state, ball element):
-    A[s, g] is e^(-c n) times the weight of the length-n words in context
-    s with image g, from mass 1 at (empty context, identity). A length-n
-    prefix stays in ball(n), so ball(n_max) indexes it exactly. Levels are
-    normalised to peak 1; c and the log peak go to the log scale.
+    """Forward DP on the steps over (extended state, ball element): A[s, g]
+    is the weight of the length-n words in context s with image g, from
+    mass 1 at (empty context, identity). A length-n prefix stays in
+    ball(n), so ball(n_max) indexes it exactly. Levels are normalised to
+    peak 1; the log peak goes to the log scale.
 
     On a free abelian quotient every letter a also carries e^<theta*, v(a)>,
     theta* the minimiser of the twisted pressure: a word with image g then
     weighs e^<theta*, g> more, which the readout takes off again. The
     twisted walk has no drift, so the identity fiber stays near the peak
     mass, however strongly f alone drifts."""
-    c = _start_tilt(pot)
     theta = twist = None
     # inversion negates the cocycle, so inverse-symmetric f has theta* = 0
     if (isinstance(quotient, FreeAbelianQuotient)
@@ -674,7 +673,7 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
         theta = np.array(restricted_pressure_twisted(pot, quotient)
                          .detail["theta"])
         twist = _letter_vectors(quotient) @ theta
-    states, sindex, steps = _step_matrices(pot, c, twist)
+    states, sindex, steps = _step_matrices(pot, twist=twist)
     # shifts[l, g] = index of elements[g] * img(l), -1 outside the ball
     elements, eindex, shifts = quotient.ball_table(
         n_max, max_elements=max_states)
@@ -716,7 +715,7 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
         if peak <= 0:
             break        # no admissible continuations carry weight: done
         A /= peak
-        logscale += c + math.log(peak)
+        logscale += math.log(peak)
         for i, t in enumerate(targets):
             mass = float(A[:, eindex[t]] @ bnd)
             if 0 < mass < MASS_FLOOR:
@@ -734,8 +733,8 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
 
 def _fiber_renewal(pot, quotient, n_max, targets):
     """Excursion renewal in linear arithmetic on tilted series: every
-    stored length-n term is the true one times e^(-c n). A tilt is
-    multiplicative in length, so the convolutions stay exact. When the
+    stored length-n term is the true one times e^(-c n), from c = 0. A tilt
+    is multiplicative in length, so the convolutions stay exact. When the
     peak of a new level n leaves TILT_RANGE, c moves by log(peak)/n, level
     k is rescaled by e^(-k log(peak)/n) and the steps are rebuilt; c n is
     added back at readout.
@@ -754,8 +753,8 @@ def _fiber_renewal(pot, quotient, n_max, targets):
         if not (is_reduced(w) and set(w) <= survivor_set):
             raise ValidationError(
                 f"target {t!r} is not a reduced survivor word")
-    c = _start_tilt(pot)
-    states, sindex, steps = _step_matrices(pot, c)
+    c = 0.0
+    states, sindex, steps = _step_matrices(pot)
     S = len(states)
     survivors = np.array(quotient.survivor_letters, dtype=np.int64)
     killed = list(quotient.killed_letters)
@@ -822,13 +821,13 @@ def _fiber_renewal(pot, quotient, n_max, targets):
 
 @dataclass
 class GrowthFit:
-    """Tail fit of log a_n = c + lambda n - gamma log n.
+    """Tail fit of log a_n = c + lambda n - gamma log n (see _tail_fit).
 
     The log n term absorbs the polynomial prefactor of the fiber series
     (C lambda^n n^-gamma); without it the slope estimate is biased by
     -gamma/n_bar, which is far larger than the target accuracy at the
     default n_max. sigma is max(regression stderr, half-window
-    sensitivity)."""
+    sensitivity), 0 for an exact lambda held in the fit."""
 
     lam: float
     sigma: float
@@ -840,25 +839,13 @@ class GrowthFit:
     tail_monotone: bool = True
 
 
-def _poly_corrected_fit(ns, ys):
-    X = np.column_stack([np.ones(len(ns)), ns, np.log(ns)])
-    coef, *_ = np.linalg.lstsq(X, ys, rcond=None)
-    resid = ys - X @ coef
-    dof = max(len(ns) - 3, 1)
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(X.T @ X)
-    return coef, np.sqrt(np.maximum(np.diag(cov), 0.0)), \
-        math.sqrt(float(resid @ resid) / len(ns))
-
-
-def growth_rate(series, min_points=4, drop_fraction=0.25):
-    """Growth rate of a fiber series with uncertainty.
-
-    Uses the nonzero entries, drops the leading ``drop_fraction`` as
-    transient, and cross-checks the slope against the tail half; the
-    reported sigma dominates both the regression stderr and that
-    sensitivity. Needs at least ``min_points`` nonzero terms.
-    """
+def _tail_fit(series, lam=None, min_points=4, drop_fraction=0.25):
+    """The one tail fit of a fiber series, behind growth_rate and the
+    divergence probe: least squares of log a_n = c + lambda n - gamma log n
+    over the nonzero terms past the leading ``drop_fraction``; with the
+    exact rate ``lam`` held there, of log a_n - lam n = c - gamma log n +
+    c1/n instead, and sigma 0. Each sigma dominates the regression stderr
+    and the change of its estimate on the tail half of the window."""
     finite = np.isfinite(series.log_values)
     ns = series.lengths[finite].astype(float)
     ys = series.log_values[finite]
@@ -866,24 +853,39 @@ def growth_rate(series, min_points=4, drop_fraction=0.25):
         raise NumericError(
             f"growth fit needs >= {min_points} nonzero partition values, "
             f"got {len(ns)}")
-    start = int(len(ns) * drop_fraction)
-    if len(ns) - start < min_points:
-        start = len(ns) - min_points
-    ns_fit, ys_fit = ns[start:], ys[start:]
-    coef, err, rms = _poly_corrected_fit(ns_fit, ys_fit)
-    lam, gamma = float(coef[1]), float(-coef[2])
-    lam_err, gamma_err = float(err[1]), float(err[2])
-    half = len(ns_fit) // 2
-    if len(ns_fit) - half >= min_points:
-        coef2, _, _ = _poly_corrected_fit(ns_fit[half:], ys_fit[half:])
-        lam_err = max(lam_err, abs(float(coef2[1]) - lam))
-        gamma_err = max(gamma_err, abs(float(-coef2[2]) - gamma))
+    start = min(int(len(ns) * drop_fraction), len(ns) - min_points)
+    ns, ys = ns[start:], ys[start:]
+    if lam is not None:
+        ys = ys - lam * ns
+
+    def fit(ns, ys):
+        # columns 1, log n, then n (rate fitted) or 1/n (rate held)
+        X = np.column_stack([np.ones(len(ns)), np.log(ns),
+                             ns if lam is None else 1.0 / ns])
+        coef, *_ = np.linalg.lstsq(X, ys, rcond=None)
+        resid = ys - X @ coef
+        s2 = float(resid @ resid) / max(len(ns) - 3, 1)
+        err = np.sqrt(np.maximum(np.diag(s2 * np.linalg.inv(X.T @ X)), 0.0))
+        return coef, err, math.sqrt(float(resid @ resid) / len(ns))
+
+    coef, err, rms = fit(ns, ys)
+    half = len(ns) // 2
+    if len(ns) - half >= min_points:
+        err = np.maximum(err, np.abs(fit(ns[half:], ys[half:])[0] - coef))
     # sanity flag: local slopes settle monotonically in a clean tail
-    local = np.diff(ys_fit) / np.diff(ns_fit)
-    inc = np.diff(local)
+    inc = np.diff(np.diff(ys) / np.diff(ns))
     monotone = bool((inc >= -1e-9).all() or (inc <= 1e-9).all())
-    return GrowthFit(lam, lam_err, gamma, gamma_err, len(ns_fit),
-                     (int(ns_fit[0]), int(ns_fit[-1])), rms, monotone)
+    rate, rate_err = ((float(coef[2]), float(err[2])) if lam is None
+                      else (float(lam), 0.0))
+    return GrowthFit(rate, rate_err, float(-coef[1]), float(err[1]),
+                     len(ns), (int(ns[0]), int(ns[-1])), rms, monotone)
+
+
+def growth_rate(series, min_points=4, drop_fraction=0.25):
+    """Growth rate of a fiber series with uncertainty: _tail_fit with
+    lambda fitted, on the nonzero terms past the leading ``drop_fraction``,
+    of which it needs at least ``min_points``."""
+    return _tail_fit(series, None, min_points, drop_fraction)
 
 
 def restricted_pressure(pot, quotient, n_max=40, tol=1e-13):

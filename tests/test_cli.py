@@ -485,8 +485,21 @@ class TestDeterminism:
         # ball DP have theta* != 0
         (tmp_path / "a.ini").write_text(SPECTRUM.replace(
             "constant = -1.0", "letters = -0.2, 0.3, -0.6, 0.1"))
+        # diagnose on S3 (exact rates in the probe and the statistic) and
+        # on FK3 (the probe's gamma from the fitted rate)
+        _, table, ident, index = oracles.perm_group_table(
+            [(1, 0, 2), (1, 2, 0)])
+        (tmp_path / "s3.table").write_text(
+            f"{len(table)} {ident}\n"
+            + "".join(" ".join(map(str, row)) + "\n" for row in table))
+        (tmp_path / "s3.ini").write_text(SPECTRUM.replace(
+            "type = abelian\nrank = 2\nvectors = 1,0; 0,1",
+            "type = finite\nfile = s3.table\n"
+            f"images = {index[(1, 0, 2)]}, {index[(1, 2, 0)]}"))
+        (tmp_path / "fk3.ini").write_text(FK3)
         runs = (("spectrum", "s.ini"), ("partition", "w.ini", "--n-max", "80"),
-                ("spectrum", "a.ini"), ("partition", "a.ini", "--n-max", "80"))
+                ("spectrum", "a.ini"), ("partition", "a.ini", "--n-max", "80"),
+                ("diagnose", "s3.ini"), ("diagnose", "fk3.ini"))
         outs, csvs = [], []
         for k in (1, 2):
             env = child_env(OPENBLAS_NUM_THREADS=str(k))
@@ -498,8 +511,9 @@ class TestDeterminism:
                      "--threads", str(k * 2), *flags],
                     capture_output=True, text=True, check=True, env=env)
                 outs.append(proc.stdout.replace(str(out), "OUT"))
+                # diagnose writes no tables, so its directory never exists
                 csvs.append(b"".join(sorted(
-                    p.read_bytes() for p in out.iterdir())))
+                    p.read_bytes() for p in out.glob("*"))))
         assert outs[:len(runs)] == outs[len(runs):]
         assert csvs[:len(runs)] == csvs[len(runs):]
 

@@ -5,10 +5,12 @@ import pytest
 
 import oracles
 import freeshift.diagnostics as diag
+import freeshift.pressure as pressure_mod
 from freeshift import (Potential, UndefinedRatioError, ValidationError,
                        VerdictReport, amenability_report, divergence_probe,
-                       gibbs_verify, half_bound_check,
-                       pressure_inequality_check, random_inverse_symmetric,
+                       fiber_partition, gibbs_verify, growth_rate,
+                       half_bound_check, pressure_inequality_check,
+                       random_inverse_symmetric,
                        symmetric_on_average_statistic)
 from freeshift.spectra import free_energy_curve
 
@@ -156,6 +158,37 @@ class TestDivergenceProbe:
         want = ("divergence-type (gamma <= 1)" if gamma0 <= 1
                 else "convergence-type (gamma > 1)")
         assert rep.classification == want
+
+    def test_fitted_rate_reads_growth_rate_gamma_and_sigma(self, fk3):
+        # on a free-kill quotient lambda is fitted with gamma, so gamma's
+        # sigma must carry the error of lambda: 0.0917 here, while a
+        # regression with lambda held at the fitted value reports 0.00083
+        pot = Potential.constant(3, -1.0)
+        rep = divergence_probe(fk3, pot, n_max=40)
+        fit = growth_rate(fiber_partition(pot, fk3, 40))
+        gamma = next(q for q in rep.quantities
+                     if q["quantity"] == "gamma_hat")
+        slack = next(s for s in rep.slacks if s["name"] == "gamma-1")
+        assert gamma["value"] == pytest.approx(fit.gamma, rel=0, abs=1e-10)
+        assert gamma["sigma"] == slack["tol"] == fit.gamma_sigma
+        assert fit.gamma_sigma == pytest.approx(0.0917, abs=5e-5)
+
+    def test_exact_scopes_never_fit_the_rate(self, s3, zmod2, z2,
+                                             monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("growth_rate on an exact scope")
+
+        monkeypatch.setattr(diag, "growth_rate", no_fit)
+        monkeypatch.setattr(pressure_mod, "growth_rate", no_fit)
+        for q, rep in ((s3, 2), (zmod2, 1), (z2, (1, 0))):
+            pot = random_inverse_symmetric(2, 3)
+            probe = divergence_probe(q, pot, n_max=36)
+            symmetric_on_average_statistic(q, pot, [rep], 16)
+            lam = next(x for x in probe.quantities
+                       if x["quantity"] == "lambda_hat")
+            assert lam["sigma"] == 0.0
+            assert lam["method"] == ("exact-twisted" if q is z2
+                                     else "exact-eigenvalue")
 
     def test_insufficient_terms(self, z2):
         with pytest.raises(Exception):

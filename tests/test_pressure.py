@@ -21,6 +21,15 @@ def _random_pot(d, depth, seed, scale=1.0):
     return Potential(d, depth, rng.uniform(-scale, scale, len(windows)))
 
 
+# (quotient, depth, seed, n_max, shift) of the constant-shift checks; "fk2"
+# is F2 with g2 killed, the renewal's twin of z1
+SHIFT_CASES = (
+    [(q, 1, 17, 40, c) for q in ("z1", "s3")
+     for c in (-800.0, -200.0, 200.0, 800.0)]
+    + [("fk2", 2, 1, 12, c) for c in (-800.0, -400.0, 400.0, 800.0)]
+    + [(q, 3, 1, 10, 400.0) for q in ("z1", "fk2")])
+
+
 # log a_n (n <= 10) of the ball DP on _random_pot(d, depth, seed=50 + depth)
 # as computed by the window-indexed DP it replaced, with brute force below
 # the window size; the two differ only by rounding (observed <= 3.6e-15).
@@ -418,21 +427,25 @@ class TestFiberPartition:
         for n, want in pins.items():
             assert logs[n - 1] == pytest.approx(want, rel=0, abs=1e-12), n
 
-    @pytest.mark.parametrize("name", ["z1", "s3"])
-    @pytest.mark.parametrize("shift", [-800.0, -200.0, 200.0, 800.0])
-    def test_ball_dp_is_exact_under_constant_shifts(self, bundle, name,
-                                                    shift):
-        # adding c to f scales a_n by e^(c n) exactly; at |c| = 800 the
-        # untilted step weights e^(f + c) leave the float range
-        d, q, _ = bundle[name]
-        base = _random_pot(d, 1, seed=17)
-        want = fiber_partition(base, q, 40).log_values
-        got = fiber_partition(Potential(d, 1, base.values + shift), q, 40)
+    @pytest.mark.parametrize(
+        "name, depth, seed, n_max, shift", SHIFT_CASES,
+        ids=[f"{c}-{q}" + (f"-depth{k}" if k > 1 else "")
+             for q, k, _, _, c in SHIFT_CASES])
+    def test_ball_dp_is_exact_under_constant_shifts(self, bundle, name, depth,
+                                                    seed, n_max, shift):
+        # adding c to f scales a_n by e^(c n) exactly, in both engines; at
+        # |c| = 800 the untilted step weights e^(f + c) leave the float
+        # range, and at depth >= 2 so do the steps before the first window
+        # and the trailing-window completions (e^(2c) at depth 3)
+        q = bundle[name][1] if name in bundle else FreeKillQuotient(2, {1})
+        base = _random_pot(2, depth, seed)
+        want = fiber_partition(base, q, n_max).log_values
+        got = fiber_partition(Potential(2, depth, base.values + shift), q,
+                              n_max)
         empty = np.isneginf(want)
         assert np.array_equal(np.isneginf(got.log_values), empty)
-        assert np.allclose(got.log_values[~empty],
-                           (want + shift * got.lengths)[~empty],
-                           rtol=1e-12, atol=0)
+        assert np.allclose((got.log_values - shift * got.lengths)[~empty],
+                           want[~empty], rtol=1e-12, atol=0)
 
     def test_ball_dp_refuses_sunken_target_mass(self, z1):
         # a-steps weigh e^-20 against the b-steps, so the mass reaching
