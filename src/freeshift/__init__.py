@@ -39,8 +39,7 @@ from .pressure import (FiberSeries, GrowthFit, LiftedTransferMatrix,
                        extrapolated_pressure, fiber_partition,
                        fiber_partition_many, full_pressure, growth_rate,
                        partition_sum_matrix, perron_eigen,
-                       restricted_pressure, restricted_pressure_exact,
-                       restricted_pressure_twisted)
+                       restricted_pressure)
 from .quotients import (FiniteQuotient, FreeAbelianQuotient, FreeKillQuotient,
                         Quotient)
 from .spectra import (CogrowthResult, FreeEnergyCurve, FreeEnergyPoint,
@@ -114,8 +113,6 @@ __all__ = [
     "pressure_inequality_check",
     "random_inverse_symmetric",
     "restricted_pressure",
-    "restricted_pressure_exact",
-    "restricted_pressure_twisted",
     "save_potential_csv",
     "symmetric_on_average_statistic",
     "window_states",

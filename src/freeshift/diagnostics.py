@@ -21,8 +21,7 @@ import numpy as np
 from .errors import NumericError, UndefinedRatioError, ValidationError
 from .pressure import (TransferMatrix, _tail_fit, fiber_partition,
                        fiber_partition_many, full_pressure, growth_rate,
-                       perron_eigen, restricted_pressure)
-from .quotients import FiniteQuotient, FreeAbelianQuotient
+                       has_exact_route, perron_eigen, restricted_pressure)
 from .spectra import DEFAULT_U_TOL, delta, legendre
 
 ABS_MARGIN = 1e-3
@@ -213,12 +212,11 @@ def pressure_inequality_check(quotient, pot, n_max=40,
 
 
 def _exact_rate(pot, quotient):
-    """The exact fiber rate lambda_N (the restricted pressure) on finite
-    and free abelian quotients, None on free-kill ones: there the probe and
-    the statistic fit the rate from the series itself."""
-    if isinstance(quotient, (FiniteQuotient, FreeAbelianQuotient)):
-        return restricted_pressure(pot, quotient)
-    return None
+    """The exact fiber rate lambda_N (the restricted pressure) on scopes
+    with an exact route, None on free-kill ones: there the probe and the
+    statistic fit the rate from the series itself."""
+    return (restricted_pressure(pot, quotient) if has_exact_route(quotient)
+            else None)
 
 
 def divergence_probe(quotient, pot, n_max=60, min_terms=6):

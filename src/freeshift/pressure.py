@@ -45,11 +45,14 @@ iteration with Collatz-Wielandt ratio enclosures, checked every few steps
 (a whole number of periods), so every exact eigenvalue carries a certified
 residual. One engine serves a single matrix (perron_eigen) and K weight
 rows on one pattern at once (pressure_rows, one GEMM per step for all
-rows, which also returns d/du P(f + u g) along one or several window
-tables g from the left and right Perron vectors; the twisted pressure
-reads its theta-gradient there). Weights are tilted to largest weight 1
-and the tilt added back to log rho, so P(f + c) = P(f) + c holds for any
-constant c.
+rows, which with window tables g also iterates the left vectors and
+returns d/du P(f + u g) along them; the twisted pressure reads its
+theta-gradient there). Weights are tilted to largest weight 1 and the tilt
+added back to log rho, so P(f + c) = P(f) + c holds for any constant c.
+
+scope_rows is the one place where a scope picks its pressure engine;
+restricted_pressure, the free-energy roots and the diagnostics' exact
+rates all evaluate rows of that route.
 """
 
 import math
@@ -178,9 +181,7 @@ class LiftedTransferMatrix:
         self.windows = window_states(pot.d, self.m)[0]
         self.order = quotient.table.shape[0]
 
-    @property
-    def matrix(self):
-        return self.pattern * np.exp(self.pot.values)[self.col]
+    matrix = TransferMatrix.matrix
 
 
 # ---------------------------------------------------------------------------
@@ -320,18 +321,21 @@ class PressureRows:
     left and right Perron vectors."""
 
     values: np.ndarray
-    slopes: np.ndarray
+    slopes: np.ndarray        # None without a direction g
     residuals: np.ndarray     # certified bound on each value's error
     start: tuple              # (right, left[, phi]): warm start
     solves: int = 1           # batched eigen solves behind the values
+    iterations: np.ndarray = None     # power steps of M^p per row
 
 
-def pressure_rows(pattern, col, period, values, g, tol=1e-13, start=None):
+def pressure_rows(pattern, col, period, values, g=None, tol=1e-13,
+                  start=None):
     """Pressures of the potentials values[k] (window tables) and slopes
     along the window table g, on the scope of ``transfer_pattern``, by one
     batched power iteration. Each row is tilted to largest weight 1 and
     its shift added back, so no row can overflow. A (W, c) table g gives
-    (K, c) slopes, one column per direction.
+    (K, c) slopes, one column per direction; without g the left iterates
+    are skipped and slopes is None.
 
     For period > 1 the vectors are those of M^p, with each cyclic class
     scaled by its own factor. The slopes still hold on a lift over a finite
@@ -339,12 +343,15 @@ def pressure_rows(pattern, col, period, values, g, tol=1e-13, start=None):
     automorphism that moves every class onto every other, so each class
     carries the same mean of g."""
     weights, shift = _tilt(values[:, col])
-    rho, half, _, right, left = _perron_batch(
-        pattern, weights, period, tol, want_left=True, start=start)
-    lr = left * right
-    return PressureRows(np.log(rho) + shift,
-                        ((lr @ g[col]).T / lr.sum(axis=1)).T,
-                        half / rho ** period / period, (right, left))
+    rho, half, iterations, right, left = _perron_batch(
+        pattern, weights, period, tol, want_left=g is not None, start=start)
+    slopes = None
+    if g is not None:
+        lr = left * right
+        slopes = ((lr @ g[col]).T / lr.sum(axis=1)).T
+    return PressureRows(np.log(rho) + shift, slopes,
+                        half / rho ** period / period, (right, left),
+                        iterations=iterations)
 
 
 @dataclass
@@ -363,33 +370,18 @@ class PressureResult:
     detail: dict = field(default_factory=dict)
 
 
-def _exact_pressure(tm, period, tol):
-    """PressureResult of log rho(tm.matrix), solved on the pattern with
-    its weights tilted to largest weight 1, so no second dense matrix is
-    built."""
-    weights, shift = _tilt(tm.pot.values[tm.col])
-    pe = perron_eigen(tm.pattern, period, tol, weights=weights)
+def full_pressure(pot, tol=1e-13):
+    """log spectral radius of the transfer matrix; P(0) = log(2d-1).
+    Solved on the pattern with its weights tilted to largest weight 1, so
+    no second dense matrix is built."""
+    tm = TransferMatrix(pot)
+    weights, shift = _tilt(pot.values[tm.col])
+    pe = perron_eigen(tm.pattern, 1, tol, weights=weights)
     return PressureResult(math.log(pe.rho) + float(shift), 0.0,
                           "exact-eigenvalue",
-                          pe.residual / max(pe.rho ** period, 1e-300)
-                          / period,
+                          pe.residual / max(pe.rho, 1e-300),
                           {"iterations": pe.iterations,
                            "states": len(tm.col)})
-
-
-def full_pressure(pot, tol=1e-13):
-    """log spectral radius of the transfer matrix; P(0) = log(2d-1)."""
-    return _exact_pressure(TransferMatrix(pot), 1, tol)
-
-
-def restricted_pressure_exact(pot, quotient, tol=1e-13):
-    """Restricted pressure over a finite quotient: (1/p) log rho of the
-    p-th power of the lifted transfer matrix, which is irreducible (see
-    LiftedTransferMatrix)."""
-    p = quotient.period()
-    res = _exact_pressure(LiftedTransferMatrix(pot, quotient), p, tol)
-    res.detail["period"] = p
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -520,25 +512,49 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
         f"{TWIST_MAX_ROUNDS} Newton rounds")
 
 
-def restricted_pressure_twisted(pot, quotient, tol=1e-13):
-    """Restricted pressure over a free abelian quotient F_d -> Z^k:
-    lambda_N(f) = min over theta in the span of the letter vectors v of
-    P(f + <theta, v(last letter)>), the large-deviation rate of the Z^k
-    cocycle at 0 (Lalley 1989; Pollicott-Sharp 1994). Exact, on the full
-    window pattern; theta = 0 for inverse-symmetric f, and lambda_N = P(f)
-    when every vector is 0."""
-    if pot.d != quotient.d:
+# ---------------------------------------------------------------------------
+# the pressure route of each scope
+
+def has_exact_route(quotient):
+    """True on the scopes whose pressure is exact: the full shift (None),
+    finite and free abelian quotients. Free-kill quotients are fitted from
+    their fiber series."""
+    return quotient is None or isinstance(
+        quotient, (FiniteQuotient, FreeAbelianQuotient))
+
+
+def scope_rows(d, depth, quotient=None, g=None, tol=1e-13):
+    """The pressure route of a scope, None where it has no exact route:
+    (rows, method, detail). rows(values, start=None) is the PressureRows
+    of the depth-``depth`` window tables ``values`` with slopes along g;
+    detail(rows, k) is the PressureResult detail of row k. The full shift
+    and finite quotients run pressure_rows on the (lifted) pattern, free
+    abelian quotients twisted_rows on the full one."""
+    if not has_exact_route(quotient):
+        return None
+    if quotient is not None and quotient.d != d:
         raise ValidationError("potential and quotient rank mismatch")
-    tm = TransferMatrix(pot)
-    basis, G = twist_table(quotient, tm.windows)
-    rows = twisted_rows(tm.pattern, G, pot.values[None], tol=tol)
-    # a single row tries one Newton step in every round but its last
-    return PressureResult(
-        float(rows.values[0]), 0.0, "exact-twisted",
-        float(rows.residuals[0]),
-        {"theta": (rows.start[2][0] @ basis).tolist(),
-         "newton_steps": rows.solves - 1, "eigen_solves": rows.solves,
-         "states": len(tm.col)})
+    if isinstance(quotient, FreeAbelianQuotient):
+        pattern, _ = transfer_pattern(d, depth)
+        basis, G = twist_table(quotient, window_states(d, depth)[0])
+
+        def twisted_detail(rows, k):
+            # a single row tries one Newton step in every round but its last
+            return {"theta": (rows.start[2][k] @ basis).tolist(),
+                    "newton_steps": rows.solves - 1,
+                    "eigen_solves": rows.solves, "states": len(pattern)}
+        return (lambda values, start=None: twisted_rows(
+            pattern, G, values, g, tol, start),
+            "exact-twisted", twisted_detail)
+    pattern, col = transfer_pattern(d, depth, quotient)
+    period = 1 if quotient is None else quotient.period()
+
+    def detail(rows, k):
+        return {"iterations": int(rows.iterations[k]), "states": len(col),
+                "period": period}
+    return (lambda values, start=None: pressure_rows(
+        pattern, col, period, values, g, tol, start),
+        "exact-eigenvalue", detail)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +686,7 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
     # inversion negates the cocycle, so inverse-symmetric f has theta* = 0
     if (isinstance(quotient, FreeAbelianQuotient)
             and not pot.is_inverse_symmetric()):
-        theta = np.array(restricted_pressure_twisted(pot, quotient)
-                         .detail["theta"])
+        theta = np.array(restricted_pressure(pot, quotient).detail["theta"])
         twist = _letter_vectors(quotient) @ theta
     states, sindex, steps = _step_matrices(pot, twist=twist)
     # shifts[l, g] = index of elements[g] * img(l), -1 outside the ball
@@ -889,15 +904,16 @@ def growth_rate(series, min_points=4, drop_fraction=0.25):
 
 
 def restricted_pressure(pot, quotient, n_max=40, tol=1e-13):
-    """Dispatch: exact lifted eigenvalue for finite quotients, exact
-    twisted minimum for free abelian ones, identity-fiber series plus
-    growth fit (extrapolated_pressure) for free-kill ones; ``n_max`` only
-    enters the last."""
-    if isinstance(quotient, FiniteQuotient):
-        return restricted_pressure_exact(pot, quotient, tol)
-    if isinstance(quotient, FreeAbelianQuotient):
-        return restricted_pressure_twisted(pot, quotient, tol)
-    return extrapolated_pressure(pot, quotient, n_max)
+    """The scope's pressure: one row of its scope_rows route (sigma 0),
+    else the growth fit of the identity-fiber series up to ``n_max``
+    (extrapolated_pressure), the only place ``n_max`` enters."""
+    route = scope_rows(pot.d, pot.depth, quotient, tol=tol)
+    if route is None:
+        return extrapolated_pressure(pot, quotient, n_max)
+    evaluate, method, detail = route
+    rows = evaluate(pot.values[None])
+    return PressureResult(float(rows.values[0]), 0.0, method,
+                          float(rows.residuals[0]), detail(rows, 0))
 
 
 def extrapolated_pressure(pot, quotient, n_max=40):

@@ -34,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .potentials import Potential, combine, window_states
-from .pressure import (full_pressure, pressure_rows, restricted_pressure,
-                       transfer_pattern, twist_table, twisted_rows)
-from .quotients import FiniteQuotient, FreeAbelianQuotient
+from .potentials import Potential, combine
+from .pressure import (full_pressure, has_exact_route, restricted_pressure,
+                       scope_rows)
 
 DEFAULT_U_TOL = 1e-10
 # Newton rounds before an exact-scope root is declared uncertifiable; a
@@ -51,9 +50,11 @@ def default_beta_grid(lo=None, hi=None, step=None):
     lo = DEFAULT_BETA_RANGE[0] if lo is None else lo
     hi = DEFAULT_BETA_RANGE[1] if hi is None else hi
     step = DEFAULT_BETA_STEP if step is None else step
-    if not (hi > lo and step > 0):
-        raise ValidationError(f"bad beta grid [{lo}, {hi}] step {step}")
-    count = int(round((hi - lo) / step))
+    if not (hi > lo and step > 0
+            and (count := int(round((hi - lo) / step))) >= 1):
+        raise ValidationError(f"bad beta grid [{lo}, {hi}] step {step}: it "
+                              f"needs hi > lo, step > 0 and two or more "
+                              f"points")
     return np.linspace(lo, hi, count + 1)
 
 
@@ -82,36 +83,14 @@ def _checked_psi(psi, zeta):
 
 
 def _newton_scope(zeta, quotient):
-    """True where the scope's pressure is exact with a derivative in u
-    (the full shift, finite and free abelian quotients) and zeta is not
-    constant (constant zeta has a closed form)."""
-    return ((quotient is None
-             or isinstance(quotient, (FiniteQuotient, FreeAbelianQuotient)))
-            and float(np.ptp(zeta.values)) != 0.0)
+    """True where the scope's pressure is exact, with a derivative in u,
+    and zeta is not constant (constant zeta has a closed form)."""
+    return has_exact_route(quotient) and float(np.ptp(zeta.values)) != 0.0
 
 
 def _root_bound(zeta, u_tol):
     """The root certificate: |P(t)| may not exceed this."""
     return max(1e-9, float(np.abs(zeta.values).max()) * u_tol)
-
-
-def _scope_rows(zeta, depth, quotient, tol):
-    """(rows, method): rows(values, start) evaluates the scope's pressure
-    of K window tables with the slopes along zeta, warm-started by
-    ``start``; one batched power iteration on exact eigenvalue scopes, one
-    batched twist minimisation on free abelian ones."""
-    z = zeta.as_depth(depth).values
-    if isinstance(quotient, FreeAbelianQuotient):
-        pattern, _ = transfer_pattern(zeta.d, depth)
-        G = twist_table(quotient, window_states(zeta.d, depth)[0])[1]
-        return (lambda values, start: twisted_rows(pattern, G, values, z,
-                                                   tol, start),
-                "exact-twisted")
-    pattern, col = transfer_pattern(zeta.d, depth, quotient)
-    period = 1 if quotient is None else quotient.period()
-    return (lambda values, start: pressure_rows(pattern, col, period, values,
-                                                z, tol, start),
-            "exact-eigenvalue")
 
 
 def _newton_roots(psi, zeta, betas, quotient=None, u_tol=DEFAULT_U_TOL,
@@ -128,9 +107,9 @@ def _newton_roots(psi, zeta, betas, quotient=None, u_tol=DEFAULT_U_TOL,
     the envelope theorem its derivative is the integral of zeta at the
     minimising twist, again at most max zeta < 0."""
     depth = max(psi.depth, zeta.depth)
-    evaluate, method = _scope_rows(zeta, depth, quotient, tol)
     a = psi.as_depth(depth).values
     z = zeta.as_depth(depth).values
+    evaluate, method, _ = scope_rows(zeta.d, depth, quotient, z, tol)
     bound = _root_bound(zeta, u_tol)
     betas = np.asarray(betas, dtype=float)
     u = np.zeros(len(betas))
@@ -437,8 +416,11 @@ def legendre(curve, alphas=None, n_alphas=None):
 
     The conjugate is taken over the sampled grid only; alpha endpoints are
     estimates from the extreme sampled slopes and flagged, never silently
-    extrapolated. Raises on input that is non-convex beyond the noise
-    allowance of its points."""
+    extrapolated. Raises on a curve of fewer than two points, and on input
+    that is non-convex beyond the noise allowance of its points."""
+    if len(curve.betas) < 2:
+        raise ValidationError("Legendre conjugation needs a free-energy "
+                              "curve of two or more points")
     margin = curve.convexity_margin()
     if margin < 0:
         raise ValidationError(

@@ -403,6 +403,27 @@ class TestOverridesAndErrors:
             capsys, ["delta", "--config", base_ini, "--beta-range", "oops"])
         assert code == 2
 
+    @pytest.mark.parametrize("command, step, flags", [
+        ("spectrum", "0.5", ["--beta-range=0:1:5"]),
+        ("spectrum", "5", []),
+        ("diagnose", "5", []),
+    ], ids=["spectrum-flag", "spectrum-config", "diagnose-config"])
+    def test_one_point_beta_grid_exit_2(self, capsys, tmp_path, command,
+                                        step, flags):
+        # a step wider than the range leaves one beta, which has no
+        # Legendre transform: a typed error, not a crash in np.gradient
+        ini = zmod2_ini(tmp_path)
+        Path(ini).write_text(ZMOD2.replace("beta_step = 0.5",
+                                           f"beta_step = {step}"))
+        code, payload, err = run_cli(
+            capsys, [command, "--config", ini, "--out",
+                     str(tmp_path / "o")] + flags)
+        assert code == 2
+        assert payload["error"]["type"] == "ValidationError"
+        assert payload["error"]["exit_code"] == 2
+        assert "two or more points" in payload["error"]["message"]
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("text, flags, where", [
         (BASE.replace("d = 2", "d = two"), [], "[model] d"),
         (BASE.replace("ratios = 0.25", "constant = -1x"), [],

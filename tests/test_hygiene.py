@@ -131,6 +131,19 @@ def test_check_detects_an_orphan_helper():
     assert _orphan_helpers(trees) == ["_recursive", "_unused"]
 
 
+@pytest.mark.parametrize("name", ["spectra.py", "diagnostics.py"])
+def test_scope_engine_choice_stays_in_pressure(name):
+    # pressure.scope_rows alone picks each scope's engine: the layers above
+    # it import nothing from quotients and test no quotient type
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    assert "quotients" not in modules
+    names = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name)}
+    assert not {n for n in names if n.endswith("Quotient")}
+
+
 def _asserts(tree):
     """Lines of every assert statement."""
     return sorted(node.lineno for node in ast.walk(tree)

@@ -11,8 +11,7 @@ from freeshift import (FreeAbelianQuotient, FreeKillQuotient,
                        birkhoff_sup_sum, fiber_partition, fiber_partition_many,
                        full_pressure, growth_rate, partition_sum_matrix,
                        perron_eigen, random_inverse_symmetric,
-                       restricted_pressure, restricted_pressure_exact,
-                       window_states)
+                       restricted_pressure, window_states)
 
 
 def _random_pot(d, depth, seed, scale=1.0):
@@ -224,8 +223,8 @@ class TestPerron:
         moved = Potential(2, depth, pot.values + shift)
         assert full_pressure(moved).value == pytest.approx(
             full_pressure(pot).value + shift, abs=1e-12)
-        assert restricted_pressure_exact(moved, s3).value == pytest.approx(
-            restricted_pressure_exact(pot, s3).value + shift, abs=1e-12)
+        assert restricted_pressure(moved, s3).value == pytest.approx(
+            restricted_pressure(pot, s3).value + shift, abs=1e-12)
 
     def test_zero_entries_fail_fast(self):
         # the second row of M v is 0, so its Collatz-Wielandt ratio is
@@ -263,7 +262,7 @@ class TestWindowGraph:
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_lifted_graphs_strongly_connected(self, finite_cases, depth):
-        # restricted_pressure_exact takes the Perron root on all lifted
+        # restricted_pressure takes the Perron root on all lifted
         # states; that is the restricted pressure because every lift over a
         # finite quotient of F_d, d >= 2, is strongly connected
         for name, (d, q, _) in finite_cases.items():
@@ -541,8 +540,33 @@ class TestRestrictedPressure:
     def test_finite_index_forces_full_growth(self, zmod2, s3):
         # finite quotient: identity fiber grows like the whole shift
         for q in (zmod2, s3):
-            res = restricted_pressure_exact(Potential.constant(2, 0.0), q)
+            res = restricted_pressure(Potential.constant(2, 0.0), q)
             assert res.value == pytest.approx(math.log(3), abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["s3", "z3", "fk3"])
+    def test_rank_mismatch_raises(self, bundle, name):
+        d, q, _ = bundle[name]
+        with pytest.raises(ValidationError, match="rank mismatch"):
+            restricted_pressure(Potential.constant(5 - d, 0.0), q)
+
+    @pytest.mark.parametrize("name", ["zmod2", "s3", "z1", "z3"])
+    def test_detail_keys(self, bundle, name):
+        # the provenance each exact route reports, whichever engine runs
+        d, q, _ = bundle[name]
+        res = restricted_pressure(_random_pot(d, 2, seed=5), q)
+        windows = len(window_states(d, 2)[0])
+        if res.method == "exact-eigenvalue":
+            assert set(res.detail) == {"iterations", "states", "period"}
+            assert res.detail["iterations"] >= 1
+            assert res.detail["states"] == windows * len(q.table)
+            assert res.detail["period"] == q.period()
+        else:
+            assert set(res.detail) == {"theta", "newton_steps",
+                                       "eigen_solves", "states"}
+            assert len(res.detail["theta"]) == q.rank
+            assert res.detail["eigen_solves"] == \
+                res.detail["newton_steps"] + 1
+            assert res.detail["states"] == windows
 
     def test_restricted_never_exceeds_full(self, bundle):
         for name, (d, q, _) in bundle.items():
@@ -651,10 +675,6 @@ class TestTwistedPressure:
                 for n in (40, 80, 160)]
         assert fits[0] < fits[1] < fits[2] < exact
         assert exact - fits[2] <= 1e-3
-
-    def test_rank_mismatch_raises(self, z3):
-        with pytest.raises(ValidationError, match="rank mismatch"):
-            restricted_pressure(Potential.constant(2, 0.0), z3)
 
     def test_uncertified_minimum_raises(self, z1, monkeypatch):
         monkeypatch.setattr(pressure_mod, "TWIST_MAX_ROUNDS", 2)

@@ -308,6 +308,13 @@ class TestTwistedCurves:
             one = free_energy(psi, zeta, beta, quotient=quotient)
             assert abs(one.t - point.t) <= 1e-10
 
+    def test_rank_mismatch_raises(self):
+        # rank-3 psi and zeta on a quotient of F2
+        psi, zeta, _ = _lattice_case("z3")
+        with pytest.raises(ValidationError, match="rank mismatch"):
+            free_energy_curve(psi, zeta, NEWTON_BETAS, quotient=(
+                FreeAbelianQuotient(2, 2, [[1, 0], [0, 1]])))
+
     @pytest.mark.parametrize("name", LATTICE_SCOPES)
     def test_slopes_are_derivatives_of_the_minimum(self, name):
         # envelope theorem: d/du lambda_N(f + u zeta) is the integral of
@@ -466,3 +473,12 @@ class TestCurvesAndSpectra:
             default_beta_grid(2.0, -2.0, 0.5)
         with pytest.raises(ValidationError):
             default_beta_grid(-2.0, 2.0, -0.5)
+        # round(0.2) = 0 steps: a one-point grid has no Legendre transform
+        with pytest.raises(ValidationError, match="two or more points"):
+            default_beta_grid(0, 1, 5)
+
+    def test_legendre_refuses_one_point(self, two_ratio_zeta,
+                                        psi_minus_one):
+        curve = free_energy_curve(psi_minus_one, two_ratio_zeta, [0.0])
+        with pytest.raises(ValidationError, match="two or more points"):
+            legendre(curve)
