@@ -174,9 +174,9 @@ def cmd_partition(cfg, args):
 def _diag_betas(cfg, cap=9):
     if len(cfg.betas) <= cap:
         return cfg.betas
-    idx = np.unique(np.round(np.linspace(0, len(cfg.betas) - 1,
-                                         cap)).astype(int))
-    return cfg.betas[idx]
+    idx = np.round(np.linspace(0, len(cfg.betas) - 1, cap)).astype(int)
+    # the distinct indices, as np.unique gives them (which loads numpy.ma)
+    return cfg.betas[idx[np.r_[True, np.diff(idx) > 0]]]
 
 
 def cmd_diagnose(cfg, args):
@@ -270,8 +270,8 @@ def build_parser():
     common.add_argument("--out", help="output directory (overrides config)")
     common.add_argument("--threads", type=int,
                         help="accepted for compatibility and ignored: BLAS "
-                             "runs on one thread unless OPENBLAS_NUM_THREADS "
-                             "or OMP_NUM_THREADS is set")
+                             "runs on one thread unless OPENBLAS_NUM_THREADS, "
+                             "GOTO_NUM_THREADS or OMP_NUM_THREADS is set")
     common.add_argument("--n-max", dest="n_max",
                         help="override [budgets] n_max")
     common.add_argument("--beta-range", dest="beta_range",

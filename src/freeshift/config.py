@@ -6,12 +6,21 @@ has a default. File references inside the config resolve relative to the
 config file's own directory. See the README for the full key table.
 """
 
-import hashlib
 import os
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# hashlib loads OpenSSL (a few MB per process) for one digest of a small
+# file: take the interpreter's built-in sha256 first, as random.py does
+try:
+    from _sha2 import sha256                # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256          # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ValidationError
 from .potentials import GeometricPotential, Potential, load_potential_csv
@@ -187,7 +196,7 @@ def load_config(path):
         raise ValidationError(f"config file not found: {path}")
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     cp = ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read_string(raw.decode("utf-8"))
@@ -207,6 +216,8 @@ def load_config(path):
     if d < 2:
         raise ValidationError(f"d must be >= 2, got {d}")
     seed = _setting(cp, "model", "seed", int, 0)
+    if seed < 0:
+        raise ValidationError(f"[model] seed must be >= 0, got {seed}")
     base_dir = os.path.dirname(os.path.abspath(path))
 
     zeta = _build_zeta(cp, d, base_dir)

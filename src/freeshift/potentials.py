@@ -14,6 +14,8 @@ root problem and the spectrum's slope variable.
 
 import csv
 import math
+import numbers
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,11 +251,16 @@ def _interior_sum(pot, word):
 
 
 def random_inverse_symmetric(d, seed, low=-1.0, high=1.0):
-    """Seeded depth-1 potential with f(l) = f(l^{-1}) (inverse-symmetric)."""
-    rng = np.random.default_rng(seed)
-    per_gen = rng.uniform(low, high, size=d)
-    vals = np.repeat(per_gen, 2)
-    return Potential(d, 1, vals)
+    """Seeded depth-1 potential with f(l) = f(l^{-1}) (inverse-symmetric):
+    one value per generator, uniform on [low, high], drawn by the standard
+    library's Mersenne Twister (numpy.random costs megabytes to load for d
+    numbers). ``seed`` is a non-negative integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    rng = random.Random(int(seed))
+    per_gen = [rng.uniform(low, high) for _ in range(d)]
+    return Potential(d, 1, np.repeat(per_gen, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,22 @@ def zmod2_ini(tmp_path, extra="", name="zmod2.ini"):
     return str(p)
 
 
+def s3_ini(tmp_path, text):
+    """``text`` with its Z^2 quotient swapped for S3 (a finite quotient),
+    written next to the S3 multiplication table."""
+    _, table, ident, index = oracles.perm_group_table(
+        [(1, 0, 2), (1, 2, 0)])
+    (tmp_path / "s3.table").write_text(
+        f"{len(table)} {ident}\n"
+        + "".join(" ".join(map(str, row)) + "\n" for row in table))
+    p = tmp_path / "s3.ini"
+    p.write_text(text.replace(
+        "type = abelian\nrank = 2\nvectors = 1,0; 0,1",
+        "type = finite\nfile = s3.table\n"
+        f"images = {index[(1, 0, 2)]}, {index[(1, 2, 0)]}"))
+    return str(p)
+
+
 def run_cli(capsys, args):
     code = cli.main(args)
     out, err = capsys.readouterr()
@@ -445,6 +461,18 @@ class TestOverridesAndErrors:
         assert where in payload["error"]["message"]
         assert "Traceback" not in err
 
+    def test_negative_seed_exit_2(self, capsys, tmp_path):
+        # a constant psi sends the Gibbs check to the seeded potential
+        ini = zmod2_ini(tmp_path)
+        Path(ini).write_text(ZMOD2.replace("d = 2", "d = 2\nseed = -3")
+                             .replace("letters = -0.3, -0.5",
+                                      "constant = -1.0"))
+        code, payload, err = run_cli(capsys, ["diagnose", "--config", ini])
+        assert code == 2
+        assert payload["error"]["type"] == "ValidationError"
+        assert "seed" in payload["error"]["message"]
+        assert "Traceback" not in err
+
     def test_resource_exit_3(self, capsys, tmp_path):
         ini = tmp_path / "tiny.ini"
         ini.write_text(BASE + "\n[quotient]\ntype = abelian\nrank = 2\n"
@@ -508,15 +536,7 @@ class TestDeterminism:
             "constant = -1.0", "letters = -0.2, 0.3, -0.6, 0.1"))
         # diagnose on S3 (exact rates in the probe and the statistic) and
         # on FK3 (the probe's gamma from the fitted rate)
-        _, table, ident, index = oracles.perm_group_table(
-            [(1, 0, 2), (1, 2, 0)])
-        (tmp_path / "s3.table").write_text(
-            f"{len(table)} {ident}\n"
-            + "".join(" ".join(map(str, row)) + "\n" for row in table))
-        (tmp_path / "s3.ini").write_text(SPECTRUM.replace(
-            "type = abelian\nrank = 2\nvectors = 1,0; 0,1",
-            "type = finite\nfile = s3.table\n"
-            f"images = {index[(1, 0, 2)]}, {index[(1, 2, 0)]}"))
+        s3_ini(tmp_path, SPECTRUM)
         (tmp_path / "fk3.ini").write_text(FK3)
         runs = (("spectrum", "s.ini"), ("partition", "w.ini", "--n-max", "80"),
                 ("spectrum", "a.ini"), ("partition", "a.ini", "--n-max", "80"),
@@ -563,3 +583,26 @@ class TestBlasThreads:
         tasks, same, value = self.probe(**{name: "2"})
         assert (tasks, same) == ("2", "True")
         assert value == ("2" if name == "OPENBLAS_NUM_THREADS" else "None")
+
+
+class TestNativeFootprint:
+    # every subcommand in one interpreter; none may load OpenSSL (through
+    # hashlib), numpy.random or numpy.ma, which cost megabytes per process
+    PROBE = ("import contextlib, io, json, sys; from freeshift import cli\n"
+             "codes = []\n"
+             "for cmd in sys.argv[2:]:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        codes.append(cli.main([cmd, '--config', sys.argv[1]]))\n"
+             "print(json.dumps([codes, [m for m in ('_hashlib', "
+             "'numpy.random', 'numpy.ma') if m in sys.modules]]))")
+
+    def test_subcommands_load_no_unused_native_code(self, tmp_path):
+        # S3 with a constant psi: diagnose draws the seeded Gibbs potential,
+        # and the default 161-point grid makes it thin the betas to 9
+        ini = s3_ini(tmp_path, Z2 + "\n[psi]\nconstant = -1.0\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, ini, *cli._COMMANDS],
+            capture_output=True, text=True, check=True, env=child_env())
+        codes, loaded = json.loads(proc.stdout)
+        assert codes == [0] * len(cli._COMMANDS)
+        assert loaded == []

@@ -83,6 +83,11 @@ class TestValidation:
         with pytest.raises(ValidationError, match="beta"):
             load_config(_write(tmp_path, text))
 
+    def test_negative_seed(self, tmp_path):
+        text = MINIMAL.replace("d = 2", "d = 2\nseed = -3")
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            load_config(_write(tmp_path, text))
+
     def test_bad_budget(self, tmp_path):
         text = MINIMAL + "[budgets]\nn_max = 0\n"
         with pytest.raises(ValidationError, match="n_max"):

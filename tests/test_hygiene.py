@@ -2,8 +2,10 @@
 module imports is used in it (or re-exported through ``__all__``), no
 function imports from the package itself (those imports go at module top,
 where a cycle would show at once), every module-level private function
-is referenced somewhere in the package, and no runtime check is an
-``assert`` (``python -O`` strips those; checks raise typed errors)."""
+is referenced somewhere in the package, no runtime check is an
+``assert`` (``python -O`` strips those; checks raise typed errors), and no
+module loads native code the runs do not need (hashlib's OpenSSL,
+numpy.random, numpy.ma)."""
 
 import ast
 import collections
@@ -165,3 +167,52 @@ def test_check_detects_an_injected_assert():
     lines = text.count("\n")
     copy = text + "\n\ndef _probe(x):\n    assert x > 0, x\n    return x\n"
     assert _asserts(ast.parse(copy)) == [lines + 4]
+
+
+def _heavy_imports(tree):
+    """Lines that import hashlib, other than as the fallback in an ``except
+    ImportError`` handler, or that name numpy's random or ma subpackage."""
+    fallback = {id(node) for handler in ast.walk(tree)
+                if isinstance(handler, ast.ExceptHandler)
+                and isinstance(handler.type, ast.Name)
+                and handler.type.id == "ImportError"
+                for node in ast.walk(handler)}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            names = [f"numpy.{node.attr}"]
+        else:
+            continue
+        if any(name == "hashlib" and id(node) not in fallback
+               or name.split(".")[:2] in (["numpy", "random"],
+                                          ["numpy", "ma"])
+               for name in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_heavy_native_imports():
+    found = {p.name: _heavy_imports(ast.parse(p.read_text(encoding="utf-8"),
+                                              filename=str(p)))
+             for p in MODULES}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"hashlib, numpy.random or numpy.ma used: {found}"
+
+
+def test_check_detects_heavy_native_imports():
+    tree = ast.parse("try:\n    from _sha2 import sha256\n"
+                     "except ImportError:\n    from hashlib import sha256\n"
+                     "import hashlib\n"
+                     "import numpy as np\n"
+                     "x = np.random.default_rng(1)\n"
+                     "from numpy import random\n"
+                     "import numpy.ma\n"
+                     "y = np.unique([1])\n")
+    assert _heavy_imports(tree) == [5, 7, 8, 9]

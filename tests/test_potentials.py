@@ -107,6 +107,15 @@ class TestSymmetry:
     def test_random_symmetric_generator(self, seed):
         p = random_inverse_symmetric(2, seed)
         assert p.is_inverse_symmetric(tol=0.0)
+        assert -1.0 <= p.min <= p.max <= 1.0
+        again = random_inverse_symmetric(2, np.int64(seed))
+        assert np.array_equal(again.values, p.values)
+
+    @pytest.mark.parametrize("seed", [-3, 1.5, "3"])
+    def test_random_symmetric_refuses_bad_seed(self, seed):
+        # Random(-3) would silently equal Random(3)
+        with pytest.raises(ValidationError, match="non-negative integer"):
+            random_inverse_symmetric(2, seed)
 
     def test_depth2_symmetry_uses_reversal(self):
         # f(ab) != f(ba) alone must not break symmetry when f(w) = f(w^-1)
