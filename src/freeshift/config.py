@@ -6,6 +6,7 @@ has a default. File references inside the config resolve relative to the
 config file's own directory. See the README for the full key table.
 """
 
+import math
 import os
 from configparser import ConfigParser
 from dataclasses import dataclass, field
@@ -67,14 +68,16 @@ class RunConfig:
 
 
 def parse_number(text, kind, where):
-    """``text`` as an int or a float (``kind``); a ValidationError naming
-    ``where`` when it is not one."""
+    """``text`` as an int or a finite float (``kind``); a ValidationError
+    naming ``where`` when it is not one."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
-        raise ValidationError(
-            f"{where} expects {'an integer' if kind is int else 'a number'}"
-            f", got {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        expects = "an integer" if kind is int else "a finite number"
+        raise ValidationError(f"{where} expects {expects}, got {text!r}")
+    return value
 
 
 def _setting(cp, section, key, kind, default=None):

@@ -592,7 +592,9 @@ class FiberSeries:
 def fiber_partition(pot, quotient, n_max, target=None,
                     max_states=50_000_000):
     """Exact a_n = sum over length-n words with image ``target`` (default
-    identity) of exp(S_w f), as a FiberSeries of logs."""
+    identity) of exp(S_w f), as a FiberSeries of logs. Either engine
+    raises ResourceError before it allocates more than ``max_states``
+    entries (ball DP states, renewal series)."""
     res = fiber_partition_many(pot, quotient, n_max,
                                [quotient.identity if target is None
                                 else target], max_states=max_states)
@@ -616,7 +618,7 @@ def fiber_partition_many(pot, quotient, n_max, targets,
     top = pot.max
     base = Potential(pot.d, pot.depth, pot.values - top)
     if isinstance(quotient, FreeKillQuotient):
-        logs = _fiber_renewal(base, quotient, n_max, targets)
+        logs = _fiber_renewal(base, quotient, n_max, targets, max_states)
     elif isinstance(quotient, (FiniteQuotient, FreeAbelianQuotient)):
         logs = _fiber_ball_dp(base, quotient, n_max, targets, max_states)
     else:
@@ -746,7 +748,7 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
 
 # -- excursion renewal on the image tree (free-kill quotients) -------------
 
-def _fiber_renewal(pot, quotient, n_max, targets):
+def _fiber_renewal(pot, quotient, n_max, targets, max_states):
     """Excursion renewal in linear arithmetic on tilted series: every
     stored length-n term is the true one times e^(-c n), from c = 0. A tilt
     is multiplicative in length, so the convolutions stay exact. When the
@@ -761,7 +763,9 @@ def _fiber_renewal(pot, quotient, n_max, targets):
     mask, so it is a sum of non-negative terms. Level n is then
         G[:, n] = K G[:, n-1] + sum_{i=2..n} E[:, i] G[:, n-i]
     with K the sum of the killed steps, the convolution taken as one GEMM
-    over the length axis, batched over slots."""
+    over the length axis, batched over slots. G holds (X+1)(n_max+1)S^2
+    entries, the renewal's analogue of the ball DP's S B, and may not
+    exceed ``max_states``."""
     survivor_set = set(quotient.survivor_letters)
     for t in targets:
         w = tuple(t)
@@ -774,6 +778,10 @@ def _fiber_renewal(pot, quotient, n_max, targets):
     survivors = np.array(quotient.survivor_letters, dtype=np.int64)
     killed = list(quotient.killed_letters)
     X = len(survivors)
+    size = (X + 1) * (n_max + 1) * S * S
+    if size > max_states:
+        raise ResourceError("fiber renewal series exceed budget",
+                            required=size, budget=max_states)
 
     def split(steps):
         """Descent and ascent steps per survivor, and the killed sum K."""

@@ -7,19 +7,22 @@ to a quotient fiber gives t_N(beta); its value at beta = 0 is the critical
 exponent delta_N, which by Bowen's formula is the Hausdorff dimension of
 the radial limit set cut out by the quotient.
 
-On exact scopes (the full shift, finite and free abelian quotients) P is
+Every scope solves its roots in one loop, all betas at once, by steps
+u <- u - P/s from u = 0 on the rows of the scope's pressure route. On
+exact scopes (the full shift, finite and free abelian quotients) P is
 convex in u with derivative P' = integral of zeta against the equilibrium
 measure, read from the left and right Perron vectors, and
-P' <= max zeta < 0. On a free abelian quotient P is the twisted minimum
-lambda_N, a partial minimum of a jointly convex function, so convex too,
-and by the envelope theorem its derivative is taken at the minimising
-twist. Newton's method therefore converges from any start, with no
-bracket; a curve solves all its betas at once, one batched power iteration
-(on Z^k, one batched twist minimisation) per Newton round, warm-started
-from the previous round's Perron vectors and twists, with the
-Collatz-Wielandt enclosure checked every few steps. Extrapolated scopes
-(free-kill quotients) have no derivative and use Brent's method, whose
-every step keeps a bracket on which the pressure changes sign.
+P' <= max zeta < 0; s = P' is Newton's method, which therefore converges
+from any start, with no bracket. On a free abelian quotient P is the
+twisted minimum lambda_N, a partial minimum of a jointly convex function,
+so convex too, and by the envelope theorem its derivative is taken at the
+minimising twist. Each round is one batched power iteration (on Z^k, one
+batched twist minimisation), warm-started from the previous round's
+Perron vectors and twists, with the Collatz-Wielandt enclosure checked
+every few steps. Free-kill quotients have a fitted pressure and no
+derivative: s is the secant through each row's previous point, and at
+first min zeta, the steepest slope a convex decreasing P can have, so the
+first step cannot overshoot.
 
 When zeta is constant the root is available in closed form from a single
 pressure evaluation (P(beta psi) shifts linearly in u), which is also what
@@ -35,12 +38,11 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .potentials import Potential, combine
-from .pressure import (full_pressure, has_exact_route, restricted_pressure,
-                       scope_rows)
+from .pressure import full_pressure, restricted_pressure, scope_rows
 
 DEFAULT_U_TOL = 1e-10
-# Newton rounds before an exact-scope root is declared uncertifiable; a
-# convex decreasing pressure needs far fewer (about 4 per point)
+# steps before a root is declared uncertifiable; a convex decreasing
+# pressure needs far fewer (about 4 per point on exact scopes, 7 on fits)
 NEWTON_MAX_ROUNDS = 100
 DEFAULT_BETA_RANGE = (-4.0, 4.0)
 DEFAULT_BETA_STEP = 0.05
@@ -50,11 +52,11 @@ def default_beta_grid(lo=None, hi=None, step=None):
     lo = DEFAULT_BETA_RANGE[0] if lo is None else lo
     hi = DEFAULT_BETA_RANGE[1] if hi is None else hi
     step = DEFAULT_BETA_STEP if step is None else step
-    if not (hi > lo and step > 0
+    if not (hi > lo and step > 0 and math.isfinite((hi - lo) / step)
             and (count := int(round((hi - lo) / step))) >= 1):
         raise ValidationError(f"bad beta grid [{lo}, {hi}] step {step}: it "
-                              f"needs hi > lo, step > 0 and two or more "
-                              f"points")
+                              f"needs hi > lo, step > 0 and a finite count "
+                              f"of two or more points")
     return np.linspace(lo, hi, count + 1)
 
 
@@ -82,47 +84,49 @@ def _checked_psi(psi, zeta):
     return psi
 
 
-def _newton_scope(zeta, quotient):
-    """True where the scope's pressure is exact, with a derivative in u,
-    and zeta is not constant (constant zeta has a closed form)."""
-    return has_exact_route(quotient) and float(np.ptp(zeta.values)) != 0.0
-
-
-def _root_bound(zeta, u_tol):
-    """The root certificate: |P(t)| may not exceed this."""
-    return max(1e-9, float(np.abs(zeta.values).max()) * u_tol)
-
-
-def _newton_roots(psi, zeta, betas, quotient=None, u_tol=DEFAULT_U_TOL,
-                  u_max=1e6, tol=1e-13):
-    """Roots of P(beta psi + u zeta) = 0 for every beta at once on an exact
-    scope, by Newton steps u <- u - P/P' from u = 0. Each round evaluates
-    every live row in one batch, warm-started from its previous Perron
-    vectors (and, on a free abelian quotient, twist). A row stops at a
-    point where P was evaluated, once its step is at most u_tol / 2 and |P|
-    passes the root certificate.
-
-    On a free abelian quotient P is the twisted minimum lambda_N, a
-    partial minimum of a jointly convex function and so convex in u; by
-    the envelope theorem its derivative is the integral of zeta at the
-    minimising twist, again at most max zeta < 0."""
+def _roots(psi, zeta, betas, quotient, n_max, u_tol, u_max, tol):
+    """Roots of P(beta psi + u zeta) = 0 for every beta at once, by steps
+    u <- u - P/s from u = 0 (see the module docstring). Exact scopes
+    evaluate all live rows in one batch of their scope_rows route, warm
+    started, with s = P'; free-kill quotients fit each row
+    (restricted_pressure) and take s from the secant through its previous
+    point, min zeta at first. A row stops at a point where P was
+    evaluated, once its step is at most u_tol / 2 and |P| <=
+    max(1e-9, max|zeta| u_tol)."""
     depth = max(psi.depth, zeta.depth)
     a = psi.as_depth(depth).values
     z = zeta.as_depth(depth).values
-    evaluate, method, _ = scope_rows(zeta.d, depth, quotient, z, tol)
-    bound = _root_bound(zeta, u_tol)
+    route = scope_rows(zeta.d, depth, quotient, z, tol)
+    method = "extrapolated" if route is None else route[1]
+    bound = max(1e-9, float(np.abs(zeta.values).max()) * u_tol)
     betas = np.asarray(betas, dtype=float)
-    u = np.zeros(len(betas))
-    t, residual = np.empty(len(betas)), np.empty(len(betas))
-    evaluations = np.zeros(len(betas), dtype=np.int64)
-    live, start = np.arange(len(betas)), None
-    for _ in range(NEWTON_MAX_ROUNDS):
-        rows = evaluate(betas[live, None] * a + u[live, None] * z, start)
+    n = len(betas)
+    u, t, residual, sigma = (np.zeros(n) for _ in range(4))
+    # the fitted rows' slopes and their previous point (u, P)
+    slopes, last_u, last_p = np.full(n, z.min()), np.empty(n), np.empty(n)
+    evaluations = np.zeros(n, dtype=np.int64)
+    live, start = np.arange(n), None
+    for k in range(NEWTON_MAX_ROUNDS):
+        tables = betas[live, None] * a + u[live, None] * z
+        if route is None:
+            fits = [restricted_pressure(Potential(zeta.d, depth, f), quotient,
+                                        n_max=n_max, tol=tol)
+                    for f in tables]
+            values = np.array([f.value for f in fits])
+            sigma[live] = [f.sigma for f in fits]
+            if k:
+                slopes[live] = ((values - last_p[live])
+                                / (u[live] - last_u[live]))
+            last_u[live], last_p[live] = u[live], values
+            step = -values / slopes[live]
+        else:
+            rows = route[0](tables, start)
+            values = rows.values
+            step = -values / rows.slopes
         evaluations[live] += 1
-        step = -rows.values / rows.slopes
-        done = (np.abs(step) <= 0.5 * u_tol) & (np.abs(rows.values) <= bound)
+        done = (np.abs(step) <= 0.5 * u_tol) & (np.abs(values) <= bound)
         t[live[done]] = u[live[done]]
-        residual[live[done]] = np.abs(rows.values[done])
+        residual[live[done]] = np.abs(values[done])
         keep = ~done
         live = live[keep]
         if not live.size:
@@ -131,151 +135,41 @@ def _newton_roots(psi, zeta, betas, quotient=None, u_tol=DEFAULT_U_TOL,
         if np.abs(u[live]).max() > u_max:
             raise NumericError(
                 f"free-energy Newton step left [-{u_max:g}, {u_max:g}]")
-        start = tuple(v[keep] for v in rows.start)
+        if route is not None:
+            start = tuple(v[keep] for v in rows.start)
     else:
         raise NumericError(
             f"free-energy root certificate failed: |P| = "
-            f"{np.abs(rows.values[keep]).max():g} exceeds {bound:g} "
-            f"after {NEWTON_MAX_ROUNDS} Newton steps")
-    return [FreeEnergyPoint(float(b), float(tt), 0.0, method, float(r),
+            f"{np.abs(values[keep]).max():g} exceeds {bound:g} "
+            f"after {NEWTON_MAX_ROUNDS} steps")
+    sigma /= abs(float(zeta.values.mean()))
+    return [FreeEnergyPoint(float(b), float(tt), float(s), method, float(r),
                             int(e))
-            for b, tt, r, e in zip(betas, t, residual, evaluations)]
+            for b, tt, s, r, e in zip(betas, t, sigma, residual,
+                                      evaluations)]
 
 
-def _scope_pressure(psi, zeta, quotient, n_max, tol):
-    """evaluate(beta, u): the scope's pressure of beta psi + u zeta as a
-    PressureResult."""
-    if quotient is None:
-        def ev(beta, u):
-            return full_pressure(combine((beta, psi), (u, zeta)), tol=tol)
-        return ev
-
-    def ev(beta, u):
-        return restricted_pressure(combine((beta, psi), (u, zeta)),
-                                   quotient, n_max=n_max, tol=tol)
-    return ev
-
-
-def _brent_root(f, a, fa, b, fb, u_tol):
-    """Root of f in the sign-changing bracket [a, b] (fa = f(a) and
-    fb = f(b) already known) by Brent's method (Algorithms for Minimization
-    without Derivatives, 1973, ch. 4): inverse quadratic interpolation or a
-    secant step when it stays well inside the bracket, bisection otherwise.
-    Every iterate keeps a sign change between b and c, and the search stops
-    once that bracket's half-width is at most 4 eps |b| + u_tol / 2. The
-    returned b is always a point where f was evaluated."""
-    eps = np.finfo(float).eps
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0) == (fc > 0) and fb != 0:
-            # the sign change moved to [a, b]; restart the bracket there
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 4 * eps * abs(b) + 0.5 * u_tol
-        m = 0.5 * (c - b)
-        if abs(m) <= tol1 or fb == 0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:      # secant
-                p, q = 2 * m * s, 1 - s
-            else:           # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
-                q = (q - 1) * (r - 1) * (s - 1)
-            if p > 0:
-                q = -q
-            p = abs(p)
-            if 2 * p < min(3 * m * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, m)
-        fb = f(b)
+def _closed_form(psi, zeta, beta, quotient, n_max, tol):
+    """The root for a constant zeta = -c: P(beta psi + u zeta) =
+    P(beta psi) - u c, so one pressure evaluation gives it."""
+    c = -float(zeta.values[0])
+    pot = combine((beta, psi), (0.0, zeta))
+    base = (full_pressure(pot, tol=tol) if quotient is None else
+            restricted_pressure(pot, quotient, n_max=n_max, tol=tol))
+    t = base.value / c
+    residual = abs(base.value - t * c)    # exact algebra, ~eps
+    return FreeEnergyPoint(float(beta), t, base.sigma / c, base.method,
+                           residual, 1)
 
 
 def free_energy(psi, zeta, beta, quotient=None, n_max=40,
                 u_tol=DEFAULT_U_TOL, u_max=1e6, tol=1e-13):
-    """Solve P(beta psi + u zeta, scope) = 0 for u.
-
-    psi may be None (treated as zero). Exact scopes certify
-    |pressure at root| <= 1e-9 and solve by Newton steps (the one-row case
-    of free_energy_curve); extrapolated scopes (free-kill quotients)
-    solve by Brent's method, report sigma = sigma_lambda / |mean zeta| and
-    certify the residual within 3 sigma.
-    """
-    psi = _checked_psi(psi, zeta)
-    if _newton_scope(zeta, quotient):
-        return _newton_roots(psi, zeta, [beta], quotient, u_tol, u_max,
-                             tol)[0]
-    zbar = float(zeta.values.mean())
-    ev = _scope_pressure(psi, zeta, quotient, n_max, tol)
-
-    if float(np.ptp(zeta.values)) == 0.0:
-        # constant zeta: P(beta psi + u zeta) = P(beta psi) + u zeta, one
-        # pressure evaluation gives the root in closed form
-        c = -float(zeta.values[0])
-        base = ev(beta, 0.0)
-        t = base.value / c
-        sigma = base.sigma / c
-        residual = abs(base.value - t * c)    # exact algebra, ~eps
-        return FreeEnergyPoint(float(beta), t, sigma, base.method,
-                               residual, 1)
-
-    results = {}    # u -> PressureResult; the certificate reuses the root's
-
-    def P(u):
-        if u not in results:
-            results[u] = ev(beta, u)
-        return results[u].value
-
-    p0 = P(0.0)
-    if p0 == 0.0:
-        lo = hi = 0.0
-        plo = phi = p0
-    elif p0 > 0:
-        lo, plo = 0.0, p0
-        hi, step = 1.0, 1.0
-        while (phi := P(hi)) > 0:
-            lo, plo = hi, phi
-            step *= 2
-            hi += step
-            if hi > u_max:
-                raise NumericError(
-                    f"free-energy bracketing failed: pressure still "
-                    f"positive at u = {lo:g}")
-    else:
-        hi, phi = 0.0, p0
-        lo, step = -1.0, 1.0
-        while (plo := P(lo)) < 0:
-            hi, phi = lo, plo
-            step *= 2
-            lo -= step
-            if lo < -u_max:
-                raise NumericError(
-                    f"free-energy bracketing failed: pressure still "
-                    f"negative at u = {hi:g}")
-    if plo < phi:
-        raise NumericError(
-            "pressure failed to decrease across the bracket "
-            f"[{lo:g}, {hi:g}]: {plo:g} -> {phi:g}")
-    t = _brent_root(P, lo, plo, hi, phi, u_tol)
-    final = results[t]          # an extrapolated pressure
-    residual = abs(final.value)
-    bound = 3 * final.sigma + 1e-9
-    if residual > max(bound, _root_bound(zeta, u_tol)):
-        raise NumericError(
-            f"free-energy root certificate failed: |P| = {residual:g} "
-            f"exceeds {bound:g}")
-    return FreeEnergyPoint(float(beta), t, final.sigma / abs(zbar),
-                           final.method, residual, len(results))
+    """Solve P(beta psi + u zeta, scope) = 0 for u: the one-point
+    free_energy_curve. psi may be None (treated as zero). Every root
+    certifies |pressure at root| <= max(1e-9, max|zeta| u_tol); on a
+    free-kill quotient sigma = sigma_lambda / |mean zeta|, 0 elsewhere."""
+    return free_energy_curve(psi, zeta, [beta], quotient, n_max, u_tol=u_tol,
+                             u_max=u_max, tol=tol).points[0]
 
 
 def delta(zeta, quotient=None, n_max=40, **kw):
@@ -365,19 +259,19 @@ class FreeEnergyCurve:
 
 
 def free_energy_curve(psi, zeta, betas=None, quotient=None, n_max=40,
-                      **kw):
-    """t(beta) over a grid, in grid order: on exact scopes all roots at
-    once by batched Newton steps, otherwise one free_energy per point."""
+                      u_tol=DEFAULT_U_TOL, u_max=1e6, tol=1e-13):
+    """t(beta) over a grid, in grid order: all roots at once (_roots), or
+    one pressure evaluation per point when zeta is constant."""
     if betas is None:
         betas = default_beta_grid()
     betas = np.asarray(betas, dtype=float)
+    psi = _checked_psi(psi, zeta)
     tag = "full" if quotient is None else quotient.describe()
-    if _newton_scope(zeta, quotient):
-        points = _newton_roots(_checked_psi(psi, zeta), zeta, betas,
-                               quotient, **kw)
+    if float(np.ptp(zeta.values)) == 0.0:
+        points = [_closed_form(psi, zeta, b, quotient, n_max, tol)
+                  for b in betas]
     else:
-        points = [free_energy(psi, zeta, b, quotient=quotient, n_max=n_max,
-                              **kw) for b in betas]
+        points = _roots(psi, zeta, betas, quotient, n_max, u_tol, u_max, tol)
     return FreeEnergyCurve(betas, points, tag)
 
 

@@ -448,8 +448,16 @@ class TestOverridesAndErrors:
         (BASE, ["--beta-range=a:1:1"], "--beta-range"),
         (BASE, ["--n-max", "two"], "--n-max"),
         (BASE, ["--tolerance", "abc"], "--tolerance"),
+        # non-finite numbers gave delta 0.0 and a bare Infinity token
+        # (exit 0), 100 uncertified rounds or 100 000 power steps (exit 4)
+        # and an OverflowError traceback (exit 1)
+        (BASE, ["--tolerance", "inf"], "--tolerance"),
+        (BASE, ["--tolerance", "nan"], "--tolerance"),
+        (BASE + "\n[tolerances]\neigen = nan\n", [], "[tolerances] eigen"),
+        (BASE, ["--beta-range=0:inf:1"], "--beta-range"),
     ], ids=["d", "zeta-constant", "beta-step", "beta-range", "n-max",
-            "tolerance"])
+            "tolerance", "tolerance-inf", "tolerance-nan", "eigen-nan",
+            "beta-range-inf"])
     def test_malformed_number_exit_2(self, capsys, tmp_path, text, flags,
                                      where):
         ini = tmp_path / "bad.ini"
@@ -484,6 +492,18 @@ class TestOverridesAndErrors:
         assert code == 3
         assert payload["error"]["type"] == "ResourceError"
         assert payload["error"]["exit_code"] == 3
+
+    def test_free_kill_resource_exit_3(self, capsys, tmp_path):
+        # the renewal honours the budget as the ball DP does
+        ini = Path(fk3_ini(tmp_path))
+        ini.write_text(ini.read_text() + "\n[budgets]\nmax_states = 10\n")
+        code, payload, err = run_cli(capsys, ["partition", "--config",
+                                              str(ini), "--out",
+                                              str(tmp_path / "o")])
+        assert code == 3
+        assert payload["error"]["type"] == "ResourceError"
+        assert "renewal" in payload["error"]["message"]
+        assert "Traceback" not in err
 
     def test_numeric_exit_4(self, capsys, tmp_path):
         # three fiber terms are too few for the growth fit of FK3's rate

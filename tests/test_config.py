@@ -1,12 +1,14 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from freeshift import (FiniteQuotient, FreeAbelianQuotient, FreeKillQuotient,
-                       GeometricPotential, ValidationError, load_config,
-                       save_potential_csv)
+                       GeometricPotential, ValidationError, default_beta_grid,
+                       load_config, save_potential_csv)
+from freeshift.config import parse_number
 
 MINIMAL = """\
 [model]
@@ -91,6 +93,40 @@ class TestValidation:
     def test_bad_budget(self, tmp_path):
         text = MINIMAL + "[budgets]\nn_max = 0\n"
         with pytest.raises(ValidationError, match="n_max"):
+            load_config(_write(tmp_path, text))
+
+
+class TestNonFinite:
+    """Numbers from outside must be finite: nan and inf are refused where
+    they are parsed, and so is a grid whose point count is not finite."""
+
+    @pytest.mark.parametrize("text, where", [
+        ("inf", "--tolerance"), ("nan", "--tolerance"),
+        ("inf", "--beta-range"), ("-inf", "[grid] beta_min"),
+        ("NaN", "[zeta] constant"), ("Infinity", "[grid] beta_step"),
+        ("1e400", "[tolerances] bisection")],
+        ids=["tolerance-inf", "tolerance-nan", "beta-range-inf",
+             "beta-min-neg-inf", "zeta-nan", "beta-step-infinity",
+             "bisection-overflow"])
+    def test_parse_number_refuses(self, text, where):
+        with pytest.raises(ValidationError,
+                           match=f"{re.escape(where)} expects a finite"):
+            parse_number(text, float, where)
+
+    def test_eigen_tolerance_nan(self, tmp_path):
+        text = MINIMAL + "[tolerances]\neigen = nan\n"
+        with pytest.raises(ValidationError,
+                           match=r"\[tolerances\] eigen expects a finite"):
+            load_config(_write(tmp_path, text))
+
+    def test_grid_with_unbounded_count(self, tmp_path):
+        # (hi - lo) / step overflows to inf: no grid, and no OverflowError
+        with pytest.raises(ValidationError, match="finite count"):
+            default_beta_grid(0.0, math.inf, 1.0)
+        with pytest.raises(ValidationError, match="finite count"):
+            default_beta_grid(0.0, 1.0, 1e-320)
+        text = MINIMAL + "[grid]\nbeta_min = -1e308\nbeta_max = 1e308\n"
+        with pytest.raises(ValidationError, match="finite count"):
             load_config(_write(tmp_path, text))
 
 

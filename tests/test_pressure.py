@@ -494,6 +494,12 @@ class TestFiberPartition:
         with pytest.raises(ValidationError):
             fiber_partition(pot2, z2, 1)   # below the period
         pot3 = Potential.constant(3, 0.0)
+        # the renewal's series of FK3 at n_max 6 hold 5 * 7 * 7^2 = 1715
+        # entries: (survivors + 1)(n_max + 1) S^2
+        with pytest.raises(ResourceError, match="required 1715"):
+            fiber_partition(pot3, fk3, 6, max_states=1714)
+        assert np.isfinite(fiber_partition(pot3, fk3, 6, max_states=1715)
+                           .log_values[1])
         with pytest.raises(ValidationError, match="reduced survivor"):
             fiber_partition(pot3, fk3, 6, target=(4,))     # killed letter
         with pytest.raises(ValidationError, match="reduced survivor"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import freeshift.pressure as pressure_mod
 import freeshift.spectra as spectra_mod
 from freeshift import (FreeAbelianQuotient, GeometricPotential,
                        NumericError, Potential, ValidationError,
@@ -69,17 +70,39 @@ class TestFreeEnergy:
         assert abs(got.t - want) <= 1e-10
 
     def test_extrapolated_delta_matches_reference_bisection(self, fk3):
-        # free-kill quotients are the one extrapolated scope left
+        # free-kill quotients are the one extrapolated scope left: delta,
+        # and the curve points of a letter potential psi
         zeta = GeometricPotential.from_letter_values(3, ZETA3)
-
-        def pressure(u):
-            return restricted_pressure(combine((u, zeta)), fk3,
-                                       n_max=30).value
-
-        want = oracles.bisect_root(pressure, 0.0, 2.0)
+        letters = Potential.from_letter_values(3, FK3_PSI)
         got = delta(zeta, quotient=fk3, n_max=30)
-        assert got.method == "extrapolated"
-        assert abs(got.t - want) <= 1e-9
+        curve = free_energy_curve(letters, zeta, FK3_BETAS, quotient=fk3,
+                                  n_max=30)
+        cases = [(Potential.constant(3, 0.0), 0.0, got)] + [
+            (letters, beta, point)
+            for beta, point in zip(FK3_BETAS, curve.points)]
+        for psi, beta, point in cases:
+            def pressure(u):
+                return restricted_pressure(combine((beta, psi), (u, zeta)),
+                                           fk3, n_max=30).value
+
+            want = oracles.bisect_root(pressure, -16.0, 16.0)
+            assert point.method == "extrapolated"
+            assert abs(point.t - want) <= 1e-9, (beta, point.t, want)
+
+    def test_free_kill_evaluation_budget(self, fk3):
+        # the secant steps from a first slope of min zeta take at most 7
+        # growth fits per point on average and 8 at most on this grid
+        zeta = GeometricPotential.from_letter_values(3, ZETA3)
+        betas = np.linspace(-4, 4, 9)
+        curve = free_energy_curve(Potential.constant(3, -1.0), zeta, betas,
+                                  quotient=fk3, n_max=30)
+        evals = [p.evaluations for p in curve.points]
+        assert np.mean(evals) <= 7 and max(evals) <= 8, evals
+        # a constant zeta keeps its closed form: one fit per point
+        flat = GeometricPotential.constant(3, math.log(0.25))
+        curve = free_energy_curve(Potential.constant(3, -1.0), flat, betas,
+                                  quotient=fk3, n_max=30)
+        assert [p.evaluations for p in curve.points] == [1] * len(betas)
 
     @pytest.mark.parametrize("scope", ["full", "s3"])
     def test_evaluations_per_point(self, two_ratio_zeta, psi_minus_one, s3,
@@ -94,13 +117,15 @@ class TestFreeEnergy:
         assert len(evals) == 161
         assert np.mean(evals) <= 10 and max(evals) <= 12
 
-    def test_exact_scopes_never_reach_brent(self, two_ratio_zeta,
-                                            psi_minus_one, s3, z1, z2, z3,
-                                            monkeypatch):
-        def no_brent(*args, **kwargs):
-            raise AssertionError("Brent's method on an exact scope")
+    def test_exact_scopes_never_fit(self, two_ratio_zeta, psi_minus_one,
+                                    s3, z1, z2, z3, monkeypatch):
+        # exact scopes solve on batched rows of their route: no growth fit,
+        # and no one-potential pressure as the fitted rows take
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fitted row on an exact scope")
 
-        monkeypatch.setattr(spectra_mod, "_brent_root", no_brent)
+        monkeypatch.setattr(pressure_mod, "growth_rate", no_fit)
+        monkeypatch.setattr(spectra_mod, "restricted_pressure", no_fit)
         zeta3 = GeometricPotential.from_letter_values(3, ZETA3)
         psi3 = Potential.constant(3, -1.0)
         rank_deficient = FreeAbelianQuotient(3, 2, [[1, 0], [0, 1], [1, 1]])
@@ -153,6 +178,8 @@ def _scope_case(name, finite_cases):
 
 
 ZETA3 = np.log([0.5, 0.5, 1 / 3, 1 / 3, 0.25, 0.25])
+FK3_PSI = [0.3, -0.2, 0.1, 0.4, -0.5, 0.2]
+FK3_BETAS = [-4.0, -1.0, 1.0, 4.0]
 SCOPES = ["full", "s3", "zmod2", "depth2", "d3", "d3-zmod2"]
 NEWTON_BETAS = [-2.0, -0.5, 0.0, 1.0, 3.0]
 
