@@ -349,7 +349,7 @@ def gibbs_verify(pot, max_len=8, tol=1e-13):
         raise ValidationError("max_len must be >= 1")
     tm = TransferMatrix(pot)
     M = tm.matrix
-    pe = perron_eigen(M, 1, tol, want_left=True)
+    pe = perron_eigen(M, tol, want_left=True)
     rho = pe.rho
     h = pe.right / pe.right.max()
     nu = pe.left / pe.left.max()

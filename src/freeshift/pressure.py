@@ -7,16 +7,17 @@ rate of the partition sums
 
     a_n = sum over admissible words of length n with image id of exp(S_w f).
 
-For finite image groups that growth rate is again an exact eigenvalue
-problem for the lifted transfer matrix on (window, element) pairs. With
-d >= 2 that matrix is irreducible (the loop images at a letter generate the
-group), so the Perron root of the whole matrix gives the rate. For free
-abelian images Z^k it is exact too: the large-deviation rate of the Z^k
-cocycle at 0, lambda_N(f) = min over theta of P(f + <theta, v(last
-letter)>) with theta in the span of the letter vectors v (Lalley 1989;
-Pollicott-Sharp 1994), found by Newton steps in theta on the full window
-pattern. For free images (killed generators) the library computes a_n
-exactly and extrapolates the rate from the series.
+For finite image groups that growth rate is P(f) itself: the lifted
+transfer matrix on (window, element) pairs is irreducible for d >= 2 (the
+loop images at a letter generate the group), and the Perron vector of the
+full matrix, copied to every element, is a positive eigenvector of it, so
+both share their Perron root (the finite case of Kesten's criterion for
+group extensions, Stadlbauer 2013). For free abelian images Z^k it is exact
+too: the large-deviation rate of the Z^k cocycle at 0, lambda_N(f) = min
+over theta of P(f + <theta, v(last letter)>) with theta in the span of the
+letter vectors v (Lalley 1989; Pollicott-Sharp 1994), found by Newton steps
+in theta on the full window pattern. For free images (killed generators)
+the library computes a_n exactly and extrapolates the rate from the series.
 
 The partition sums a_n themselves come from two fiber engines. Both run
 on f - max f and add n max f back to every log a_n, exactly, since a
@@ -38,14 +39,13 @@ matrices, and complete the trailing windows at readout:
   stacked array indexed by (survivor slot, length, state, state), so a
   length's convolutions are one batched GEMM over the length axis.
 
-Every transfer matrix, full or lifted, is pattern * exp(f[col]): a 0/1
-edge pattern of the (lifted) window graph, whose column j carries the
-weight of the window it enters. Perron roots are computed by power
-iteration with Collatz-Wielandt ratio enclosures, checked every few steps
-(a whole number of periods), so every exact eigenvalue carries a certified
-residual. One engine serves a single matrix (perron_eigen) and K weight
-rows on one pattern at once (pressure_rows, one GEMM per step for all
-rows, which with window tables g also iterates the left vectors and
+Every transfer matrix is pattern * exp(f[col]): a 0/1 edge pattern of the
+window graph, whose column j carries the weight of the window it enters.
+Perron roots are computed by power iteration with Collatz-Wielandt ratio
+enclosures, checked every few steps, so every exact eigenvalue carries a
+certified residual. One engine serves a single matrix (perron_eigen) and
+K weight rows on one pattern at once (pressure_rows, one GEMM per step for
+all rows, which with window tables g also iterates the left vectors and
 returns d/du P(f + u g) along them; the twisted pressure reads its
 theta-gradient there). Weights are tilted to largest weight 1 and the tilt
 added back to log rho, so P(f + c) = P(f) + c holds for any constant c.
@@ -97,39 +97,15 @@ def _window_graph(d, m):
     return windows, index, src, new_letter
 
 
-def transfer_pattern(d, m, quotient=None):
-    """(pattern, col) of the transfer matrix over m-windows, lifted to
-    (window, element) pairs over a finite quotient: every transfer matrix
-    here is pattern * exp(f[col]), with pattern its 0/1 edge pattern and
-    col[j] the window that column j enters."""
-    windows, _, src, new_letter = _window_graph(d, m)
+def transfer_pattern(d, m):
+    """(pattern, col) of the transfer matrix over m-windows: every transfer
+    matrix here is pattern * exp(f[col]), with pattern its 0/1 edge pattern
+    and col[j] the window that column j enters."""
+    windows, _, src, _ = _window_graph(d, m)
     W = len(windows)
-    if quotient is None:
-        pattern = np.zeros((W, W))
-        pattern[src, np.arange(W)[:, None]] = 1.0
-        col = np.arange(W)
-    else:
-        if not isinstance(quotient, FiniteQuotient):
-            raise ValidationError(
-                "lifted transfer matrices need a finite quotient")
-        if d != quotient.d:
-            raise ValidationError("potential and quotient rank mismatch")
-        n_states = W * quotient.table.shape[0]
-        if n_states > LiftedTransferMatrix.MAX_STATES:
-            raise ResourceError(
-                "lifted transfer matrix too large; use fiber_partition plus "
-                "growth_rate", required=n_states,
-                budget=LiftedTransferMatrix.MAX_STATES)
-        # flat state = window_idx * order + element; entering window j
-        # multiplies the element by the image of its new letter
-        order = quotient.table.shape[0]
-        shifts = letter_shifts(quotient, range(order))
-        pattern = np.zeros((W * order, W * order))
-        pattern[src[:, :, None] * order + np.arange(order),
-                (np.arange(W)[:, None] * order
-                 + shifts[new_letter])[:, None, :]] = 1.0
-        col = np.repeat(np.arange(W), order)
-    return pattern, col
+    pattern = np.zeros((W, W))
+    pattern[src, np.arange(W)[:, None]] = 1.0
+    return pattern, np.arange(W)
 
 
 def _tilt(log_weights):
@@ -163,23 +139,42 @@ class TransferMatrix:
 class LiftedTransferMatrix:
     """Transfer matrix of the group extension over a finite quotient:
     states are (window, element) pairs, transitions multiply the element by
-    the image of the appended letter.
+    the image of the appended letter. It serves inspection and the test of
+    its irreducibility; no pressure route solves on it.
 
-    The matrix is irreducible, so its Perron root gives the restricted
-    pressure. At depth 1 its graph is the (letter, element) graph, strongly
-    connected because the loop images at a letter generate G (see
-    FiniteQuotient._period_search); at depth m it is the m-block
-    presentation of that graph, conjugate to it and so irreducible too."""
+    The matrix is irreducible. At depth 1 its graph is the (letter,
+    element) graph, strongly connected because the loop images at a letter
+    generate G (see FiniteQuotient._period_search); at depth m it is the
+    m-block presentation of that graph, conjugate to it and so irreducible
+    too. The full Perron vector, copied to every element, is a positive
+    eigenvector of it, so its Perron root is that of TransferMatrix."""
 
     MAX_STATES = 20_000
 
     def __init__(self, pot, quotient):
+        if not isinstance(quotient, FiniteQuotient):
+            raise ValidationError(
+                "lifted transfer matrices need a finite quotient")
+        if pot.d != quotient.d:
+            raise ValidationError("potential and quotient rank mismatch")
         self.pot = pot
         self.quotient = quotient
         self.m = max(pot.depth, 1)
-        self.pattern, self.col = transfer_pattern(pot.d, self.m, quotient)
-        self.windows = window_states(pot.d, self.m)[0]
-        self.order = quotient.table.shape[0]
+        self.windows, _, src, new_letter = _window_graph(pot.d, self.m)
+        W, order = len(self.windows), quotient.table.shape[0]
+        if W * order > self.MAX_STATES:
+            raise ResourceError(
+                "lifted transfer matrix too large; restricted_pressure "
+                "needs no lift", required=W * order, budget=self.MAX_STATES)
+        # flat state = window_idx * order + element; entering window j
+        # multiplies the element by the image of its new letter
+        shifts = letter_shifts(quotient, range(order))
+        self.pattern = np.zeros((W * order, W * order))
+        self.pattern[src[:, :, None] * order + np.arange(order),
+                     (np.arange(W)[:, None] * order
+                      + shifts[new_letter])[:, None, :]] = 1.0
+        self.col = np.repeat(np.arange(W), order)
+        self.order = order
 
     matrix = TransferMatrix.matrix
 
@@ -187,7 +182,7 @@ class LiftedTransferMatrix:
 # ---------------------------------------------------------------------------
 # Perron eigendata with certified enclosures
 
-# power steps between enclosure checks, rounded up to whole periods
+# power steps between enclosure checks
 CHECK_STRIDE = 4
 
 
@@ -200,29 +195,25 @@ class PerronResult:
     left: np.ndarray = None
 
 
-def _perron_batch(pattern, weights, period, tol, max_iter=100_000,
+def _perron_batch(pattern, weights, tol, max_iter=100_000,
                   want_left=False, start=None):
     """Perron data of the K matrices M_k = pattern * weights[k] (column j
-    scaled by weights[k, j]) by one batched power iteration on M_k^period.
+    scaled by weights[k, j]) by one batched power iteration.
 
     A step of every row is one GEMM (weights * V) @ pattern.T, and of the
     left iterates weights * (L @ pattern); each step is normalised to peak
-    1 per row. After every q steps, q the first multiple of the period from
-    CHECK_STRIDE, the Collatz-Wielandt ratios (M^p v)_i / v_i of each live
-    row are checked; a row is done once they pinch rho(M^p) to relative
-    width ``tol``, on the left iterate too when it is wanted. ``start``
-    (right, left) replaces the all-ones start vectors.
+    1 per row. After every CHECK_STRIDE steps the Collatz-Wielandt ratios
+    (M v)_i / v_i of each live row are checked; a row is done once they
+    pinch rho(M_k) to relative width ``tol``, on the left iterate too when
+    it is wanted. ``start`` (right, left) replaces the all-ones start
+    vectors.
 
-    Returns rho of each M_k (the p-th root of the enclosure midpoint), the
-    half-widths of the enclosures of rho(M_k^p), the power steps of M^p
-    taken, and the right (and left) Perron vectors of M_k^p at peak 1. For
-    p > 1 those are the Perron vectors of M_k with each of the p cyclic
-    classes scaled by its own positive factor."""
+    Returns rho of each M_k (the enclosure midpoint), the half-widths of
+    the enclosures, the power steps taken, and the right (and left) Perron
+    vectors at peak 1."""
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     K, n = weights.shape
-    p = period
-    q = -(-CHECK_STRIDE // p)           # power steps of M^p between checks
     ones = np.ones((K, n))
     V = ones if start is None else start[0]
     L = (ones if start is None else start[1]) if want_left else None
@@ -254,24 +245,19 @@ def _perron_batch(pattern, weights, period, tol, max_iter=100_000,
     live = np.arange(K)
     steps = 0
     while live.size:
-        todo = min(q, max_iter - steps)
-        for i in range(todo * p):
-            if i == (todo - 1) * p:     # the last power step is checked
-                V0, L0, gv, gl = V, L, 1.0, 1.0
-            V, peak = normalised((W * V) @ pattern.T)
+        todo = min(CHECK_STRIDE, max_iter - steps)
+        for _ in range(todo):           # the last power step is checked
+            V0, L0 = V, L
+            V, gv = normalised((W * V) @ pattern.T)
             if want_left:
-                L, peak_left = normalised(W * (L @ pattern))
-            if i >= (todo - 1) * p:
-                gv = gv * peak
-                if want_left:
-                    gl = gl * peak_left
+                L, gl = normalised(W * (L @ pattern))
         steps += todo
         lo, hi, done = width(V, V0, gv)
         if want_left:
             done &= width(L, L0, gl)[2]
         if done.any():
             rows = live[done]
-            rho[rows] = (0.5 * (lo + hi)[done]) ** (1.0 / p)
+            rho[rows] = 0.5 * (lo + hi)[done]
             half[rows] = 0.5 * (hi - lo)[done]
             iterations[rows] = steps
             right[rows] = V[done]
@@ -289,16 +275,17 @@ def _perron_batch(pattern, weights, period, tol, max_iter=100_000,
     return rho, half, iterations, right, left
 
 
-def perron_eigen(M, period=1, tol=1e-13, max_iter=100_000, want_left=False,
-                 *, weights=None):
-    """Power iteration on M^period from the all-ones vector: the K = 1 case
-    of the batched engine. With ``weights``, the matrix is M with column j
-    scaled by weights[j], which is never formed.
+def perron_eigen(M, tol=1e-13, max_iter=100_000, want_left=False, *,
+                 weights=None):
+    """Power iteration on M from the all-ones vector: the K = 1 case of the
+    batched engine. With ``weights``, the matrix is M with column j scaled
+    by weights[j], which is never formed.
 
-    Stops when the Collatz-Wielandt ratios (M^p v)_i / v_i pinch the
-    spectral radius of M^p to relative width ``tol``; that enclosure is the
-    returned residual (exactness certificate). For period > 1 the returned
-    vectors are those of M^period. Deterministic.
+    Stops when the Collatz-Wielandt ratios (M v)_i / v_i pinch the spectral
+    radius of M to relative width ``tol``; that enclosure is the returned
+    residual (exactness certificate). The enclosure holds for any positive
+    iterate, so a periodic M, whose ratios need not pinch, raises
+    NumericError rather than answer wrongly. Deterministic.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -308,7 +295,7 @@ def perron_eigen(M, period=1, tol=1e-13, max_iter=100_000, want_left=False,
     if weights.shape != (len(M),):
         raise ValidationError("perron_eigen needs one weight per column")
     rho, half, iterations, right, left = _perron_batch(
-        M, weights[None], period, tol, max_iter, want_left)
+        M, weights[None], tol, max_iter, want_left)
     return PerronResult(float(rho[0]), float(half[0]), int(iterations[0]),
                         right[0], None if left is None else left[0])
 
@@ -325,32 +312,25 @@ class PressureRows:
     residuals: np.ndarray     # certified bound on each value's error
     start: tuple              # (right, left[, phi]): warm start
     solves: int = 1           # batched eigen solves behind the values
-    iterations: np.ndarray = None     # power steps of M^p per row
+    iterations: np.ndarray = None     # power steps per row
 
 
-def pressure_rows(pattern, col, period, values, g=None, tol=1e-13,
-                  start=None):
+def pressure_rows(pattern, col, values, g=None, tol=1e-13, start=None):
     """Pressures of the potentials values[k] (window tables) and slopes
     along the window table g, on the scope of ``transfer_pattern``, by one
     batched power iteration. Each row is tilted to largest weight 1 and
     its shift added back, so no row can overflow. A (W, c) table g gives
     (K, c) slopes, one column per direction; without g the left iterates
-    are skipped and slopes is None.
-
-    For period > 1 the vectors are those of M^p, with each cyclic class
-    scaled by its own factor. The slopes still hold on a lift over a finite
-    quotient: left multiplication by the group is a weight-preserving
-    automorphism that moves every class onto every other, so each class
-    carries the same mean of g."""
+    are skipped and slopes is None."""
     weights, shift = _tilt(values[:, col])
     rho, half, iterations, right, left = _perron_batch(
-        pattern, weights, period, tol, want_left=g is not None, start=start)
+        pattern, weights, tol, want_left=g is not None, start=start)
     slopes = None
     if g is not None:
         lr = left * right
         slopes = ((lr @ g[col]).T / lr.sum(axis=1)).T
     return PressureRows(np.log(rho) + shift, slopes,
-                        half / rho ** period / period, (right, left),
+                        half / rho, (right, left),
                         iterations=iterations)
 
 
@@ -376,7 +356,7 @@ def full_pressure(pot, tol=1e-13):
     no second dense matrix is built."""
     tm = TransferMatrix(pot)
     weights, shift = _tilt(pot.values[tm.col])
-    pe = perron_eigen(tm.pattern, 1, tol, weights=weights)
+    pe = perron_eigen(tm.pattern, tol, weights=weights)
     return PressureResult(math.log(pe.rho) + float(shift), 0.0,
                           "exact-eigenvalue",
                           pe.residual / max(pe.rho, 1e-300),
@@ -417,7 +397,7 @@ def twist_table(quotient, windows):
 
 def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
     """lambda_k = min over phi of P(values[k] + G phi) on the full window
-    pattern (period 1), by Newton steps in phi for all rows at once.
+    pattern, by Newton steps in phi for all rows at once.
 
     Each round is one pressure_rows call over every live row and its 2r
     central-difference neighbours phi +- h e_i. Their slopes along the
@@ -453,7 +433,7 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
         pots = (values[live, None, :]
                 + (phi[live, None, :] + probes) @ G.T).reshape(-1, W)
         rows = pressure_rows(
-            pattern, np.arange(W), 1, pots, table, tol,
+            pattern, np.arange(W), pots, table, tol,
             start=None if vecs is None
             else tuple(np.repeat(v, n_probe, axis=0) for v in vecs))
         slopes = rows.slopes.reshape(len(live), n_probe, -1)
@@ -528,14 +508,14 @@ def scope_rows(d, depth, quotient=None, g=None, tol=1e-13):
     (rows, method, detail). rows(values, start=None) is the PressureRows
     of the depth-``depth`` window tables ``values`` with slopes along g;
     detail(rows, k) is the PressureResult detail of row k. The full shift
-    and finite quotients run pressure_rows on the (lifted) pattern, free
-    abelian quotients twisted_rows on the full one."""
+    and finite quotients run pressure_rows on the full window pattern, free
+    abelian quotients twisted_rows on it."""
     if not has_exact_route(quotient):
         return None
     if quotient is not None and quotient.d != d:
         raise ValidationError("potential and quotient rank mismatch")
+    pattern, col = transfer_pattern(d, depth)
     if isinstance(quotient, FreeAbelianQuotient):
-        pattern, _ = transfer_pattern(d, depth)
         basis, G = twist_table(quotient, window_states(d, depth)[0])
 
         def twisted_detail(rows, k):
@@ -546,14 +526,13 @@ def scope_rows(d, depth, quotient=None, g=None, tol=1e-13):
         return (lambda values, start=None: twisted_rows(
             pattern, G, values, g, tol, start),
             "exact-twisted", twisted_detail)
-    pattern, col = transfer_pattern(d, depth, quotient)
-    period = 1 if quotient is None else quotient.period()
+    # finite quotients too: the full Perron vector lifts to a positive
+    # eigenvector of the irreducible lift, so lambda_N = P(f) exactly
 
     def detail(rows, k):
-        return {"iterations": int(rows.iterations[k]), "states": len(col),
-                "period": period}
+        return {"iterations": int(rows.iterations[k]), "states": len(col)}
     return (lambda values, start=None: pressure_rows(
-        pattern, col, period, values, g, tol, start),
+        pattern, col, values, g, tol, start),
         "exact-eigenvalue", detail)
 
 

@@ -1,10 +1,11 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here is deliberately slow and simple: plain tuples, full
-enumeration, no matrices, no recurrences shared with the library. Tests
-compare library output against these oracles on small instances, so the
-oracles must stay independent of the code under test (they import nothing
-from freeshift). reduced_word_counts counts words by an exact integer
+enumeration, no recurrences shared with the library. The one matrix is the
+dense lift of lifted_delta, solved by numpy's eigvals. Tests compare
+library output against these oracles on small instances, so the oracles
+must stay independent of the code under test (they import nothing from
+freeshift). reduced_word_counts counts words by an exact integer
 recurrence instead of enumerating them; tests check it against brute_words.
 
 Conventions (shared with the library by construction, asserted in tests):
@@ -16,6 +17,8 @@ no adjacent inverse pairs.
 import functools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def inv(letter):
@@ -333,6 +336,35 @@ def bisect_root(pressure, lo, hi, u_tol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def lifted_delta(d, identity, img, mul, zeta_letter):
+    """Critical exponent of a finite quotient for a depth-1 zeta (per-letter
+    values, all negative): the root u of log rho(M_u) = 0, where M_u is the
+    group extension of the letter graph, dense over (last letter, image)
+    pairs, with weight exp(u zeta(b)) on every step (a, g) -> (b, g img(b)),
+    b != a^-1. Elements are found by closing {identity} under the letter
+    images; rho comes from numpy's eigvals, the root from bisect_root."""
+    elements, index = [identity], {identity: 0}
+    for g in elements:                  # grows while it is walked
+        for l in range(2 * d):
+            h = mul(g, img(l))
+            if h not in index:
+                index[h] = len(elements)
+                elements.append(h)
+    order = len(elements)
+    M = np.zeros((2 * d * order, 2 * d * order))
+    for a in range(2 * d):
+        for g in elements:
+            for b in range(2 * d):
+                if b != inv(a):
+                    M[a * order + index[g],
+                      b * order + index[mul(g, img(b))]] = 1.0
+    weights = np.repeat(np.asarray(zeta_letter, dtype=float), order)
+
+    def pressure(u):
+        return math.log(max(abs(np.linalg.eigvals(M * np.exp(u * weights)))))
+    return bisect_root(pressure, 0.0, 16.0)
 
 
 def exact_rational_count_check(d, n):

@@ -59,18 +59,18 @@ def test_02_constant_ratio_closed_form():
     _check(2, 1.0, body)
 
 
-def test_03_finite_quotient_equality(zmod2, s3, quarter_zeta,
-                                     two_ratio_zeta):
+def test_03_finite_quotient_equality(bundle, quarter_zeta, two_ratio_zeta):
     def body():
         worst = 0.0
-        for q in (zmod2, s3):
+        for name in ("zmod2", "s3"):
+            d, q, (ident, img, mul) = bundle[name]
             for zeta in (quarter_zeta, two_ratio_zeta):
-                base = delta(zeta)
-                lifted = delta(zeta, quotient=q)
-                worst = max(worst, abs(lifted.t - base.t))
+                want = oracles.lifted_delta(d, ident, img, mul, zeta.values)
+                worst = max(worst,
+                            abs(delta(zeta, quotient=q).t - want))
         return worst <= 1e-9, (
-            f"Z/2 and S3 scopes: lifted-matrix delta_N vs independent "
-            f"delta, max |diff| {worst:.1e} (tol 1e-9)")
+            f"Z/2 and S3 scopes: delta_N vs an independently lifted "
+            f"matrix, max |diff| {worst:.1e} (tol 1e-9)")
     _check(3, 5.0, body)
 
 

@@ -5,13 +5,14 @@ import pytest
 
 import oracles
 import freeshift.pressure as pressure_mod
-from freeshift import (FreeAbelianQuotient, FreeKillQuotient,
-                       LiftedTransferMatrix, NumericError, Potential,
-                       ResourceError, TransferMatrix, ValidationError,
-                       birkhoff_sup_sum, fiber_partition, fiber_partition_many,
-                       full_pressure, growth_rate, partition_sum_matrix,
-                       perron_eigen, random_inverse_symmetric,
-                       restricted_pressure, window_states)
+from freeshift import (FiniteQuotient, FreeAbelianQuotient,
+                       FreeKillQuotient, LiftedTransferMatrix, NumericError,
+                       Potential, ResourceError, TransferMatrix,
+                       ValidationError, birkhoff_sup_sum, fiber_partition,
+                       fiber_partition_many, free_energy_curve, full_pressure,
+                       growth_rate, partition_sum_matrix, perron_eigen,
+                       random_inverse_symmetric, restricted_pressure,
+                       window_states)
 
 
 def _random_pot(d, depth, seed, scale=1.0):
@@ -168,12 +169,6 @@ class TestPerron:
             assert res.residual <= 1e-12 * max(1.0, res.rho)
             assert (res.right > 0).all()
 
-    def test_period_2_block_matrix(self):
-        # bipartite structure: M itself has period 2; rho via M^2
-        A = np.array([[0, 2.0], [0.5, 0]])
-        res = perron_eigen(A, period=2)
-        assert res.rho == pytest.approx(1.0, abs=1e-12)
-
     def test_left_eigenvector(self):
         rng = np.random.default_rng(21)
         M = rng.uniform(0.5, 1.5, size=(6, 6))
@@ -197,10 +192,14 @@ class TestPerron:
             perron_eigen(M, weights=w[:4])
 
     def test_unreachable_tolerance_raises(self):
+        # a tolerance of 0, and a period-2 matrix, whose Collatz-Wielandt
+        # ratios never pinch: the enclosure bounds rho for any positive
+        # iterate, so both are refused, never answered wrongly
         rng = np.random.default_rng(5)
-        M = rng.uniform(0.5, 1.5, size=(12, 12))
-        with pytest.raises(NumericError):
-            perron_eigen(M, tol=0.0, max_iter=200)
+        for M, tol in ((rng.uniform(0.5, 1.5, size=(12, 12)), 0.0),
+                       (np.array([[0, 2.0], [0.5, 0]]), 1e-13)):
+            with pytest.raises(NumericError):
+                perron_eigen(M, tol=tol, max_iter=200)
 
     def test_overflow_fails_fast(self):
         # e^710 leaves the float range, but full_pressure solves the
@@ -262,9 +261,9 @@ class TestWindowGraph:
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_lifted_graphs_strongly_connected(self, finite_cases, depth):
-        # restricted_pressure takes the Perron root on all lifted
-        # states; that is the restricted pressure because every lift over a
-        # finite quotient of F_d, d >= 2, is strongly connected
+        # every lift over a finite quotient of F_d, d >= 2, is strongly
+        # connected, so the full Perron vector copied to every element is
+        # its Perron vector: restricted_pressure rests on this
         for name, (d, q, _) in finite_cases.items():
             pot = Potential.constant(d, 0.0, depth=depth)
             adj = LiftedTransferMatrix(pot, q).matrix > 0
@@ -276,6 +275,16 @@ class TestWindowGraph:
                     frontier = edges[frontier].any(axis=0) & ~seen
                     seen |= frontier
                 assert seen.all(), (name, depth)
+
+    def test_lift_refuses_what_it_cannot_build(self, z1, s3):
+        with pytest.raises(ValidationError, match="finite quotient"):
+            LiftedTransferMatrix(Potential.constant(2, 0.0), z1)
+        with pytest.raises(ValidationError, match="rank mismatch"):
+            LiftedTransferMatrix(Potential.constant(3, 0.0), s3)
+        big = FiniteQuotient(2, (np.arange(750)[:, None]
+                                 + np.arange(750)) % 750, 0, [1, 2])
+        with pytest.raises(ResourceError, match="restricted_pressure"):
+            LiftedTransferMatrix(Potential.constant(2, 0.0, depth=3), big)
 
 
 class TestFiberPartition:
@@ -543,6 +552,29 @@ class TestRestrictedPressure:
             assert abs(exact.value - fitted.lam) <= \
                 max(3 * fitted.sigma, 1e-3), name
 
+    def test_finite_quotients_equal_the_full_shift(self, zmod2, s3):
+        # the Perron vector of the full transfer matrix, copied to every
+        # element, is a positive eigenvector of the irreducible lift, so
+        # lambda_N = P(f) on every finite quotient, whatever its period;
+        # Z/750 at depth 3 has 27000 lifted states and needs none of them
+        cyclic = {n: FiniteQuotient(2, (np.arange(n)[:, None]
+                                        + np.arange(n)) % n, 0, images)
+                  for n, images in ((5, [1, 2]), (6, [2, 3]),
+                                    (750, [1, 2]))}
+        cases = [(q, depth) for q in (zmod2, s3, cyclic[5], cyclic[6])
+                 for depth in (1, 2, 3)] + [(cyclic[750], 3)]
+        rng = np.random.default_rng(16)
+        betas = [-1.0, 0.0, 1.5]
+        for q, depth in cases:
+            W = len(window_states(2, depth)[0])
+            pot = Potential(2, depth, rng.uniform(-1, 1, W))
+            zeta = Potential(2, depth, rng.uniform(-2.0, -0.5, W))
+            got = restricted_pressure(pot, q)
+            assert abs(got.value - full_pressure(pot).value) <= 1e-13
+            assert got.detail["states"] == W
+            assert free_energy_curve(pot, zeta, betas, quotient=q).points \
+                == free_energy_curve(pot, zeta, betas).points
+
     def test_finite_index_forces_full_growth(self, zmod2, s3):
         # finite quotient: identity fiber grows like the whole shift
         for q in (zmod2, s3):
@@ -562,10 +594,10 @@ class TestRestrictedPressure:
         res = restricted_pressure(_random_pot(d, 2, seed=5), q)
         windows = len(window_states(d, 2)[0])
         if res.method == "exact-eigenvalue":
-            assert set(res.detail) == {"iterations", "states", "period"}
+            # finite quotients solve on the full window pattern
+            assert set(res.detail) == {"iterations", "states"}
             assert res.detail["iterations"] >= 1
-            assert res.detail["states"] == windows * len(q.table)
-            assert res.detail["period"] == q.period()
+            assert res.detail["states"] == windows
         else:
             assert set(res.detail) == {"theta", "newton_steps",
                                        "eigen_solves", "states"}

@@ -12,7 +12,7 @@ from freeshift import (FreeAbelianQuotient, GeometricPotential,
                        delta, free_energy, free_energy_curve, full_pressure,
                        legendre, level_set_dimension, restricted_pressure,
                        window_states)
-from freeshift.pressure import (pressure_rows, transfer_pattern, twist_table,
+from freeshift.pressure import (scope_rows, transfer_pattern, twist_table,
                                 twisted_rows)
 
 
@@ -218,21 +218,17 @@ class TestNewtonCurves:
         # Perron vectors is dP/du (central differences, h = 1e-5)
         psi, zeta, quotient = _scope_case(name, finite_cases)
         depth = max(psi.depth, zeta.depth)
-        pattern, col = transfer_pattern(zeta.d, depth, quotient)
-        period = 1 if quotient is None else quotient.period()
         a = psi.as_depth(depth).values
         z = zeta.as_depth(depth).values
         betas = np.array(NEWTON_BETAS)[:, None]
         h, tol = 1e-5, 1e-13
-        rows = [pressure_rows(pattern, col, period, betas * a + u * z, z,
-                              tol)
-                for u in (-h, 0.0, h)]
+        evaluate = scope_rows(zeta.d, depth, quotient, z, tol)[0]
+        rows = [evaluate(betas * a + u * z) for u in (-h, 0.0, h)]
         # a warm start may be any positive vectors; the slopes must not
         # depend on them
         skewed = np.random.default_rng(3).uniform(
-            0.1, 1.0, (len(betas), len(col)))
-        rows.append(pressure_rows(pattern, col, period, betas * a, z, tol,
-                                  start=(skewed, skewed[::-1])))
+            0.1, 1.0, (len(betas), len(z)))
+        rows.append(evaluate(betas * a, start=(skewed, skewed[::-1])))
         fd = (rows[2].values - rows[0].values) / (2 * h)
         for row in rows[1], rows[3]:
             assert (row.residuals <= tol).all()
