@@ -191,15 +191,20 @@ class TestPerron:
         with pytest.raises(ValidationError, match="weight per column"):
             perron_eigen(M, weights=w[:4])
 
+    def test_period_2_block_matrix(self):
+        # bipartite structure: M has period 2, so its Collatz-Wielandt
+        # ratios never pinch; it is refused, never answered wrongly, and
+        # M^2 (aperiodic on each class) gives rho^2
+        A = np.array([[0, 2.0], [0.5, 0]])
+        with pytest.raises(NumericError, match="did not converge"):
+            perron_eigen(A, max_iter=200)
+        assert perron_eigen(A @ A).rho == pytest.approx(1.0, abs=1e-12)
+
     def test_unreachable_tolerance_raises(self):
-        # a tolerance of 0, and a period-2 matrix, whose Collatz-Wielandt
-        # ratios never pinch: the enclosure bounds rho for any positive
-        # iterate, so both are refused, never answered wrongly
         rng = np.random.default_rng(5)
-        for M, tol in ((rng.uniform(0.5, 1.5, size=(12, 12)), 0.0),
-                       (np.array([[0, 2.0], [0.5, 0]]), 1e-13)):
-            with pytest.raises(NumericError):
-                perron_eigen(M, tol=tol, max_iter=200)
+        M = rng.uniform(0.5, 1.5, size=(12, 12))
+        with pytest.raises(NumericError):
+            perron_eigen(M, tol=0.0, max_iter=200)
 
     def test_overflow_fails_fast(self):
         # e^710 leaves the float range, but full_pressure solves the
