@@ -46,8 +46,8 @@ from .spectra import (CogrowthResult, FreeEnergyCurve, FreeEnergyPoint,
                       SpectrumCurve, bowen_dimension, cogrowth,
                       default_beta_grid, delta, free_energy,
                       free_energy_curve, legendre, level_set_dimension)
-from .words import (Alphabet, ReducedWord, concat_reduce, count_words,
-                    enumerate_words, inverse_word, involute, is_reduced)
+from .words import (Alphabet, concat_reduce, count_words, enumerate_words,
+                    inverse_word, is_reduced)
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "Potential",
     "PressureResult",
     "Quotient",
-    "ReducedWord",
     "ResourceError",
     "RunConfig",
     "SpectrumCurve",
@@ -102,7 +101,6 @@ __all__ = [
     "growth_rate",
     "half_bound_check",
     "inverse_word",
-    "involute",
     "is_reduced",
     "legendre",
     "level_set_dimension",

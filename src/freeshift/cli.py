@@ -171,10 +171,11 @@ def cmd_partition(cfg, args):
             "files": [os.path.basename(path)]}, [path]
 
 
-def _diag_betas(cfg, cap=9):
-    if len(cfg.betas) <= cap:
+def _diag_betas(cfg):
+    """At most 9 of the configured betas, spread evenly over the grid."""
+    if len(cfg.betas) <= 9:
         return cfg.betas
-    idx = np.round(np.linspace(0, len(cfg.betas) - 1, cap)).astype(int)
+    idx = np.round(np.linspace(0, len(cfg.betas) - 1, 9)).astype(int)
     # the distinct indices, as np.unique gives them (which loads numpy.ma)
     return cfg.betas[idx[np.r_[True, np.diff(idx) > 0]]]
 
@@ -203,8 +204,10 @@ def cmd_diagnose(cfg, args):
     reports["pressure_inequality"] = pressure_inequality_check(
         q, f_sym, n_max=cfg.n_max, sigma_factor=cfg.sigma_factor,
         tol=cfg.tol_eigen).to_dict()
+    # one fiber length for the probe and the statistic: one ball table
+    n_fiber = max(cfg.n_max, 36, cfg.horizon)
     reports["divergence"] = divergence_probe(
-        q, cfg.psi, n_max=max(cfg.n_max, 36)).to_dict()
+        q, cfg.psi, n_max=n_fiber).to_dict()
     reps = []
     for k in range(cfg.d):
         g = q.letter_image(2 * k)
@@ -214,8 +217,7 @@ def cmd_diagnose(cfg, args):
         reps = [q.identity]
     try:
         stat = symmetric_on_average_statistic(
-            q, cfg.psi, reps, cfg.horizon,
-            n_max=max(cfg.n_max, cfg.horizon))
+            q, cfg.psi, reps, cfg.horizon, n_max=n_fiber)
         reports["symmetric_on_average"] = {
             "value": stat.value, "lam_hat": stat.lam_hat,
             "horizon": stat.horizon,

@@ -70,9 +70,6 @@ class VerdictReport:
     def verify(self):
         return self.recompute_classification() == self.classification
 
-    def min_slack(self):
-        return min((s["slack"] for s in self.slacks), default=math.inf)
-
     def to_dict(self):
         return {
             "rule": self.rule,
@@ -127,7 +124,7 @@ def amenability_report(quotient, curves, sigma_factor=SIGMA_FACTOR):
     return _report("amenability", quantities, slacks, notes)
 
 
-def half_bound_check(quotient, zeta, curves=None, alphas=None, n_max=40,
+def half_bound_check(quotient, zeta, curves=None, n_max=40,
                      sigma_factor=SIGMA_FACTOR, u_tol=DEFAULT_U_TOL,
                      tol=1e-13):
     """delta_N >= delta/2, and with ``curves`` (the pair of full and
@@ -159,7 +156,7 @@ def half_bound_check(quotient, zeta, curves=None, alphas=None, n_max=40,
                + NOISE_FLOOR}]
     notes = [f"quotient: {quotient.describe()}"]
     if curves is not None:
-        spec_full = legendre(full_curve, alphas)
+        spec_full = legendre(full_curve)
         spec_n = legendre(n_curve, spec_full.alphas)
         sig_full = float(full_curve.sigmas.max())
         sig_n = float(n_curve.sigmas.max())
@@ -219,7 +216,7 @@ def _exact_rate(pot, quotient):
             else None)
 
 
-def divergence_probe(quotient, pot, n_max=60, min_terms=6):
+def divergence_probe(quotient, pot, n_max=60):
     """Polynomial-correction exponent of the fiber series.
 
     Fits a_n e^(-n lambda) ~ C n^(-gamma) on the tail and classifies
@@ -233,10 +230,9 @@ def divergence_probe(quotient, pot, n_max=60, min_terms=6):
     """
     series = fiber_partition(pot, quotient, n_max)
     terms = int(np.isfinite(series.log_values).sum())
-    if terms < min_terms:
+    if terms < 6:
         raise NumericError(
-            f"divergence probe needs >= {min_terms} nonzero fiber terms, "
-            f"got {terms}")
+            f"divergence probe needs >= 6 nonzero fiber terms, got {terms}")
     exact = _exact_rate(pot, quotient)
     if exact is None:
         fit = growth_rate(series)

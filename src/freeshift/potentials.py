@@ -250,16 +250,16 @@ def _interior_sum(pot, word):
                for i in range(0, len(word) - k + 1))
 
 
-def random_inverse_symmetric(d, seed, low=-1.0, high=1.0):
+def random_inverse_symmetric(d, seed):
     """Seeded depth-1 potential with f(l) = f(l^{-1}) (inverse-symmetric):
-    one value per generator, uniform on [low, high], drawn by the standard
+    one value per generator, uniform on [-1, 1], drawn by the standard
     library's Mersenne Twister (numpy.random costs megabytes to load for d
     numbers). ``seed`` is a non-negative integer."""
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(
             f"seed must be a non-negative integer, got {seed!r}")
     rng = random.Random(int(seed))
-    per_gen = [rng.uniform(low, high) for _ in range(d)]
+    per_gen = [rng.uniform(-1.0, 1.0) for _ in range(d)]
     return Potential(d, 1, np.repeat(per_gen, 2))
 
 

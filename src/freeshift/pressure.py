@@ -129,12 +129,6 @@ class TransferMatrix:
     def matrix(self):
         return self.pattern * np.exp(self.pot.values)[self.col]
 
-    def initial_vector(self):
-        """Weights of the first window, so that
-        initial @ matrix^(n-m) @ ones = sum over Sigma^n of exp(interior
-        sums). Exact partition sums for depth 1."""
-        return np.exp(self.pot.values)
-
 
 class LiftedTransferMatrix:
     """Transfer matrix of the group extension over a finite quotient:
@@ -174,7 +168,6 @@ class LiftedTransferMatrix:
                      (np.arange(W)[:, None] * order
                       + shifts[new_letter])[:, None, :]] = 1.0
         self.col = np.repeat(np.arange(W), order)
-        self.order = order
 
     matrix = TransferMatrix.matrix
 
@@ -545,7 +538,6 @@ class FiberSeries:
 
     n_max: int
     log_values: np.ndarray
-    target: object
     period: int
     meta: dict = field(default_factory=dict)
 
@@ -605,7 +597,7 @@ def fiber_partition_many(pot, quotient, n_max, targets,
             f"unsupported quotient type {type(quotient).__name__}")
     logs = logs + top * np.arange(1, n_max + 1)
     meta = {"quotient": quotient.describe(), "depth": pot.depth}
-    return {t: FiberSeries(n_max, logs[i], t, p, dict(meta))
+    return {t: FiberSeries(n_max, logs[i], p, dict(meta))
             for i, t in enumerate(targets)}
 
 
@@ -838,24 +830,27 @@ class GrowthFit:
     n_points: int
     window: tuple
     rms: float
-    tail_monotone: bool = True
 
 
-def _tail_fit(series, lam=None, min_points=4, drop_fraction=0.25):
+# the fewest nonzero terms a tail fit accepts
+MIN_FIT_POINTS = 4
+
+
+def _tail_fit(series, lam=None):
     """The one tail fit of a fiber series, behind growth_rate and the
     divergence probe: least squares of log a_n = c + lambda n - gamma log n
-    over the nonzero terms past the leading ``drop_fraction``; with the
+    over the nonzero terms past the leading quarter; with the
     exact rate ``lam`` held there, of log a_n - lam n = c - gamma log n +
     c1/n instead, and sigma 0. Each sigma dominates the regression stderr
     and the change of its estimate on the tail half of the window."""
     finite = np.isfinite(series.log_values)
     ns = series.lengths[finite].astype(float)
     ys = series.log_values[finite]
-    if len(ns) < min_points:
+    if len(ns) < MIN_FIT_POINTS:
         raise NumericError(
-            f"growth fit needs >= {min_points} nonzero partition values, "
-            f"got {len(ns)}")
-    start = min(int(len(ns) * drop_fraction), len(ns) - min_points)
+            f"growth fit needs >= {MIN_FIT_POINTS} nonzero partition "
+            f"values, got {len(ns)}")
+    start = min(len(ns) // 4, len(ns) - MIN_FIT_POINTS)
     ns, ys = ns[start:], ys[start:]
     if lam is not None:
         ys = ys - lam * ns
@@ -872,22 +867,18 @@ def _tail_fit(series, lam=None, min_points=4, drop_fraction=0.25):
 
     coef, err, rms = fit(ns, ys)
     half = len(ns) // 2
-    if len(ns) - half >= min_points:
+    if len(ns) - half >= MIN_FIT_POINTS:
         err = np.maximum(err, np.abs(fit(ns[half:], ys[half:])[0] - coef))
-    # sanity flag: local slopes settle monotonically in a clean tail
-    inc = np.diff(np.diff(ys) / np.diff(ns))
-    monotone = bool((inc >= -1e-9).all() or (inc <= 1e-9).all())
     rate, rate_err = ((float(coef[2]), float(err[2])) if lam is None
                       else (float(lam), 0.0))
     return GrowthFit(rate, rate_err, float(-coef[1]), float(err[1]),
-                     len(ns), (int(ns[0]), int(ns[-1])), rms, monotone)
+                     len(ns), (int(ns[0]), int(ns[-1])), rms)
 
 
-def growth_rate(series, min_points=4, drop_fraction=0.25):
+def growth_rate(series):
     """Growth rate of a fiber series with uncertainty: _tail_fit with
-    lambda fitted, on the nonzero terms past the leading ``drop_fraction``,
-    of which it needs at least ``min_points``."""
-    return _tail_fit(series, None, min_points, drop_fraction)
+    lambda fitted."""
+    return _tail_fit(series)
 
 
 def restricted_pressure(pot, quotient, n_max=40, tol=1e-13):
@@ -923,7 +914,7 @@ def partition_sum_matrix(pot, n):
     m = tm.m
     if n < m:
         raise ValidationError(f"need n >= window size {m}, got {n}")
-    vec = tm.initial_vector()
+    vec = np.exp(pot.values)
     M = tm.matrix
     for _ in range(n - m):
         vec = M.T @ vec

@@ -37,10 +37,8 @@ MAX_FINITE_ORDER = 10_000
 class Quotient(ABC):
     """Shared word-level machinery over an abstract image group."""
 
-    def __init__(self, alphabet):
-        if not isinstance(alphabet, Alphabet):
-            alphabet = Alphabet(alphabet)
-        self.alphabet = alphabet
+    def __init__(self, d):
+        self.alphabet = Alphabet(d)
         self._period_cache = None
         self._ball_tables = {}
 
@@ -74,9 +72,6 @@ class Quotient(ABC):
     @abstractmethod
     def describe(self):
         ...
-
-    def element_name(self, elem):
-        return repr(elem)
 
     # --- word-level derived operations -----------------------------------
 
@@ -199,13 +194,12 @@ class FiniteQuotient(Quotient):
     associativity test over the generating set) and that the images generate.
     """
 
-    def __init__(self, alphabet, table, identity_index, generator_images):
-        super().__init__(alphabet)
+    def __init__(self, d, table, identity_index, generator_images):
+        super().__init__(d)
         self.table = np.asarray(table, dtype=np.int64)
         self.identity_index = int(identity_index)
         self.generator_images = tuple(int(i) for i in generator_images)
         self._validate()
-        self._inv = self._inverse_table()
         self._letter_images = []
         for k in range(self.d):
             g = self.generator_images[k]
@@ -249,7 +243,7 @@ class FiniteQuotient(Quotient):
         for g in self.generator_images:
             if not 0 <= g < order:
                 raise ValidationError(f"generator image {g} out of range")
-        inv = self._inverse_table()
+        inv = self._inv = self._inverse_table()
         # generation (surjectivity of the induced homomorphism)
         gens = set(self.generator_images) | {int(inv[g])
                                              for g in self.generator_images}
@@ -292,7 +286,7 @@ class FiniteQuotient(Quotient):
         return inv
 
     @classmethod
-    def from_file(cls, alphabet, path, generator_images):
+    def from_file(cls, d, path, generator_images):
         """Load from a plain-text table file.
 
         First line: ``order identity_index``; then ``order`` lines of
@@ -329,7 +323,7 @@ class FiniteQuotient(Quotient):
                 raise ValidationError(
                     f"{path}: row {i} has {len(row)} entries, expected "
                     f"{order}")
-        return cls(alphabet, table, identity_index, generator_images)
+        return cls(d, table, identity_index, generator_images)
 
     # -- group interface ----------------------------------------------------
 
@@ -353,9 +347,6 @@ class FiniteQuotient(Quotient):
     def describe(self):
         return (f"finite group of order {self.table.shape[0]}, generator "
                 f"images {list(self.generator_images)}")
-
-    def element_name(self, elem):
-        return str(elem)
 
     # -- exact period via the identity-fiber cycle structure ----------------
 
@@ -426,8 +417,8 @@ class FreeAbelianQuotient(Quotient):
     i.e. words whose image vectors sum to zero.
     """
 
-    def __init__(self, alphabet, rank, generator_vectors):
-        super().__init__(alphabet)
+    def __init__(self, d, rank, generator_vectors):
+        super().__init__(d)
         if rank < 1:
             raise ValidationError(f"rank must be >= 1, got {rank}")
         self.rank = int(rank)
@@ -554,9 +545,6 @@ class FreeAbelianQuotient(Quotient):
         return (f"free abelian rank {self.rank}, generator vectors "
                 f"{[list(v) for v in self.generator_vectors]}")
 
-    def element_name(self, elem):
-        return "(" + ", ".join(str(x) for x in elem) + ")"
-
 
 class FreeKillQuotient(Quotient):
     """Quotient that kills a subset of the generators.
@@ -566,8 +554,8 @@ class FreeKillQuotient(Quotient):
     are reduced letter tuples over the surviving letters.
     """
 
-    def __init__(self, alphabet, killed):
-        super().__init__(alphabet)
+    def __init__(self, d, killed):
+        super().__init__(d)
         killed = frozenset(int(k) for k in killed)
         if not killed:
             raise ValidationError(
@@ -610,6 +598,3 @@ class FreeKillQuotient(Quotient):
     def describe(self):
         names = [f"g{k + 1}" for k in sorted(self.killed)]
         return f"free quotient killing {{{', '.join(names)}}}"
-
-    def element_name(self, elem):
-        return self.alphabet.word_name(elem) or "id"

@@ -289,13 +289,8 @@ class SpectrumCurve:
     flags: list
     alpha_minus: float
     alpha_plus: float
-    attained_beta: np.ndarray
     t0: float
     quotient_tag: str = "full"
-
-    def interior(self):
-        keep = [i for i, f in enumerate(self.flags) if f == "interior"]
-        return self.alphas[keep], self.b_values[keep]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -331,26 +326,20 @@ def legendre(curve, alphas=None, n_alphas=None):
         # affine t: constant psi/zeta ratio, the spectrum is a point
         alpha = float(-slopes.mean())
         return SpectrumCurve(np.array([alpha]), np.array([t0]), ["point"],
-                             alpha, alpha, np.array([betas[t0_idx]]), t0,
-                             curve.quotient_tag)
+                             alpha, alpha, t0, curve.quotient_tag)
     if alphas is None:
         alphas = np.linspace(a_minus, a_plus, n_alphas or len(betas))
     alphas = np.asarray(alphas, dtype=float)
-    vals = np.empty(len(alphas))
-    flags = []
-    att = np.empty(len(alphas))
-    for i, a in enumerate(alphas):
-        if a < a_minus - 1e-12 or a > a_plus + 1e-12:
-            vals[i] = math.nan
-            att[i] = math.nan
-            flags.append("outside")
-            continue
-        obj = ts + betas * a
-        j = int(np.argmin(obj))
-        vals[i] = float(obj[j])
-        att[i] = float(betas[j])
-        flags.append("endpoint" if j in (0, len(betas) - 1) else "interior")
-    return SpectrumCurve(alphas, vals, flags, a_minus, a_plus, att, t0,
+    # one row of t(beta) + beta alpha per alpha, minimised over the grid
+    obj = ts + betas * alphas[:, None]
+    j = np.argmin(obj, axis=1)
+    vals = obj[np.arange(len(alphas)), j]
+    outside = (alphas < a_minus - 1e-12) | (alphas > a_plus + 1e-12)
+    vals[outside] = math.nan
+    flags = ["outside" if out else
+             "endpoint" if k in (0, len(betas) - 1) else "interior"
+             for out, k in zip(outside, j)]
+    return SpectrumCurve(alphas, vals, flags, a_minus, a_plus, t0,
                          curve.quotient_tag)
 
 

@@ -6,18 +6,13 @@ admissible (freely reduced) when no two adjacent letters are inverse to each
 other. Admissible words of length n are exactly the length-n cylinders of
 the subshift; there are 2d(2d-1)^(n-1) of them.
 
-Words travel through the library as plain tuples of ints. ReducedWord is a
-thin validated wrapper for user-facing construction.
+Words travel through the library as plain tuples of ints; Alphabet checks
+letters and names them (``g1``, ``g1^-1``, ...) for output.
 """
 
 from dataclasses import dataclass
 
 from .errors import ValidationError
-
-
-def involute(letter):
-    """Index of the inverse letter."""
-    return letter ^ 1
 
 
 def is_reduced(letters):
@@ -40,7 +35,7 @@ def concat_reduce(v, w):
 
 
 def inverse_word(w):
-    """Group inverse: reverse the word and involute every letter."""
+    """Group inverse: reverse the word and invert every letter."""
     return tuple(l ^ 1 for l in reversed(w))
 
 
@@ -105,10 +100,6 @@ class Alphabet:
     def size(self):
         return 2 * self.d
 
-    def involute(self, letter):
-        self.check(letter)
-        return letter ^ 1
-
     def check(self, letter):
         if not 0 <= letter < 2 * self.d:
             raise ValidationError(
@@ -119,57 +110,5 @@ class Alphabet:
         gen = letter // 2 + 1
         return f"g{gen}" if letter % 2 == 0 else f"g{gen}^-1"
 
-    def letter_from_name(self, name):
-        """Parse 'g3' or 'g3^-1' (also bare integer letter indices)."""
-        name = name.strip()
-        if name.lstrip("-").isdigit():
-            letter = int(name)
-            self.check(letter)
-            return letter
-        base, inv_mark = name, False
-        if name.endswith("^-1"):
-            base, inv_mark = name[:-3], True
-        if not base.startswith("g") or not base[1:].isdigit():
-            raise ValidationError(f"cannot parse letter name {name!r}")
-        gen = int(base[1:])
-        if not 1 <= gen <= self.d:
-            raise ValidationError(
-                f"generator {name!r} out of range for d={self.d}")
-        return 2 * (gen - 1) + (1 if inv_mark else 0)
-
     def word_name(self, letters):
         return " ".join(self.letter_name(l) for l in letters)
-
-
-@dataclass(frozen=True)
-class ReducedWord:
-    """A validated admissible word over an alphabet."""
-
-    alphabet: Alphabet
-    letters: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for l in self.letters:
-            self.alphabet.check(l)
-        if not is_reduced(self.letters):
-            raise ValidationError(
-                f"word {self.letters} is not freely reduced")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
-
-    def concat(self, other):
-        if other.alphabet != self.alphabet:
-            raise ValidationError("alphabet mismatch in concat")
-        return ReducedWord(self.alphabet,
-                           concat_reduce(self.letters, other.letters))
-
-    def inverse(self):
-        return ReducedWord(self.alphabet, inverse_word(self.letters))
-
-    def __str__(self):
-        return self.alphabet.word_name(self.letters) or "(empty)"

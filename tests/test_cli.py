@@ -11,6 +11,7 @@ import pytest
 import oracles
 import freeshift.spectra as spectra_mod
 from freeshift import cli
+from freeshift.quotients import Quotient
 
 BASE = """\
 [model]
@@ -330,6 +331,26 @@ class TestSubcommands:
         assert code == 0
         assert payload["self_verified"] is True
         assert sorted(built) == sorted(["full", payload["quotient"]])
+
+    def test_diagnose_builds_one_ball(self, capsys, tmp_path, monkeypatch):
+        # the divergence probe and the symmetric-on-average statistic read
+        # one fiber length, max(n_max, 36, horizon), so one ball table
+        radii = []
+        ball = Quotient.ball
+
+        def spy(self, radius, max_elements=5_000_000):
+            radii.append(radius)
+            return ball(self, radius, max_elements)
+
+        monkeypatch.setattr(Quotient, "ball", spy)
+        ini = tmp_path / "z2.ini"
+        ini.write_text(SPECTRUM)
+        code, payload, _ = run_cli(capsys, [
+            "diagnose", "--config", str(ini), "--beta-range=0:1:1",
+            "--n-max", "24"])
+        assert code == 0
+        assert payload["self_verified"] is True
+        assert radii == [36]
 
 
 class TestTolerances:

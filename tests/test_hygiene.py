@@ -2,10 +2,10 @@
 module imports is used in it (or re-exported through ``__all__``), no
 function imports from the package itself (those imports go at module top,
 where a cycle would show at once), every module-level private function
-is referenced somewhere in the package, no runtime check is an
-``assert`` (``python -O`` strips those; checks raise typed errors), and no
-module loads native code the runs do not need (hashlib's OpenSSL,
-numpy.random, numpy.ma)."""
+is referenced somewhere in the package, every dataclass field is read
+somewhere, no runtime check is an ``assert`` (``python -O`` strips those;
+checks raise typed errors), and no module loads native code the runs do
+not need (hashlib's OpenSSL, numpy.random, numpy.ma)."""
 
 import ast
 import collections
@@ -13,7 +13,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "freeshift"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "freeshift"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -131,6 +132,55 @@ def test_check_detects_an_orphan_helper():
                        "def _via_attribute():\n    pass\n"
                        "def public():\n    return b._via_attribute()\n")]
     assert _orphan_helpers(trees) == ["_recursive", "_unused"]
+
+
+def _is_dataclass(decorator):
+    target = (decorator.func if isinstance(decorator, ast.Call)
+              else decorator)
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute)
+            and target.attr == "dataclass")
+
+
+def _unread_fields(lib_trees, trees):
+    """``Class.field`` of every dataclass field in lib_trees that no
+    attribute load in trees reads (a keyword or a store is no read)."""
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{cls.name}.{stmt.target.id}"
+                  for tree in lib_trees for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  and any(_is_dataclass(d) for d in cls.decorator_list)
+                  for stmt in cls.body
+                  if isinstance(stmt, ast.AnnAssign)
+                  and isinstance(stmt.target, ast.Name)
+                  and stmt.target.id not in reads)
+
+
+def test_every_dataclass_field_is_read():
+    def parse(p):
+        return ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+    lib = [parse(p) for p in MODULES]
+    # this file reads AST node attributes (.target, .value, ...), which
+    # would pass for reads of fields of the same names
+    others = [parse(p) for top in ("tests", "bench")
+              for p in sorted((ROOT / top).rglob("*.py"))
+              if p != pathlib.Path(__file__).resolve()]
+    unread = _unread_fields(lib, lib + others)
+    assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def test_check_detects_an_unread_field():
+    lib = ast.parse("from dataclasses import dataclass\n"
+                    "@dataclass\nclass A:\n    read: int\n"
+                    "    unread: int\n    written: int = 0\n"
+                    "@dataclass(frozen=True)\nclass B:\n    kw: int\n"
+                    "class C:\n    plain: int\n")
+    use = ast.parse("a = A(1, 2, written=3)\na.written = 4\n"
+                    "print(a.read, B(kw=1))\n")
+    assert _unread_fields([lib], [lib, use]) == ["A.unread", "A.written",
+                                                 "B.kw"]
 
 
 @pytest.mark.parametrize("name", ["spectra.py", "diagnostics.py"])

@@ -257,8 +257,3 @@ class TestAbelianAndKill:
     def test_descriptions_name_the_generators(self, bundle):
         for name, (d, q, _) in bundle.items():
             assert isinstance(q.describe(), str) and q.describe()
-
-    def test_element_names(self, z2, fk3, s3):
-        assert z2.element_name(z2.eval_word((0, 2))) != ""
-        assert fk3.element_name(()) == "id"
-        assert s3.element_name(s3.identity) != ""

@@ -426,6 +426,32 @@ class TestCurvesAndSpectra:
         assert spec.alpha_plus == pytest.approx(-slopes.min(), abs=1e-12)
         assert spec.alpha_minus < spec.alpha_plus
 
+    def test_legendre_matches_per_alpha_argmin(self, curve):
+        # alphas below alpha-, at both ends, inside and above alpha+,
+        # against a per-alpha loop over the grid
+        slopes = curve.slopes()
+        lo, hi = -float(slopes.max()), -float(slopes.min())
+        w = hi - lo
+        alphas = [lo - 0.5, lo - 1e-3, lo, lo + 0.1 * w, lo + 0.5 * w,
+                  hi - 0.1 * w, hi, hi + 1e-3, hi + 0.5]
+        spec = legendre(curve, np.array(alphas))
+        betas, ts = curve.betas.tolist(), curve.t_values.tolist()
+        want_vals, want_flags = [], []
+        for a in alphas:
+            if a < lo - 1e-12 or a > hi + 1e-12:
+                want_vals.append(math.nan)
+                want_flags.append("outside")
+                continue
+            obj = [t + b * a for t, b in zip(ts, betas)]
+            j = min(range(len(obj)), key=obj.__getitem__)
+            want_vals.append(obj[j])
+            want_flags.append("endpoint" if j in (0, len(obj) - 1)
+                              else "interior")
+        assert set(want_flags) == {"outside", "endpoint", "interior"}
+        assert spec.flags == want_flags
+        np.testing.assert_array_equal(spec.b_values, want_vals)
+        np.testing.assert_array_equal(spec.alphas, alphas)
+
     def test_alpha_count_control(self, curve):
         spec = legendre(curve, n_alphas=7)
         assert len(spec.alphas) == 7
