@@ -51,13 +51,15 @@ def cmd_pressure(cfg, args):
     res = {"full": _pressure(full_pressure(cfg.psi, tol=cfg.tol_eigen))}
     if cfg.quotient is not None:
         restricted = restricted_pressure(
-            cfg.psi, cfg.quotient, n_max=cfg.n_max, tol=cfg.tol_eigen)
+            cfg.psi, cfg.quotient, n_max=cfg.n_max, tol=cfg.tol_eigen,
+            max_states=cfg.max_states)
         res["restricted"] = _pressure(restricted)
         if restricted.method == "exact-twisted":
             # the growth fit of the identity-fiber series up to n_max, next
             # to the exact value it is a finite-n estimate of
             res["restricted_fit"] = _pressure(extrapolated_pressure(
-                cfg.psi, cfg.quotient, n_max=cfg.n_max))
+                cfg.psi, cfg.quotient, n_max=cfg.n_max,
+                max_states=cfg.max_states))
     return res, []
 
 
@@ -203,11 +205,12 @@ def cmd_diagnose(cfg, args):
                      "inequality was checked at f = 0 instead")
     reports["pressure_inequality"] = pressure_inequality_check(
         q, f_sym, n_max=cfg.n_max, sigma_factor=cfg.sigma_factor,
-        tol=cfg.tol_eigen).to_dict()
-    # one fiber length for the probe and the statistic: one ball table
+        tol=cfg.tol_eigen, max_states=cfg.max_states).to_dict()
+    # one fiber length and budget for the probe and the statistic: one
+    # ball table
     n_fiber = max(cfg.n_max, 36, cfg.horizon)
     reports["divergence"] = divergence_probe(
-        q, cfg.psi, n_max=n_fiber).to_dict()
+        q, cfg.psi, n_max=n_fiber, max_states=cfg.max_states).to_dict()
     reps = []
     for k in range(cfg.d):
         g = q.letter_image(2 * k)
@@ -217,7 +220,8 @@ def cmd_diagnose(cfg, args):
         reps = [q.identity]
     try:
         stat = symmetric_on_average_statistic(
-            q, cfg.psi, reps, cfg.horizon, n_max=n_fiber)
+            q, cfg.psi, reps, cfg.horizon, n_max=n_fiber,
+            max_states=cfg.max_states)
         reports["symmetric_on_average"] = {
             "value": stat.value, "lam_hat": stat.lam_hat,
             "horizon": stat.horizon,

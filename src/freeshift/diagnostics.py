@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError, UndefinedRatioError, ValidationError
-from .pressure import (TransferMatrix, _tail_fit, fiber_partition,
-                       fiber_partition_many, full_pressure, growth_rate,
-                       has_exact_route, perron_eigen, restricted_pressure)
+from .pressure import (FIBER_MAX_STATES, TransferMatrix, _tail_fit,
+                       fiber_partition, fiber_partition_many, full_pressure,
+                       growth_rate, has_exact_route, perron_eigen,
+                       restricted_pressure)
 from .spectra import DEFAULT_U_TOL, delta, legendre
 
 ABS_MARGIN = 1e-3
@@ -177,7 +178,8 @@ def half_bound_check(quotient, zeta, curves=None, n_max=40,
 
 
 def pressure_inequality_check(quotient, pot, n_max=40,
-                              sigma_factor=SIGMA_FACTOR, tol=1e-13):
+                              sigma_factor=SIGMA_FACTOR, tol=1e-13,
+                              max_states=FIBER_MAX_STATES):
     """2 P(f, fiber) >= P(2f) for symmetric potentials.
 
     Precondition: the table is invariant under inversion symmetry (the
@@ -190,7 +192,8 @@ def pressure_inequality_check(quotient, pot, n_max=40,
         raise ValidationError(
             "potential is not inverse-symmetric; the doubled-pressure "
             "inequality is only claimed for symmetric potentials")
-    res = restricted_pressure(pot, quotient, n_max=n_max, tol=tol)
+    res = restricted_pressure(pot, quotient, n_max=n_max, tol=tol,
+                              max_states=max_states)
     doubled = full_pressure(pot * 2.0, tol=tol)
     slack = 2 * res.value - doubled.value
     quantities = [
@@ -216,7 +219,8 @@ def _exact_rate(pot, quotient):
             else None)
 
 
-def divergence_probe(quotient, pot, n_max=60):
+def divergence_probe(quotient, pot, n_max=60,
+                     max_states=FIBER_MAX_STATES):
     """Polynomial-correction exponent of the fiber series.
 
     Fits a_n e^(-n lambda) ~ C n^(-gamma) on the tail and classifies
@@ -228,7 +232,7 @@ def divergence_probe(quotient, pot, n_max=60):
     The true divergence type is a statement about an infinite series; this
     is a labeled heuristic, not a proof.
     """
-    series = fiber_partition(pot, quotient, n_max)
+    series = fiber_partition(pot, quotient, n_max, max_states=max_states)
     terms = int(np.isfinite(series.log_values).sum())
     if terms < 6:
         raise NumericError(
@@ -259,7 +263,8 @@ class SymmetricAverageResult:
     horizon: int
 
 
-def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None):
+def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None,
+                                   max_states=FIBER_MAX_STATES):
     """max over the supplied coset representatives g of
 
         sum_{k<=n} e^(-k lam) a_k(g)  /  sum_{k<=n} e^(-k lam) a_k(g^{-1})
@@ -280,7 +285,8 @@ def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None):
         for t in (g, gi):
             if t not in targets:
                 targets.append(t)
-    series = fiber_partition_many(pot, quotient, n_max, targets)
+    series = fiber_partition_many(pot, quotient, n_max, targets,
+                                  max_states=max_states)
     exact = _exact_rate(pot, quotient)
     lam = (growth_rate(series[quotient.identity]).lam if exact is None
            else exact.value)

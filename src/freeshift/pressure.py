@@ -26,9 +26,12 @@ last k-1 letters, from the empty context) with one set of per-letter
 matrices, and complete the trailing windows at readout:
 
 * free abelian images (and finite ones): forward DP over (state, ball
-  element), normalised to peak 1 at every length; a length-n prefix cannot
-  leave the radius-n ball, so indexing ball(n_max), built once per
-  (quotient, n_max) by Quotient.ball_table, is exact. On Z^k each letter
+  element), normalised to peak 1 at every length. A prefix that can still
+  end on a target t within n_max letters lies within ceil((n_max + r)/2)
+  of the identity, r = max(1, |t|): it is at most its length from the
+  identity and at most the remaining length from t. So that half-radius
+  ball, built once per (quotient, radius) by Quotient.ball_table, indexes
+  the DP exactly, and the mass leaving it is dead. On Z^k each letter
   also carries the optimal twist e^<theta*, v>, taken off again at
   readout, so the identity fiber stays near the peak of the normalised DP
   however strongly f drifts;
@@ -74,6 +77,8 @@ TILT_RANGE = (1e-100, 1e100)
 MAX_LOG_STEP = 700.0
 # the ball DP refuses a target whose mass falls below this share of the peak
 MASS_FLOOR = 1e-200
+# default state budget of the fiber engines ([budgets] max_states)
+FIBER_MAX_STATES = 50_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +566,7 @@ class FiberSeries:
 
 
 def fiber_partition(pot, quotient, n_max, target=None,
-                    max_states=50_000_000):
+                    max_states=FIBER_MAX_STATES):
     """Exact a_n = sum over length-n words with image ``target`` (default
     identity) of exp(S_w f), as a FiberSeries of logs. Either engine
     raises ResourceError before it allocates more than ``max_states``
@@ -573,7 +578,7 @@ def fiber_partition(pot, quotient, n_max, target=None,
 
 
 def fiber_partition_many(pot, quotient, n_max, targets,
-                         max_states=50_000_000):
+                         max_states=FIBER_MAX_STATES):
     if pot.d != quotient.d:
         raise ValidationError("potential and quotient rank mismatch")
     if n_max < 1:
@@ -646,9 +651,15 @@ def _step_matrices(pot, c=0.0, twist=None):
 def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
     """Forward DP on the steps over (extended state, ball element): A[s, g]
     is the weight of the length-n words in context s with image g, from
-    mass 1 at (empty context, identity). A length-n prefix stays in
-    ball(n), so ball(n_max) indexes it exactly. Levels are normalised to
-    peak 1; the log peak goes to the log scale.
+    mass 1 at (empty context, identity). Levels are normalised to peak 1;
+    the log peak goes to the log scale.
+
+    The length-k prefix of a length-n word with image t has an image g
+    with |g| <= k and d(g, t) <= n - k <= n_max - k, so |g| <= (n_max +
+    r) / 2 for r = max(1, largest target length): ball(R), R = ceil((n_max
+    + r) / 2), holds every prefix that can still end on a target. Mass
+    stepping out of it at length n lands at |g| = R + 1, at least R + 1 - r
+    letters from every target, and is dead once n + R + 1 - r > n_max.
 
     On a free abelian quotient every letter a also carries e^<theta*, v(a)>,
     theta* the minimiser of the twisted pressure: a word with image g then
@@ -662,17 +673,20 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
         theta = np.array(restricted_pressure(pot, quotient).detail["theta"])
         twist = _letter_vectors(quotient) @ theta
     states, sindex, steps = _step_matrices(pot, twist=twist)
+    # identity and letter-image targets need no search; any other target
+    # lies at least 2 letters out
+    near = {quotient.identity,
+            *map(quotient.letter_image, range(2 * pot.d))}
+    r = (1 if near.issuperset(targets) else
+         quotient.word_length(targets, n_max, max_states))
+    radius = (n_max + r + 1) // 2
     # shifts[l, g] = index of elements[g] * img(l), -1 outside the ball
     elements, eindex, shifts = quotient.ball_table(
-        n_max, max_elements=max_states)
+        radius, max_elements=max_states)
     S, B = len(states), len(elements)
     if S * B > max_states:
         raise ResourceError("fiber DP state space exceeds budget",
                             required=S * B, budget=max_states)
-    for t in targets:
-        if t not in eindex:
-            raise ValidationError(
-                f"target {t!r} outside the radius-{n_max} ball")
     # appending a lands in the states ending in a, so rows dest[a] of
     # K.T @ A are fed by a alone; they move along the group by img(a):
     # the new mass at h is the flow at h img(a)^-1
@@ -688,14 +702,15 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
     logscale = 0.0
     untwist = [0.0 if theta is None else float(theta @ np.asarray(t, float))
                for t in targets]
+    # mass leaving the ball is dropped; up to this length it could still
+    # reach a target, so there it must be zero
+    last_live = n_max + r - radius - 1
     for n in range(1, n_max + 1):
         flow = K.T @ A
         A = np.zeros_like(A)
         for a, rows in enumerate(dest):
-            # a-shifts leaving the ball carry provably dead mass (a
-            # length-n prefix sits in ball(n)); verify before dropping it
             fed = flow[rows]
-            if fed[:, leaves[a]].any():
+            if n <= last_live and fed[:, leaves[a]].any():
                 raise NumericError("fiber DP dropped live mass; ball "
                                    "indexing is inconsistent")
             A[rows, :B] = fed[:, shifts[a ^ 1]]
@@ -881,23 +896,26 @@ def growth_rate(series):
     return _tail_fit(series)
 
 
-def restricted_pressure(pot, quotient, n_max=40, tol=1e-13):
+def restricted_pressure(pot, quotient, n_max=40, tol=1e-13,
+                        max_states=FIBER_MAX_STATES):
     """The scope's pressure: one row of its scope_rows route (sigma 0),
     else the growth fit of the identity-fiber series up to ``n_max``
-    (extrapolated_pressure), the only place ``n_max`` enters."""
+    (extrapolated_pressure), the only place ``n_max`` and ``max_states``
+    enter."""
     route = scope_rows(pot.d, pot.depth, quotient, tol=tol)
     if route is None:
-        return extrapolated_pressure(pot, quotient, n_max)
+        return extrapolated_pressure(pot, quotient, n_max, max_states)
     evaluate, method, detail = route
     rows = evaluate(pot.values[None])
     return PressureResult(float(rows.values[0]), 0.0, method,
                           float(rows.residuals[0]), detail(rows, 0))
 
 
-def extrapolated_pressure(pot, quotient, n_max=40):
+def extrapolated_pressure(pot, quotient, n_max=40,
+                          max_states=FIBER_MAX_STATES):
     """The growth fit of the identity-fiber series up to n_max as a
     PressureResult, on any quotient."""
-    series = fiber_partition(pot, quotient, n_max)
+    series = fiber_partition(pot, quotient, n_max, max_states=max_states)
     fit = growth_rate(series)
     return PressureResult(fit.lam, fit.sigma, "extrapolated", fit.rms,
                           {"gamma": fit.gamma, "gamma_sigma": fit.gamma_sigma,

@@ -3,8 +3,9 @@
 A quotient is specified by the images of the d generators in a target group
 G; N is the kernel of the induced homomorphism F_d -> G. Downstream code only
 needs a handful of primitives: evaluating words, membership in N, the period
-(gcd of lengths of cyclically admissible N-words), balls in the image group,
-and first-return words (nonempty N-words with no proper nonempty prefix in N).
+(gcd of lengths of cyclically admissible N-words), balls and word lengths
+in the image group, and first-return words (nonempty N-words with no proper
+nonempty prefix in N).
 
 Three target models are supported:
 
@@ -19,8 +20,8 @@ tuple respectively).
 
 Each model computes its period exactly, with no search bound, and
 the period is cached on the instance. So is the ball table of each radius
-(the ball, its index and its letter-shift table): every fiber DP at one
-n_max on one quotient shares a single build.
+(the ball, its index and its letter-shift table): every fiber DP on one
+ball of one quotient shares a single build.
 """
 
 import math
@@ -124,9 +125,16 @@ class Quotient(ABC):
 
     def _ball(self, radius, max_elements):
         """ball() by breadth-first search over element objects."""
+        return sorted((g for level in self._levels(radius, max_elements)
+                       for g in level), key=self.sort_key)
+
+    def _levels(self, radius, max_elements):
+        """Breadth-first level sets over element objects: level L lists
+        the elements of word length L, for L = 0..radius."""
         images = [self.letter_image(l) for l in range(self.alphabet.size)]
         seen = {self.identity}
         frontier = [self.identity]
+        yield frontier
         for _ in range(radius):
             nxt = []
             for g in frontier:
@@ -140,7 +148,20 @@ class Quotient(ABC):
                     "ball exceeded element budget",
                     required=len(seen), budget=max_elements)
             frontier = nxt
-        return sorted(seen, key=self.sort_key)
+            yield frontier
+
+    def word_length(self, elements, limit, max_elements=5_000_000):
+        """The largest word length among ``elements`` (fewest letter images
+        whose product is the element), read from the breadth-first levels;
+        ValidationError when one is not within ``limit`` letters of the
+        identity."""
+        todo = set(elements)
+        for length, level in enumerate(self._levels(limit, max_elements)):
+            todo.difference_update(level)
+            if not todo:
+                return length
+        raise ValidationError(f"element {min(todo, key=repr)!r} is not "
+                              f"within {limit} letters of the identity")
 
     def first_return_words(self, max_length, max_nodes=5_000_000):
         """Nonempty N-words of length <= max_length with no proper nonempty

@@ -332,9 +332,9 @@ class TestSubcommands:
         assert payload["self_verified"] is True
         assert sorted(built) == sorted(["full", payload["quotient"]])
 
-    def test_diagnose_builds_one_ball(self, capsys, tmp_path, monkeypatch):
-        # the divergence probe and the symmetric-on-average statistic read
-        # one fiber length, max(n_max, 36, horizon), so one ball table
+    @staticmethod
+    def _ball_radii(monkeypatch):
+        """The radius of every Quotient.ball call from here on."""
         radii = []
         ball = Quotient.ball
 
@@ -343,6 +343,13 @@ class TestSubcommands:
             return ball(self, radius, max_elements)
 
         monkeypatch.setattr(Quotient, "ball", spy)
+        return radii
+
+    def test_diagnose_builds_one_ball(self, capsys, tmp_path, monkeypatch):
+        # the divergence probe and the symmetric-on-average statistic read
+        # one fiber length, max(n_max, 36, horizon), so one ball table, of
+        # the half radius ceil((36 + 1) / 2) for identity and letter targets
+        radii = self._ball_radii(monkeypatch)
         ini = tmp_path / "z2.ini"
         ini.write_text(SPECTRUM)
         code, payload, _ = run_cli(capsys, [
@@ -350,7 +357,20 @@ class TestSubcommands:
             "--n-max", "24"])
         assert code == 0
         assert payload["self_verified"] is True
-        assert radii == [36]
+        assert radii == [19]
+
+    def test_partition_builds_half_radius_ball(self, capsys, tmp_path,
+                                               monkeypatch):
+        # the identity fiber up to n_max 80 reads ball(ceil((80 + 1) / 2))
+        radii = self._ball_radii(monkeypatch)
+        ini = tmp_path / "z2.ini"
+        ini.write_text(SPECTRUM)
+        code, payload, _ = run_cli(capsys, [
+            "partition", "--config", str(ini), "--n-max", "80", "--out",
+            str(tmp_path / "o")])
+        assert code == 0
+        assert payload["rows"] == 40
+        assert radii == [41]
 
 
 class TestTolerances:
@@ -513,6 +533,25 @@ class TestOverridesAndErrors:
         assert code == 3
         assert payload["error"]["type"] == "ResourceError"
         assert payload["error"]["exit_code"] == 3
+
+    @pytest.mark.parametrize("scope, command", [
+        ("z2", "pressure"), ("z2", "diagnose"), ("fk3", "pressure")])
+    def test_fiber_budget_exit_3(self, capsys, tmp_path, scope, command):
+        # the restricted pressure and fit, the divergence probe and the
+        # statistic honour [budgets] max_states as partition does
+        if scope == "z2":
+            ini = tmp_path / "z2.ini"
+            ini.write_text(SPECTRUM + "max_states = 10\n")
+        else:
+            ini = Path(fk3_ini(tmp_path))
+            ini.write_text(ini.read_text()
+                           + "\n[budgets]\nmax_states = 10\n")
+        code, payload, err = run_cli(capsys, [command, "--config", str(ini),
+                                              "--beta-range=0:1:1"])
+        assert code == 3
+        assert payload["error"]["type"] == "ResourceError"
+        assert "budget 10" in payload["error"]["message"]
+        assert "Traceback" not in err
 
     def test_free_kill_resource_exit_3(self, capsys, tmp_path):
         # the renewal honours the budget as the ball DP does

@@ -150,7 +150,7 @@ class TestDivergenceProbe:
         logs = math.log(3) * ns - gamma0 * np.log(ns)
         series = pm.FiberSeries(20, logs, period=1, meta={})
         monkeypatch.setattr(diag, "fiber_partition",
-                            lambda pot, q, n_max: series)
+                            lambda pot, q, n_max, max_states: series)
         rep = divergence_probe(z2, Potential.constant(2, 0.0), n_max=20)
         got = next(q for q in rep.quantities
                    if q["quantity"] == "gamma_hat")["value"]

@@ -484,6 +484,50 @@ class TestFiberPartition:
             assert np.allclose(got[~empty], want[~empty], rtol=1e-12,
                                atol=0)
 
+    # (quotient, letter values, targets at lengths 2, N - 1 and N) of the
+    # half-radius checks at N = 20; Z/50 with images (1, 0) has element
+    # k at word length min(k, 50 - k), so ball(20) is a proper subset
+    HALF_RADIUS_N = 20
+    HALF_RADIUS_CASES = {
+        "z2": (FreeAbelianQuotient(2, 2, [[1, 0], [0, 1]]),
+               [0.2, -0.5, 0.4, -0.1], [(1, 1), (19, 0), (10, 10)]),
+        "z1-drift": (FreeAbelianQuotient(2, 1, [[1], [0]]),
+                     [10, -10, 0.3, -0.7], [(2,), (19,), (20,)]),
+        "z/50": (FiniteQuotient(
+            2, [[(i + j) % 50 for j in range(50)] for i in range(50)], 0,
+            [1, 0]), [0.2, -0.5, 0.4, -0.1], [2, 19, 20]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HALF_RADIUS_CASES))
+    def test_half_radius_ball_is_exact(self, name):
+        # the DP at n_max N runs on ball(ceil((N + r) / 2)), at 2N on a
+        # larger ball; the first N terms agree, for each target alone
+        # (its own r) and for all of them at once (the largest r)
+        q, letters, far = self.HALF_RADIUS_CASES[name]
+        n = self.HALF_RADIUS_N
+        pot = Potential.from_letter_values(2, letters)
+        targets = [q.identity] + far
+        for group in [[t] for t in targets] + [targets]:
+            short = fiber_partition_many(pot, q, n, group)
+            long = fiber_partition_many(pot, q, 2 * n, group)
+            for t in group:
+                got = short[t].log_values
+                want = long[t].log_values[:n]
+                empty = np.isneginf(want)
+                assert np.array_equal(np.isneginf(got), empty), (name, t)
+                if t != q.identity:      # a_n(t) > 0 at n = |t|
+                    assert np.isfinite(got[q.word_length([t], n) - 1])
+                assert np.allclose(got[~empty], want[~empty], rtol=1e-12,
+                                   atol=0), (name, t)
+
+    @pytest.mark.parametrize("name", sorted(HALF_RADIUS_CASES))
+    def test_target_beyond_n_max_is_refused(self, name):
+        q, letters, far = self.HALF_RADIUS_CASES[name]
+        pot = Potential.from_letter_values(2, letters)
+        beyond = far[-1]                     # word length N
+        with pytest.raises(ValidationError, match="within 19 letters"):
+            fiber_partition(pot, q, self.HALF_RADIUS_N - 1, target=beyond)
+
     def test_period_lattice_structure(self, bundle):
         for name, (d, q, _) in bundle.items():
             series = fiber_partition(Potential.constant(d, 0.0), q, 8)

@@ -33,6 +33,23 @@ class TestAgainstOracleOps:
                                           range(2 * d))
                 assert got == want, (name, radius)
 
+    def test_word_length_matches_oracle_balls(self, bundle):
+        # the word length of g is the first radius whose ball holds it
+        for name, (d, q, (ident, img, mul)) in bundle.items():
+            balls = [oracles.brute_ball(r, ident, img, mul, range(2 * d))
+                     for r in range(4)]
+            for r in range(1, 4):
+                for g in balls[r] - balls[r - 1]:
+                    assert q.word_length([g], 3) == r, (name, g)
+                    assert q.word_length([ident, g], 3) == r, (name, g)
+            assert q.word_length([ident], 0) == 0, name
+
+    def test_word_length_refuses_far_elements(self, z2):
+        with pytest.raises(ValidationError, match="within 4 letters"):
+            z2.word_length([(0, 0), (2, -3)], 4)
+        with pytest.raises(ValidationError, match="within 6 letters"):
+            z2.word_length([(1,)], 6)        # not an element of Z^2
+
 
 class TestPeriod:
     def test_matches_brute_search(self, bundle, finite_cases):
