@@ -25,6 +25,7 @@ except ImportError:
 
 from .errors import ValidationError
 from .potentials import GeometricPotential, Potential, load_potential_csv
+from .pressure import FIBER_MAX_STATES
 from .quotients import (FiniteQuotient, FreeAbelianQuotient,
                         FreeKillQuotient)
 from .spectra import default_beta_grid
@@ -240,7 +241,8 @@ def load_config(path):
         raise ValidationError("tolerances must be positive")
 
     n_max = _setting(cp, "budgets", "n_max", int, 40)
-    max_states = _setting(cp, "budgets", "max_states", int, 50_000_000)
+    max_states = _setting(cp, "budgets", "max_states", int,
+                          FIBER_MAX_STATES)
     gibbs_len = _setting(cp, "budgets", "gibbs_len", int, 8)
     horizon = _setting(cp, "budgets", "horizon", int, 30)
     return_length = _setting(cp, "budgets", "return_length", int, 6)

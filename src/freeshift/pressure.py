@@ -27,10 +27,11 @@ matrices, and complete the trailing windows at readout:
 
 * free abelian images (and finite ones): forward DP over (state, ball
   element), normalised to peak 1 at every length. A prefix that can still
-  end on a target t within n_max letters lies within ceil((n_max + r)/2)
-  of the identity, r = max(1, |t|): it is at most its length from the
-  identity and at most the remaining length from t. So that half-radius
-  ball, built once per (quotient, radius) by Quotient.ball_table, indexes
+  end on a target t within n_max letters lies within (n_max + r)/2 of
+  the identity, r = max(1, |t|): it is at most its length from the
+  identity and at most the remaining length from t. So ball(R), R =
+  ceil((n_max + r)/2) (one shell beyond that bound when n_max + r is
+  odd), built once per (quotient, radius) by Quotient.ball_table, indexes
   the DP exactly, and the mass leaving it is dead. On Z^k each letter
   also carries the optimal twist e^<theta*, v>, taken off again at
   readout, so the identity fiber stays near the peak of the normalised DP
@@ -673,12 +674,7 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
         theta = np.array(restricted_pressure(pot, quotient).detail["theta"])
         twist = _letter_vectors(quotient) @ theta
     states, sindex, steps = _step_matrices(pot, twist=twist)
-    # identity and letter-image targets need no search; any other target
-    # lies at least 2 letters out
-    near = {quotient.identity,
-            *map(quotient.letter_image, range(2 * pot.d))}
-    r = (1 if near.issuperset(targets) else
-         quotient.word_length(targets, n_max, max_states))
+    r = max(1, quotient.word_length(targets, n_max, max_states))
     radius = (n_max + r + 1) // 2
     # shifts[l, g] = index of elements[g] * img(l), -1 outside the ball
     elements, eindex, shifts = quotient.ball_table(
