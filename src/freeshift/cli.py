@@ -274,10 +274,6 @@ def build_parser():
     common.add_argument("--config", required=True,
                         help="path to the INI run configuration")
     common.add_argument("--out", help="output directory (overrides config)")
-    common.add_argument("--threads", type=int,
-                        help="accepted for compatibility and ignored: BLAS "
-                             "runs on one thread unless OPENBLAS_NUM_THREADS, "
-                             "GOTO_NUM_THREADS or OMP_NUM_THREADS is set")
     common.add_argument("--n-max", dest="n_max",
                         help="override [budgets] n_max")
     common.add_argument("--beta-range", dest="beta_range",

@@ -373,10 +373,7 @@ def gibbs_verify(pot, max_len=8, tol=1e-13):
         if n == 1:
             pairs = ratio.diagonal()
         elif n == 2:
-            mask = np.ones_like(ratio, dtype=bool)
-            for a in range(2 * pot.d):
-                mask[a, a ^ 1] = False
-            pairs = ratio[mask]
+            pairs = ratio[tm.pattern > 0]
         else:
             pairs = ratio.ravel()
         per_level[n] = float(np.maximum(pairs, 1.0 / pairs).max())

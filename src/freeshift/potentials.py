@@ -194,38 +194,10 @@ def combine(*terms):
 
 def birkhoff_sup_sum(pot, word):
     """S_w f: supremum over infinite admissible completions of the sum of
-    the first |w| window values. Empty word gives 0."""
+    the first |w| window values: the interior windows plus the boundary
+    completion of the word. Empty word gives 0."""
     word = tuple(word)
-    n = len(word)
-    if n == 0:
-        return 0.0
-    k = pot.depth
-    size = 2 * pot.d
-    total = 0.0
-    for i in range(0, n - k + 1):
-        total += pot.values[pot._index[word[i:i + k]]]
-    if k == 1:
-        return float(total)
-    # boundary: maximize the k-1 trailing partial windows over completions
-    state = word[-(k - 1):] if n >= k - 1 else word
-    best = {state: 0.0}
-    for j in range(1, k):
-        nxt = {}
-        completes = n - k + j >= 0
-        for st, acc in best.items():
-            forbidden = st[-1] ^ 1 if st else -1
-            for l in range(size):
-                if l == forbidden:
-                    continue
-                st2 = (st + (l,))[-(k - 1):] if k > 1 else ()
-                acc2 = acc
-                if completes:
-                    win = (st + (l,))[-k:]
-                    acc2 = acc + pot.values[pot._index[win]]
-                if st2 not in nxt or acc2 > nxt[st2]:
-                    nxt[st2] = acc2
-        best = nxt
-    return float(total + max(best.values()))
+    return float(_interior_sum(pot, word) + boundary_completion(pot, word))
 
 
 def distortion_constant(pot):
@@ -236,12 +208,18 @@ def distortion_constant(pot):
 
 def boundary_completion(pot, suffix):
     """Best total of the trailing partial windows of a word ending with
-    ``suffix`` (k-1 letters, or the whole word when shorter). Fiber
-    recursions add this to interior sums to read off exact sup-sums."""
-    word = tuple(suffix)
-    if pot.depth == 1 or not word:
+    ``suffix`` (its last k-1 letters, or the whole word when shorter): the
+    maximum, over the admissible (k-1)-letter continuations c, of the
+    windows of suffix + c that start in the suffix. Fiber recursions add
+    this to interior sums to read off exact sup-sums."""
+    k = pot.depth
+    s = tuple(suffix)[1 - k:]
+    if k == 1 or not s:
         return 0.0
-    return birkhoff_sup_sum(pot, word) - _interior_sum(pot, word)
+    words = (s + c for c in window_states(pot.d, k - 1)[0]
+             if c[0] != s[-1] ^ 1)
+    return float(max(sum(pot.values[pot._index[u[i:i + k]]]
+                         for i in range(len(s))) for u in words))
 
 
 def _interior_sum(pot, word):

@@ -1,9 +1,9 @@
 """Pressure, transfer operators, and identity-fiber partition sums.
 
 Topological pressure of a locally constant potential is the log spectral
-radius of its weighted transfer matrix over m-windows (m = max(depth, 1)).
-The restricted (fiber) pressure over a quotient is the exponential growth
-rate of the partition sums
+radius of its weighted transfer matrix over depth-windows. The restricted
+(fiber) pressure over a quotient is the exponential growth rate of the
+partition sums
 
     a_n = sum over admissible words of length n with image id of exp(S_w f).
 
@@ -30,12 +30,11 @@ matrices, and complete the trailing windows at readout:
   end on a target t within n_max letters lies within (n_max + r)/2 of
   the identity, r = max(1, |t|): it is at most its length from the
   identity and at most the remaining length from t. So ball(R), R =
-  ceil((n_max + r)/2) (one shell beyond that bound when n_max + r is
-  odd), built once per (quotient, radius) by Quotient.ball_table, indexes
-  the DP exactly, and the mass leaving it is dead. On Z^k each letter
-  also carries the optimal twist e^<theta*, v>, taken off again at
-  readout, so the identity fiber stays near the peak of the normalised DP
-  however strongly f drifts;
+  floor((n_max + r)/2), built once per (quotient, radius) by
+  Quotient.ball_table, indexes the DP exactly, and the mass leaving it is
+  dead. On Z^k each letter also carries the optimal twist e^<theta*, v>,
+  taken off again at readout, so the identity fiber stays near the peak
+  of the normalised DP however strongly f drifts;
 * free images (killed generators): excursion renewal on the image tree;
   paths decompose uniquely at their last visits to each node of the geodesic
   spine, giving first-passage matrix convolutions over window states, run
@@ -43,9 +42,10 @@ matrices, and complete the trailing windows at readout:
   stacked array indexed by (survivor slot, length, state, state), so a
   length's convolutions are one batched GEMM over the length axis.
 
-Every transfer matrix is pattern * exp(f[col]): a 0/1 edge pattern of the
-window graph, whose column j carries the weight of the window it enters.
-Perron roots are computed by power iteration with Collatz-Wielandt ratio
+Every transfer matrix is pattern * exp(f): a 0/1 pattern with an edge from
+window u[:-1] to window u[1:] for every admissible word u one letter
+longer, whose column j carries the weight of the window it enters. Perron
+roots are computed by power iteration with Collatz-Wielandt ratio
 enclosures, checked every few steps, so every exact eigenvalue carries a
 certified residual. One engine serves a single matrix (perron_eigen) and
 K weight rows on one pattern at once (pressure_rows, one GEMM per step for
@@ -85,33 +85,16 @@ FIBER_MAX_STATES = 50_000_000
 # ---------------------------------------------------------------------------
 # transfer matrices
 
-def _window_graph(d, m):
-    """Predecessor table: src[j] lists the 2d-1 windows w1 with
-    w1[1:] == w2[:-1] for w2 = windows[j] (m>=2), or w1 != w2-inverse
-    (m == 1). new_letter[j] is the letter appended when entering w2."""
-    windows, index = window_states(d, m)
-    src = np.empty((len(windows), 2 * d - 1), dtype=np.int64)
-    new_letter = np.empty(len(windows), dtype=np.int64)
-    for j, w2 in enumerate(windows):
-        new_letter[j] = w2[-1]
-        if m == 1:
-            preds = [index[(x,)] for x in range(2 * d) if x != (w2[0] ^ 1)]
-        else:
-            preds = [index[(x,) + w2[:-1]]
-                     for x in range(2 * d) if x != (w2[0] ^ 1)]
-        src[j] = preds
-    return windows, index, src, new_letter
-
-
 def transfer_pattern(d, m):
-    """(pattern, col) of the transfer matrix over m-windows: every transfer
-    matrix here is pattern * exp(f[col]), with pattern its 0/1 edge pattern
-    and col[j] the window that column j enters."""
-    windows, _, src, _ = _window_graph(d, m)
-    W = len(windows)
-    pattern = np.zeros((W, W))
-    pattern[src, np.arange(W)[:, None]] = 1.0
-    return pattern, np.arange(W)
+    """0/1 edge pattern of the transfer matrix over m-windows: an edge from
+    window u[:-1] to window u[1:] for every admissible (m+1)-word u. Every
+    transfer matrix here is pattern * exp(f), column j carrying the weight
+    of the window it enters."""
+    index = window_states(d, m)[1]
+    pattern = np.zeros((len(index), len(index)))
+    for u in enumerate_words(d, m + 1):
+        pattern[index[u[:-1]], index[u[1:]]] = 1.0
+    return pattern
 
 
 def _tilt(log_weights):
@@ -123,17 +106,15 @@ def _tilt(log_weights):
 
 
 class TransferMatrix:
-    """Weighted adjacency over m-windows; weight exp(f(target window))."""
+    """Weighted adjacency over windows; weight exp(f(target window))."""
 
     def __init__(self, pot):
         self.pot = pot
-        self.m = max(pot.depth, 1)
-        self.windows, self.index = window_states(pot.d, self.m)
-        self.pattern, self.col = transfer_pattern(pot.d, self.m)
+        self.pattern = transfer_pattern(pot.d, pot.depth)
 
     @property
     def matrix(self):
-        return self.pattern * np.exp(self.pot.values)[self.col]
+        return self.pattern * np.exp(self.pot.values)
 
 
 class LiftedTransferMatrix:
@@ -158,24 +139,25 @@ class LiftedTransferMatrix:
         if pot.d != quotient.d:
             raise ValidationError("potential and quotient rank mismatch")
         self.pot = pot
-        self.quotient = quotient
-        self.m = max(pot.depth, 1)
-        self.windows, _, src, new_letter = _window_graph(pot.d, self.m)
-        W, order = len(self.windows), quotient.table.shape[0]
+        self.order = order = quotient.table.shape[0]
+        windows = window_states(pot.d, pot.depth)[0]
+        W = len(windows)
         if W * order > self.MAX_STATES:
             raise ResourceError(
                 "lifted transfer matrix too large; restricted_pressure "
                 "needs no lift", required=W * order, budget=self.MAX_STATES)
         # flat state = window_idx * order + element; entering window j
-        # multiplies the element by the image of its new letter
+        # multiplies the element by the image of its last letter
+        src, dst = np.nonzero(transfer_pattern(pot.d, pot.depth))
+        last = np.array([w[-1] for w in windows])[dst]
         shifts = letter_shifts(quotient, range(order))
         self.pattern = np.zeros((W * order, W * order))
-        self.pattern[src[:, :, None] * order + np.arange(order),
-                     (np.arange(W)[:, None] * order
-                      + shifts[new_letter])[:, None, :]] = 1.0
-        self.col = np.repeat(np.arange(W), order)
+        self.pattern[src[:, None] * order + np.arange(order),
+                     dst[:, None] * order + shifts[last]] = 1.0
 
-    matrix = TransferMatrix.matrix
+    @property
+    def matrix(self):
+        return self.pattern * np.repeat(np.exp(self.pot.values), self.order)
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +296,20 @@ class PressureRows:
     iterations: np.ndarray = None     # power steps per row
 
 
-def pressure_rows(pattern, col, values, g=None, tol=1e-13, start=None):
+def pressure_rows(pattern, values, g=None, tol=1e-13, start=None):
     """Pressures of the potentials values[k] (window tables) and slopes
     along the window table g, on the scope of ``transfer_pattern``, by one
     batched power iteration. Each row is tilted to largest weight 1 and
     its shift added back, so no row can overflow. A (W, c) table g gives
     (K, c) slopes, one column per direction; without g the left iterates
     are skipped and slopes is None."""
-    weights, shift = _tilt(values[:, col])
+    weights, shift = _tilt(values)
     rho, half, iterations, right, left = _perron_batch(
         pattern, weights, tol, want_left=g is not None, start=start)
     slopes = None
     if g is not None:
         lr = left * right
-        slopes = ((lr @ g[col]).T / lr.sum(axis=1)).T
+        slopes = ((lr @ g).T / lr.sum(axis=1)).T
     return PressureRows(np.log(rho) + shift, slopes,
                         half / rho, (right, left),
                         iterations=iterations)
@@ -354,13 +336,13 @@ def full_pressure(pot, tol=1e-13):
     Solved on the pattern with its weights tilted to largest weight 1, so
     no second dense matrix is built."""
     tm = TransferMatrix(pot)
-    weights, shift = _tilt(pot.values[tm.col])
+    weights, shift = _tilt(pot.values)
     pe = perron_eigen(tm.pattern, tol, weights=weights)
     return PressureResult(math.log(pe.rho) + float(shift), 0.0,
                           "exact-eigenvalue",
                           pe.residual / max(pe.rho, 1e-300),
                           {"iterations": pe.iterations,
-                           "states": len(tm.col)})
+                           "states": len(tm.pattern)})
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +414,7 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
         pots = (values[live, None, :]
                 + (phi[live, None, :] + probes) @ G.T).reshape(-1, W)
         rows = pressure_rows(
-            pattern, np.arange(W), pots, table, tol,
+            pattern, pots, table, tol,
             start=None if vecs is None
             else tuple(np.repeat(v, n_probe, axis=0) for v in vecs))
         slopes = rows.slopes.reshape(len(live), n_probe, -1)
@@ -513,7 +495,7 @@ def scope_rows(d, depth, quotient=None, g=None, tol=1e-13):
         return None
     if quotient is not None and quotient.d != d:
         raise ValidationError("potential and quotient rank mismatch")
-    pattern, col = transfer_pattern(d, depth)
+    pattern = transfer_pattern(d, depth)
     if isinstance(quotient, FreeAbelianQuotient):
         basis, G = twist_table(quotient, window_states(d, depth)[0])
 
@@ -529,9 +511,10 @@ def scope_rows(d, depth, quotient=None, g=None, tol=1e-13):
     # eigenvector of the irreducible lift, so lambda_N = P(f) exactly
 
     def detail(rows, k):
-        return {"iterations": int(rows.iterations[k]), "states": len(col)}
+        return {"iterations": int(rows.iterations[k]),
+                "states": len(pattern)}
     return (lambda values, start=None: pressure_rows(
-        pattern, col, values, g, tol, start),
+        pattern, values, g, tol, start),
         "exact-eigenvalue", detail)
 
 
@@ -657,7 +640,7 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
 
     The length-k prefix of a length-n word with image t has an image g
     with |g| <= k and d(g, t) <= n - k <= n_max - k, so |g| <= (n_max +
-    r) / 2 for r = max(1, largest target length): ball(R), R = ceil((n_max
+    r) / 2 for r = max(1, largest target length): ball(R), R = floor((n_max
     + r) / 2), holds every prefix that can still end on a target. Mass
     stepping out of it at length n lands at |g| = R + 1, at least R + 1 - r
     letters from every target, and is dead once n + R + 1 - r > n_max.
@@ -675,7 +658,7 @@ def _fiber_ball_dp(pot, quotient, n_max, targets, max_states):
         twist = _letter_vectors(quotient) @ theta
     states, sindex, steps = _step_matrices(pot, twist=twist)
     r = max(1, quotient.word_length(targets, n_max, max_states))
-    radius = (n_max + r + 1) // 2
+    radius = (n_max + r) // 2
     # shifts[l, g] = index of elements[g] * img(l), -1 outside the ball
     elements, eindex, shifts = quotient.ball_table(
         radius, max_elements=max_states)
@@ -924,13 +907,13 @@ def partition_sum_matrix(pot, n):
     interior window weights accumulated by the transfer matrix, boundary
     completions of each last window's final k-1 letters added at
     readout."""
-    tm = TransferMatrix(pot)
-    m = tm.m
+    m = pot.depth
     if n < m:
         raise ValidationError(f"need n >= window size {m}, got {n}")
     vec = np.exp(pot.values)
-    M = tm.matrix
+    M = TransferMatrix(pot).matrix
     for _ in range(n - m):
         vec = M.T @ vec
-    ebnd = np.exp([boundary_completion(pot, w[1:]) for w in tm.windows])
+    ebnd = np.exp([boundary_completion(pot, w[1:])
+                   for w in window_states(pot.d, m)[0]])
     return float(vec @ ebnd)

@@ -228,8 +228,7 @@ class TestSubcommands:
         ini.write_text(SPECTRUM)
         out = tmp_path / "artifacts"
         code, payload, _ = run_cli(
-            capsys, ["spectrum", "--config", str(ini), "--out", str(out),
-                     "--threads", "2"])
+            capsys, ["spectrum", "--config", str(ini), "--out", str(out)])
         assert code == 0
         for tag in ("full", "restricted"):
             assert payload[tag]["alpha_minus"] < payload[tag]["alpha_plus"]
@@ -273,7 +272,7 @@ class TestSubcommands:
         ini.write_text(Z2 + "[grid]\nbeta_min = -1\nbeta_max = 1\n"
                             "beta_step = 0.5\n\n")
         code, payload, _ = run_cli(capsys, ["diagnose", "--config",
-                                            str(ini), "--threads", "2"])
+                                            str(ini)])
         assert code == 0
         assert payload["self_verified"] is True
         reports = payload["reports"]
@@ -348,7 +347,7 @@ class TestSubcommands:
     def test_diagnose_builds_one_ball(self, capsys, tmp_path, monkeypatch):
         # the divergence probe and the symmetric-on-average statistic read
         # one fiber length, max(n_max, 36, horizon), so one ball table, of
-        # the half radius ceil((36 + 1) / 2) for identity and letter targets
+        # the half radius floor((36 + 1) / 2) for identity and letter targets
         radii = self._ball_radii(monkeypatch)
         ini = tmp_path / "z2.ini"
         ini.write_text(SPECTRUM)
@@ -357,11 +356,11 @@ class TestSubcommands:
             "--n-max", "24"])
         assert code == 0
         assert payload["self_verified"] is True
-        assert radii == [19]
+        assert radii == [18]
 
     def test_partition_builds_half_radius_ball(self, capsys, tmp_path,
                                                monkeypatch):
-        # the identity fiber up to n_max 80 reads ball(ceil((80 + 1) / 2))
+        # the identity fiber up to n_max 80 reads ball(floor((80 + 1) / 2))
         radii = self._ball_radii(monkeypatch)
         ini = tmp_path / "z2.ini"
         ini.write_text(SPECTRUM)
@@ -370,7 +369,7 @@ class TestSubcommands:
             str(tmp_path / "o")])
         assert code == 0
         assert payload["rows"] == 40
-        assert radii == [41]
+        assert radii == [40]
 
 
 class TestTolerances:
@@ -459,6 +458,14 @@ class TestOverridesAndErrors:
         code, payload, _ = run_cli(
             capsys, ["delta", "--config", base_ini, "--beta-range", "oops"])
         assert code == 2
+
+    def test_threads_flag_exit_2(self, capsys, base_ini):
+        # no flag sets a thread count: argparse refuses --threads like any
+        # unknown flag, with exit code 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["delta", "--config", base_ini, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, step, flags", [
         ("spectrum", "0.5", ["--beta-range=0:1:5"]),
@@ -629,7 +636,7 @@ class TestDeterminism:
                 proc = subprocess.run(
                     [sys.executable, "-m", "freeshift.cli", cmd,
                      "--config", str(tmp_path / ini), "--out", str(out),
-                     "--threads", str(k * 2), *flags],
+                     *flags],
                     capture_output=True, text=True, check=True, env=env)
                 outs.append(proc.stdout.replace(str(out), "OUT"))
                 # diagnose writes no tables, so its directory never exists

@@ -2,10 +2,11 @@
 module imports is used in it (or re-exported through ``__all__``), no
 function imports from the package itself (those imports go at module top,
 where a cycle would show at once), every module-level private function
-is referenced somewhere in the package, every dataclass field is read
-somewhere, no runtime check is an ``assert`` (``python -O`` strips those;
-checks raise typed errors), and no module loads native code the runs do
-not need (hashlib's OpenSSL, numpy.random, numpy.ma)."""
+is referenced somewhere in the package, every dataclass field and every
+attribute a class sets on ``self`` is read somewhere, no runtime check is
+an ``assert`` (``python -O`` strips those; checks raise typed errors), and
+no module loads native code the runs do not need (hashlib's OpenSSL,
+numpy.random, numpy.ma)."""
 
 import ast
 import collections
@@ -142,12 +143,28 @@ def _is_dataclass(decorator):
             and target.attr == "dataclass")
 
 
+def _attribute_reads(trees):
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _parse_all():
+    """(library trees, trees of every other Python file but this one)."""
+    def parse(p):
+        return ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+    # this file reads AST node attributes (.target, .value, ...), which
+    # would pass for reads of fields of the same names
+    others = [parse(p) for top in ("tests", "bench")
+              for p in sorted((ROOT / top).rglob("*.py"))
+              if p != pathlib.Path(__file__).resolve()]
+    return [parse(p) for p in MODULES], others
+
+
 def _unread_fields(lib_trees, trees):
     """``Class.field`` of every dataclass field in lib_trees that no
     attribute load in trees reads (a keyword or a store is no read)."""
-    reads = {node.attr for tree in trees for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)
-             and isinstance(node.ctx, ast.Load)}
+    reads = _attribute_reads(trees)
     return sorted(f"{cls.name}.{stmt.target.id}"
                   for tree in lib_trees for cls in ast.walk(tree)
                   if isinstance(cls, ast.ClassDef)
@@ -159,14 +176,7 @@ def _unread_fields(lib_trees, trees):
 
 
 def test_every_dataclass_field_is_read():
-    def parse(p):
-        return ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
-    lib = [parse(p) for p in MODULES]
-    # this file reads AST node attributes (.target, .value, ...), which
-    # would pass for reads of fields of the same names
-    others = [parse(p) for top in ("tests", "bench")
-              for p in sorted((ROOT / top).rglob("*.py"))
-              if p != pathlib.Path(__file__).resolve()]
+    lib, others = _parse_all()
     unread = _unread_fields(lib, lib + others)
     assert not unread, f"dataclass fields nothing reads: {unread}"
 
@@ -181,6 +191,48 @@ def test_check_detects_an_unread_field():
                     "print(a.read, B(kw=1))\n")
     assert _unread_fields([lib], [lib, use]) == ["A.unread", "A.written",
                                                  "B.kw"]
+
+
+def _unread_attributes(lib_trees, trees):
+    """``Class.attr`` of every ``self.attr`` that a class of lib_trees
+    stores and no attribute load in trees reads. Exception classes (a base
+    named ...Error or ...Exception) are exempt: their attributes are the
+    error's payload."""
+    reads = _attribute_reads(trees)
+
+    def base_name(base):
+        return base.id if isinstance(base, ast.Name) else \
+            getattr(base, "attr", "")
+    return sorted({f"{cls.name}.{node.attr}"
+                   for tree in lib_trees for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef)
+                   and not any(base_name(b).endswith(("Error", "Exception"))
+                               for b in cls.bases)
+                   for node in ast.walk(cls)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "self"
+                   and node.attr not in reads})
+
+
+def test_every_self_attribute_is_read():
+    lib, others = _parse_all()
+    unread = _unread_attributes(lib, lib + others)
+    assert not unread, f"attributes nothing reads: {unread}"
+
+
+def test_check_detects_an_unread_attribute():
+    lib = ast.parse("class A:\n    def __init__(self):\n"
+                    "        self.read, self.unread = 1, 2\n"
+                    "        self.count = 0\n"
+                    "        self.count += 1\n"
+                    "    def f(self):\n        return self.read\n"
+                    "class Oops(ValueError):\n"
+                    "    def __init__(self, g):\n        self.g = g\n"
+                    "class B(errors.FreeshiftError):\n"
+                    "    def __init__(self):\n        self.h = 1\n")
+    assert _unread_attributes([lib], [lib]) == ["A.count", "A.unread"]
 
 
 @pytest.mark.parametrize("name", ["spectra.py", "diagnostics.py"])

@@ -250,19 +250,16 @@ class TestWindowGraph:
     def test_strongly_connected(self, d, m):
         # the transfer matrices rely on this; it holds by construction and
         # is proved here once instead of on every evaluation
-        windows, _, src, _ = pressure_mod._window_graph(d, m)
-        succ = {j: set() for j in range(len(windows))}
-        for j, preds in enumerate(src):
-            for i in preds:
-                succ[int(i)].add(j)
-        pred = {j: {int(i) for i in src[j]} for j in range(len(windows))}
-        for edges in (succ, pred):
-            seen, frontier = {0}, [0]
-            while frontier:
-                frontier = [k for j in frontier for k in edges[j]
-                            if k not in seen]
-                seen.update(frontier)
-            assert len(seen) == len(windows)
+        adj = pressure_mod.transfer_pattern(d, m) > 0
+        assert adj.shape == (len(window_states(d, m)[0]),) * 2
+        for edges in (adj, adj.T):
+            seen = np.zeros(len(adj), dtype=bool)
+            seen[0] = True
+            frontier = seen.copy()
+            while frontier.any():
+                frontier = edges[frontier].any(axis=0) & ~seen
+                seen |= frontier
+            assert seen.all()
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_lifted_graphs_strongly_connected(self, finite_cases, depth):
@@ -280,6 +277,18 @@ class TestWindowGraph:
                     frontier = edges[frontier].any(axis=0) & ~seen
                     seen |= frontier
                 assert seen.all(), (name, depth)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_lift_carries_the_full_pressure(self, finite_cases, depth):
+        # the lift's weights, checked by a dense eigensolver: its spectral
+        # radius is the full transfer matrix's (the Perron vector copied to
+        # every element is an eigenvector)
+        for seed, (name, (d, q, _)) in enumerate(finite_cases.items()):
+            pot = _random_pot(d, depth, seed)
+            rho = np.abs(np.linalg.eigvals(
+                LiftedTransferMatrix(pot, q).matrix)).max()
+            assert abs(math.log(rho) - full_pressure(pot).value) <= 1e-12, \
+                (name, depth)
 
     def test_lift_refuses_what_it_cannot_build(self, z1, s3):
         with pytest.raises(ValidationError, match="finite quotient"):
@@ -500,7 +509,7 @@ class TestFiberPartition:
 
     @pytest.mark.parametrize("name", sorted(HALF_RADIUS_CASES))
     def test_half_radius_ball_is_exact(self, name):
-        # the DP at n_max N runs on ball(ceil((N + r) / 2)), at 2N on a
+        # the DP at n_max N runs on ball(floor((N + r) / 2)), at 2N on a
         # larger ball; the first N terms agree, for each target alone
         # (its own r) and for all of them at once (the largest r)
         q, letters, far = self.HALF_RADIUS_CASES[name]

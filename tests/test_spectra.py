@@ -344,7 +344,7 @@ class TestTwistedCurves:
         # zeta at the minimising twist (central differences, h = 1e-5)
         psi, zeta, quotient = _lattice_case(name)
         depth = max(psi.depth, zeta.depth)
-        pattern, _ = transfer_pattern(zeta.d, depth)
+        pattern = transfer_pattern(zeta.d, depth)
         G = twist_table(quotient, window_states(zeta.d, depth)[0])[1]
         a = psi.as_depth(depth).values
         z = zeta.as_depth(depth).values
