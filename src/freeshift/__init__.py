@@ -30,24 +30,22 @@ from .diagnostics import (GibbsData, SymmetricAverageResult, VerdictReport,
                           symmetric_on_average_statistic)
 from .errors import (FreeshiftError, NumericError, ResourceError,
                      UndefinedRatioError, ValidationError)
-from .potentials import (GeometricPotential, Potential, birkhoff_sup_sum,
-                         boundary_completion, combine, distortion_constant,
-                         load_potential_csv, random_inverse_symmetric,
-                         save_potential_csv, window_states)
+from .potentials import (GeometricPotential, Potential, boundary_completion,
+                         combine, load_potential_csv,
+                         random_inverse_symmetric, window_states)
 from .pressure import (FiberSeries, GrowthFit, LiftedTransferMatrix,
                        PerronResult, PressureResult, TransferMatrix,
                        extrapolated_pressure, fiber_partition,
                        fiber_partition_many, full_pressure, growth_rate,
-                       partition_sum_matrix, perron_eigen,
-                       restricted_pressure)
+                       perron_eigen, restricted_pressure)
 from .quotients import (FiniteQuotient, FreeAbelianQuotient, FreeKillQuotient,
                         Quotient)
 from .spectra import (CogrowthResult, FreeEnergyCurve, FreeEnergyPoint,
                       SpectrumCurve, bowen_dimension, cogrowth,
                       default_beta_grid, delta, free_energy,
-                      free_energy_curve, legendre, level_set_dimension)
-from .words import (Alphabet, concat_reduce, count_words, enumerate_words,
-                    inverse_word, is_reduced)
+                      free_energy_curve, legendre)
+from .words import (Alphabet, concat_reduce, enumerate_words, inverse_word,
+                    is_reduced)
 
 __version__ = "0.1.0"
 
@@ -79,14 +77,11 @@ __all__ = [
     "ValidationError",
     "VerdictReport",
     "amenability_report",
-    "birkhoff_sup_sum",
     "boundary_completion",
     "bowen_dimension",
     "cogrowth",
     "combine",
     "concat_reduce",
-    "count_words",
-    "distortion_constant",
     "default_beta_grid",
     "delta",
     "divergence_probe",
@@ -103,15 +98,12 @@ __all__ = [
     "inverse_word",
     "is_reduced",
     "legendre",
-    "level_set_dimension",
     "load_config",
     "load_potential_csv",
-    "partition_sum_matrix",
     "perron_eigen",
     "pressure_inequality_check",
     "random_inverse_symmetric",
     "restricted_pressure",
-    "save_potential_csv",
     "symmetric_on_average_statistic",
     "window_states",
 ]

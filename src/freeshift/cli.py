@@ -193,9 +193,10 @@ def cmd_diagnose(cfg, args):
     reports = {}
     notes = []
     reports["amenability"] = amenability_report(
-        q, curves, sigma_factor=cfg.sigma_factor).to_dict()
+        q, curves, cfg.psi, cfg.zeta,
+        sigma_factor=cfg.sigma_factor).to_dict()
     reports["half_bound"] = half_bound_check(
-        q, cfg.zeta, curves=curves, n_max=cfg.n_max,
+        q, cfg.zeta, curves=curves, psi=cfg.psi, n_max=cfg.n_max,
         sigma_factor=cfg.sigma_factor, **kw).to_dict()
     if cfg.psi.is_inverse_symmetric(tol=0.0):
         f_sym = cfg.psi

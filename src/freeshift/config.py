@@ -9,9 +9,6 @@ config file's own directory. See the README for the full key table.
 import math
 import os
 from configparser import ConfigParser
-from dataclasses import dataclass, field
-
-import numpy as np
 
 # hashlib loads OpenSSL (a few MB per process) for one digest of a small
 # file: take the interpreter's built-in sha256 first, as random.py does
@@ -43,26 +40,33 @@ _ALLOWED = {
 }
 
 
-@dataclass
 class RunConfig:
-    d: int
-    zeta: Potential
-    psi: Potential
-    quotient: object            # None for the full shift
-    betas: np.ndarray
-    alpha_count: int
-    tol_eigen: float
-    tol_bisection: float
-    sigma_factor: float
-    n_max: int
-    max_states: int
-    gibbs_len: int
-    horizon: int
-    return_length: int
-    out_dir: str
-    seed: int
-    config_hash: str
-    overrides: dict = field(default_factory=dict)
+    """The validated settings of one run. ``quotient`` is None for the full
+    shift; ``overrides`` records the command-line flags that replaced a
+    config value (the CLI echoes it in every JSON summary)."""
+
+    def __init__(self, d, zeta, psi, quotient, betas, alpha_count,
+                 tol_eigen, tol_bisection, sigma_factor, n_max, max_states,
+                 gibbs_len, horizon, return_length, out_dir, seed,
+                 config_hash, overrides=None):
+        self.d = d
+        self.zeta = zeta
+        self.psi = psi
+        self.quotient = quotient
+        self.betas = betas
+        self.alpha_count = alpha_count
+        self.tol_eigen = tol_eigen
+        self.tol_bisection = tol_bisection
+        self.sigma_factor = sigma_factor
+        self.n_max = n_max
+        self.max_states = max_states
+        self.gibbs_len = gibbs_len
+        self.horizon = horizon
+        self.return_length = return_length
+        self.out_dir = out_dir
+        self.seed = seed
+        self.config_hash = config_hash
+        self.overrides = {} if overrides is None else overrides
 
     def describe_quotient(self):
         return "none" if self.quotient is None else self.quotient.describe()

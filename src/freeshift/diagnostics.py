@@ -14,7 +14,6 @@ heuristics in their notes, not proofs.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +37,12 @@ def _classify(rule, slacks):
         gaps = [s for s in slacks if s["name"].startswith("gap")]
         if any(s["slack"] > s["tol"] + ABS_MARGIN for s in gaps):
             return "non-amenable detected"
-        if all(s["slack"] <= s["tol"] for s in gaps):
+        if gaps and all(s["slack"] <= s["tol"] for s in gaps):
             return "consistent with amenable"
         return "inconclusive"
     if rule == "bound":
+        if not slacks:
+            return "inconclusive"
         ok = all(s["slack"] >= -s["tol"] for s in slacks)
         return "holds" if ok else "violated"
     if rule == "probe":
@@ -54,16 +55,16 @@ def _classify(rule, slacks):
     raise ValidationError(f"unknown verdict rule {rule!r}")
 
 
-@dataclass
 class VerdictReport:
     """Self-verifying report: the classification is a pure function of the
     stored slacks, so recompute_classification() must reproduce it."""
 
-    rule: str
-    quantities: list
-    slacks: list
-    classification: str
-    notes: list = field(default_factory=list)
+    def __init__(self, rule, quantities, slacks, classification, notes=None):
+        self.rule = rule
+        self.quantities = quantities
+        self.slacks = slacks
+        self.classification = classification
+        self.notes = [] if notes is None else notes
 
     def recompute_classification(self):
         return _classify(self.rule, self.slacks)
@@ -101,37 +102,71 @@ def _curve_pair(curves):
     return full, restricted
 
 
-def amenability_report(quotient, curves, sigma_factor=SIGMA_FACTOR):
-    """t_N(beta) vs t(beta) per grid point of ``curves``, the pair (full,
-    restricted) of free-energy curves on the same betas.
+def _symmetric_betas(betas, psi, zeta):
+    """Mask of the betas at which every beta psi + t zeta is
+    inverse-symmetric: all of them when psi (None for zero) and zeta are,
+    beta = 0 alone when only zeta is, none when zeta is not. The
+    dichotomies are claimed for symmetric potentials only: for an
+    asymmetric one on Z^k the drift of the optimal twist puts lambda_N
+    below P on an amenable quotient."""
+    if not zeta.is_inverse_symmetric():
+        return np.zeros(len(betas), dtype=bool)
+    if psi is None or psi.is_inverse_symmetric():
+        return np.ones(len(betas), dtype=bool)
+    return np.asarray(betas) == 0.0
 
-    Amenable quotients force equality (gap 0); a gap beyond noise plus the
-    absolute margin is a non-amenability certificate at the numeric level.
+
+def _skipped_note(what, betas):
+    return (f"{what} not compared: beta psi + t zeta is not "
+            f"inverse-symmetric at beta = "
+            f"{', '.join(f'{b:g}' for b in betas)}, and the dichotomies are "
+            f"claimed for symmetric potentials only")
+
+
+def amenability_report(quotient, curves, psi, zeta,
+                       sigma_factor=SIGMA_FACTOR):
+    """t_N(beta) vs t(beta) per grid point of ``curves``, the pair (full,
+    restricted) of free-energy curves of ``psi`` (None for zero) and
+    ``zeta`` on the same betas.
+
+    For inverse-symmetric potentials, amenable quotients force equality
+    (gap 0); a gap beyond noise plus the absolute margin is a
+    non-amenability certificate at the numeric level. Gaps are compared
+    only at the betas where beta psi + t zeta is inverse-symmetric
+    (_symmetric_betas); with none left the verdict is inconclusive.
     """
     full, restricted = _curve_pair(curves)
+    compared = _symmetric_betas(full.betas, psi, zeta)
     quantities, slacks = [], []
-    for pf, pn in zip(full.points, restricted.points):
+    for pf, pn, use in zip(full.points, restricted.points, compared):
         quantities.append(_qty(f"t(beta={pf.beta:g})", pf.t, pf.sigma,
                                pf.method))
         quantities.append(_qty(f"t_N(beta={pn.beta:g})", pn.t, pn.sigma,
                                pn.method))
-        slacks.append({"name": f"gap(beta={pf.beta:g})",
-                       "slack": pf.t - pn.t,
-                       "tol": sigma_factor * (pf.sigma + pn.sigma)
-                       + NOISE_FLOOR})
+        if use:
+            slacks.append({"name": f"gap(beta={pf.beta:g})",
+                           "slack": pf.t - pn.t,
+                           "tol": sigma_factor * (pf.sigma + pn.sigma)
+                           + NOISE_FLOOR})
     notes = [f"quotient: {quotient.describe()}",
              "gap = t - t_N; amenable quotients force gap 0 "
              "(equality of full and restricted pressure)"]
+    if not compared.all():
+        notes.append(_skipped_note("gap", full.betas[~compared]))
     return _report("amenability", quantities, slacks, notes)
 
 
-def half_bound_check(quotient, zeta, curves=None, n_max=40,
+def half_bound_check(quotient, zeta, curves=None, psi=None, n_max=40,
                      sigma_factor=SIGMA_FACTOR, u_tol=DEFAULT_U_TOL,
                      tol=1e-13):
     """delta_N >= delta/2, and with ``curves`` (the pair of full and
-    restricted free-energy curves of some psi and this zeta, on the same
-    betas) also b_N(alpha) >= b(alpha)/2 on the common interior alpha
-    range; reports every slack, classifies on the minimum.
+    restricted free-energy curves of ``psi``, None for zero, and this zeta,
+    on the same betas) also b_N(alpha) >= b(alpha)/2 on the common interior
+    alpha range; reports every slack, classifies on the minimum. Like the
+    amenability report it compares symmetric potentials only: the delta
+    slack needs an inverse-symmetric zeta, the spectrum slacks a symmetric
+    beta psi + t zeta at every beta; with no slack left the verdict is
+    inconclusive.
 
     When the curves contain beta = 0, their points there are taken as delta
     and delta_N (t(0) does not depend on psi) and are not solved again:
@@ -151,29 +186,37 @@ def half_bound_check(quotient, zeta, curves=None, n_max=40,
         _qty("delta", d_full.t, d_full.sigma, d_full.method),
         _qty("delta_N", d_n.t, d_n.sigma, d_n.method),
     ]
-    slacks = [{"name": "delta_N - delta/2",
-               "slack": d_n.t - d_full.t / 2,
-               "tol": sigma_factor * (d_n.sigma + d_full.sigma / 2)
-               + NOISE_FLOOR}]
+    slacks = []
     notes = [f"quotient: {quotient.describe()}"]
+    if zeta.is_inverse_symmetric():
+        slacks.append({"name": "delta_N - delta/2",
+                       "slack": d_n.t - d_full.t / 2,
+                       "tol": sigma_factor * (d_n.sigma + d_full.sigma / 2)
+                       + NOISE_FLOOR})
+    else:
+        notes.append(_skipped_note("delta_N - delta/2", [0.0]))
     if curves is not None:
-        spec_full = legendre(full_curve)
-        spec_n = legendre(n_curve, spec_full.alphas)
-        sig_full = float(full_curve.sigmas.max())
-        sig_n = float(n_curve.sigmas.max())
-        used = 0
-        for a, bf, ff, bn, fn in zip(spec_full.alphas, spec_full.b_values,
-                                     spec_full.flags, spec_n.b_values,
-                                     spec_n.flags):
-            if ff != "interior" or fn != "interior":
-                continue
-            used += 1
-            slacks.append({"name": f"b_N - b/2 (alpha={a:.6g})",
-                           "slack": float(bn - bf / 2),
-                           "tol": sigma_factor * (sig_n + sig_full / 2)
-                           + NOISE_FLOOR})
-        notes.append(f"spectrum compared on {used} common interior "
-                     f"alpha points")
+        skipped = full_curve.betas[
+            ~_symmetric_betas(full_curve.betas, psi, zeta)]
+        if skipped.size:
+            notes.append(_skipped_note("spectrum", skipped))
+        else:
+            spec_full = legendre(full_curve)
+            spec_n = legendre(n_curve, spec_full.alphas)
+            tol_b = (sigma_factor * (float(n_curve.sigmas.max())
+                                     + float(full_curve.sigmas.max()) / 2)
+                     + NOISE_FLOOR)
+            used = 0
+            for a, bf, ff, bn, fn in zip(
+                    spec_full.alphas, spec_full.b_values, spec_full.flags,
+                    spec_n.b_values, spec_n.flags):
+                if ff != "interior" or fn != "interior":
+                    continue
+                used += 1
+                slacks.append({"name": f"b_N - b/2 (alpha={a:.6g})",
+                               "slack": float(bn - bf / 2), "tol": tol_b})
+            notes.append(f"spectrum compared on {used} common interior "
+                         f"alpha points")
     return _report("bound", quantities, slacks, notes)
 
 
@@ -255,12 +298,16 @@ def divergence_probe(quotient, pot, n_max=60,
     return _report("probe", quantities, slacks, notes)
 
 
-@dataclass
 class SymmetricAverageResult:
-    value: float
-    per_g: dict
-    lam_hat: float
-    horizon: int
+    """The statistic ``value`` (the largest of the ratios ``per_g``, one
+    per representative g), the rate ``lam_hat`` it weighs by and its
+    ``horizon`` n."""
+
+    def __init__(self, value, per_g, lam_hat, horizon):
+        self.value = value
+        self.per_g = per_g
+        self.lam_hat = lam_hat
+        self.horizon = horizon
 
 
 def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None,
@@ -318,16 +365,19 @@ def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None,
 # ---------------------------------------------------------------------------
 # Gibbs verification (depth-1 exact construction)
 
-@dataclass
 class GibbsData:
-    rho: float
-    pressure: float
-    right: np.ndarray       # Perron eigenvector h
-    left: np.ndarray        # left eigenvector nu
-    initial: np.ndarray     # stationary distribution pi_i ~ nu_i h_i
-    transition: np.ndarray  # Q[i,j] = M[i,j] h_j / (rho h_i)
-    c_hat: float
-    per_level_c: dict       # cylinder length -> max Gibbs ratio
+    """The Gibbs measure of a depth-1 potential and its constants."""
+
+    def __init__(self, rho, pressure, right, left, initial, transition,
+                 c_hat, per_level_c):
+        self.rho = rho
+        self.pressure = pressure
+        self.right = right              # Perron eigenvector h
+        self.left = left                # left eigenvector nu
+        self.initial = initial          # stationary pi_i ~ nu_i h_i
+        self.transition = transition    # Q[i,j] = M[i,j] h_j / (rho h_i)
+        self.c_hat = c_hat
+        self.per_level_c = per_level_c  # cylinder length -> max Gibbs ratio
 
     def cylinder_measure(self, word):
         mu = self.initial[word[0]]

@@ -13,10 +13,8 @@ root problem and the spectrum's slope variable.
 """
 
 import csv
-import math
 import numbers
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,34 +33,30 @@ def window_states(d, m):
     return _window_cache[key]
 
 
-@dataclass(frozen=True, eq=False)
 class Potential:
     """Depth-k potential as a dense value table over admissible k-windows.
 
     ``values`` is aligned with the lexicographic window order of
-    ``window_states(d, depth)``.
+    ``window_states(d, depth)``; ``_index`` maps each window to its entry.
     """
 
-    d: int
-    depth: int
-    values: np.ndarray
-    _index: dict = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValidationError(f"free rank must be >= 2, got {self.d}")
-        if self.depth < 1:
-            raise ValidationError(f"depth must be >= 1, got {self.depth}")
-        windows, index = window_states(self.d, self.depth)
-        vals = np.asarray(self.values, dtype=float)
+    def __init__(self, d, depth, values):
+        if d < 2:
+            raise ValidationError(f"free rank must be >= 2, got {d}")
+        if depth < 1:
+            raise ValidationError(f"depth must be >= 1, got {depth}")
+        windows, index = window_states(d, depth)
+        vals = np.asarray(values, dtype=float)
         if vals.shape != (len(windows),):
             raise ValidationError(
                 f"value table has {vals.shape} entries, expected "
                 f"{len(windows)} windows")
         if not np.isfinite(vals).all():
             raise ValidationError("potential values must be finite")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_index", index)
+        self.d = d
+        self.depth = depth
+        self.values = vals
+        self._index = index
 
     # -- constructors -------------------------------------------------------
 
@@ -147,8 +141,8 @@ class Potential:
 class GeometricPotential(Potential):
     """Potential of log contraction ratios: values <= log s < 0."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, d, depth, values):
+        super().__init__(d, depth, values)
         if self.values.max() >= 0:
             raise ValidationError(
                 "geometric potential must be strictly negative "
@@ -165,11 +159,6 @@ class GeometricPotential(Potential):
                 raise ValidationError(
                     f"contraction ratios must lie in (0, 1), got {r}")
         return cls(d, 1, np.log(np.asarray(ratios, dtype=float)))
-
-    @property
-    def contraction_bound(self):
-        """The s with all values <= log s < 0."""
-        return math.exp(self.max)
 
 
 def combine(*terms):
@@ -192,20 +181,6 @@ def combine(*terms):
     return Potential(d, depth, total)
 
 
-def birkhoff_sup_sum(pot, word):
-    """S_w f: supremum over infinite admissible completions of the sum of
-    the first |w| window values: the interior windows plus the boundary
-    completion of the word. Empty word gives 0."""
-    word = tuple(word)
-    return float(_interior_sum(pot, word) + boundary_completion(pot, word))
-
-
-def distortion_constant(pot):
-    """(k-1) (max f - min f): bounds the gap between the sup-sum and any
-    single completion's sum, uniformly over words."""
-    return (pot.depth - 1) * (pot.max - pot.min)
-
-
 def boundary_completion(pot, suffix):
     """Best total of the trailing partial windows of a word ending with
     ``suffix`` (its last k-1 letters, or the whole word when shorter): the
@@ -220,12 +195,6 @@ def boundary_completion(pot, suffix):
              if c[0] != s[-1] ^ 1)
     return float(max(sum(pot.values[pot._index[u[i:i + k]]]
                          for i in range(len(s))) for u in words))
-
-
-def _interior_sum(pot, word):
-    k = pot.depth
-    return sum(pot.values[pot._index[word[i:i + k]]]
-               for i in range(0, len(word) - k + 1))
 
 
 def random_inverse_symmetric(d, seed):
@@ -243,15 +212,6 @@ def random_inverse_symmetric(d, seed):
 
 # ---------------------------------------------------------------------------
 # CSV table format: header w1,...,wk,value; one row per admissible window
-
-def save_potential_csv(pot, path):
-    windows, _ = window_states(pot.d, pot.depth)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([f"w{i + 1}" for i in range(pot.depth)] + ["value"])
-        for w in windows:
-            wr.writerow(list(w) + [repr(float(pot.values[pot._index[w]]))])
-
 
 def load_potential_csv(d, path, geometric=False):
     with open(path, "r", newline="", encoding="utf-8") as fh:

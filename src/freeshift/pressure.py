@@ -60,7 +60,6 @@ rates all evaluate rows of that route.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -167,13 +166,16 @@ class LiftedTransferMatrix:
 CHECK_STRIDE = 4
 
 
-@dataclass
 class PerronResult:
-    rho: float
-    residual: float           # half-width of the Collatz-Wielandt enclosure
-    iterations: int
-    right: np.ndarray
-    left: np.ndarray = None
+    """Perron root ``rho`` with its right (and, when asked, left) vector;
+    ``residual`` is the half-width of the Collatz-Wielandt enclosure."""
+
+    def __init__(self, rho, residual, iterations, right, left=None):
+        self.rho = rho
+        self.residual = residual
+        self.iterations = iterations
+        self.right = right
+        self.left = left
 
 
 def _perron_batch(pattern, weights, tol, max_iter=100_000,
@@ -281,19 +283,20 @@ def perron_eigen(M, tol=1e-13, max_iter=100_000, want_left=False, *,
                         right[0], None if left is None else left[0])
 
 
-@dataclass
 class PressureRows:
     """Exact pressures of K potentials on one scope, with the derivatives
     d/du P(f_k + u g) at u = 0, which equal the equilibrium integrals of g
     (Ruelle, Thermodynamic Formalism): sum l g r / sum l r over the
     left and right Perron vectors."""
 
-    values: np.ndarray
-    slopes: np.ndarray        # None without a direction g
-    residuals: np.ndarray     # certified bound on each value's error
-    start: tuple              # (right, left[, phi]): warm start
-    solves: int = 1           # batched eigen solves behind the values
-    iterations: np.ndarray = None     # power steps per row
+    def __init__(self, values, slopes, residuals, start, solves=1,
+                 iterations=None):
+        self.values = values
+        self.slopes = slopes            # None without a direction g
+        self.residuals = residuals      # certified bound on each error
+        self.start = start              # (right, left[, phi]): warm start
+        self.solves = solves            # batched eigen solves behind values
+        self.iterations = iterations    # power steps per row
 
 
 def pressure_rows(pattern, values, g=None, tol=1e-13, start=None):
@@ -315,7 +318,6 @@ def pressure_rows(pattern, values, g=None, tol=1e-13, start=None):
                         iterations=iterations)
 
 
-@dataclass
 class PressureResult:
     """A pressure value with its provenance.
 
@@ -324,11 +326,12 @@ class PressureResult:
     enclosure plus the certificate of the minimum over the twist) or
     "extrapolated" (sigma from the growth fit)."""
 
-    value: float
-    sigma: float
-    method: str
-    residual: float
-    detail: dict = field(default_factory=dict)
+    def __init__(self, value, sigma, method, residual, detail=None):
+        self.value = value
+        self.sigma = sigma
+        self.method = method
+        self.residual = residual
+        self.detail = {} if detail is None else detail
 
 
 def full_pressure(pot, tol=1e-13):
@@ -521,14 +524,14 @@ def scope_rows(d, depth, quotient=None, g=None, tol=1e-13):
 # ---------------------------------------------------------------------------
 # fiber partition sums
 
-@dataclass
 class FiberSeries:
     """log a_n for n = 1..n_max (NEG_INF where the fiber is empty)."""
 
-    n_max: int
-    log_values: np.ndarray
-    period: int
-    meta: dict = field(default_factory=dict)
+    def __init__(self, n_max, log_values, period, meta=None):
+        self.n_max = n_max
+        self.log_values = log_values
+        self.period = period
+        self.meta = {} if meta is None else meta
 
     @property
     def lengths(self):
@@ -807,7 +810,6 @@ def _fiber_renewal(pot, quotient, n_max, targets, max_states):
 # ---------------------------------------------------------------------------
 # growth-rate extraction
 
-@dataclass
 class GrowthFit:
     """Tail fit of log a_n = c + lambda n - gamma log n (see _tail_fit).
 
@@ -817,13 +819,15 @@ class GrowthFit:
     default n_max. sigma is max(regression stderr, half-window
     sensitivity), 0 for an exact lambda held in the fit."""
 
-    lam: float
-    sigma: float
-    gamma: float
-    gamma_sigma: float
-    n_points: int
-    window: tuple
-    rms: float
+    def __init__(self, lam, sigma, gamma, gamma_sigma, n_points, window,
+                 rms):
+        self.lam = lam
+        self.sigma = sigma
+        self.gamma = gamma
+        self.gamma_sigma = gamma_sigma
+        self.n_points = n_points
+        self.window = window
+        self.rms = rms
 
 
 # the fewest nonzero terms a tail fit accepts
@@ -901,19 +905,3 @@ def extrapolated_pressure(pot, quotient, n_max=40,
                            "n_points": fit.n_points, "window": fit.window,
                            "n_max": n_max, "period": series.period})
 
-
-def partition_sum_matrix(pot, n):
-    """Exact Z_n = sum over Sigma^n of exp(S_w f) via matrix powers:
-    interior window weights accumulated by the transfer matrix, boundary
-    completions of each last window's final k-1 letters added at
-    readout."""
-    m = pot.depth
-    if n < m:
-        raise ValidationError(f"need n >= window size {m}, got {n}")
-    vec = np.exp(pot.values)
-    M = TransferMatrix(pot).matrix
-    for _ in range(n - m):
-        vec = M.T @ vec
-    ebnd = np.exp([boundary_completion(pot, w[1:])
-                   for w in window_states(pot.d, m)[0]])
-    return float(vec @ ebnd)

@@ -32,7 +32,6 @@ makes the cogrowth ratio cheap: eta = lambda_N / log(2d - 1).
 import csv
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,14 +59,22 @@ def default_beta_grid(lo=None, hi=None, step=None):
     return np.linspace(lo, hi, count + 1)
 
 
-@dataclass(frozen=True)
 class FreeEnergyPoint:
-    beta: float
-    t: float
-    sigma: float
-    method: str
-    residual: float      # |pressure at t|, from the solver's evaluation there
-    evaluations: int
+    """The root t of P(beta psi + t zeta) = 0 with its provenance. Points
+    compare equal when every attribute does."""
+
+    def __init__(self, beta, t, sigma, method, residual, evaluations):
+        self.beta = beta
+        self.t = t
+        self.sigma = sigma
+        self.method = method
+        self.residual = residual    # |pressure at t|, evaluated there
+        self.evaluations = evaluations
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def _checked_psi(psi, zeta):
@@ -194,13 +201,16 @@ def bowen_dimension(zeta, ambient_dim=1.0, tol=1e-13, u_tol=DEFAULT_U_TOL):
     return point
 
 
-@dataclass(frozen=True)
 class CogrowthResult:
-    eta: float
-    sigma: float
-    method: str
-    fiber_rate: float    # lambda_N at f = 0
-    ambient_rate: float  # log(2d - 1)
+    """eta = fiber_rate / ambient_rate: lambda_N at f = 0 over
+    log(2d - 1)."""
+
+    def __init__(self, eta, sigma, method, fiber_rate, ambient_rate):
+        self.eta = eta
+        self.sigma = sigma
+        self.method = method
+        self.fiber_rate = fiber_rate
+        self.ambient_rate = ambient_rate
 
 
 def cogrowth(quotient, n_max=40, tol=1e-13):
@@ -218,11 +228,14 @@ def cogrowth(quotient, n_max=40, tol=1e-13):
 # ---------------------------------------------------------------------------
 # curves
 
-@dataclass
 class FreeEnergyCurve:
-    betas: np.ndarray
-    points: list
-    quotient_tag: str = "full"
+    """The FreeEnergyPoint of every beta, in grid order; ``quotient_tag``
+    names the scope ("full" or the quotient's description)."""
+
+    def __init__(self, betas, points, quotient_tag="full"):
+        self.betas = betas
+        self.points = points
+        self.quotient_tag = quotient_tag
 
     @property
     def t_values(self):
@@ -275,7 +288,6 @@ def free_energy_curve(psi, zeta, betas=None, quotient=None, n_max=40,
     return FreeEnergyCurve(betas, points, tag)
 
 
-@dataclass
 class SpectrumCurve:
     """Sampled b(alpha) = -t*(-alpha) = inf_beta (t(beta) + beta alpha).
 
@@ -284,13 +296,15 @@ class SpectrumCurve:
     slope range exhausted), "outside" (NaN) beyond [alpha_minus,
     alpha_plus], "point" for the degenerate single-alpha spectrum."""
 
-    alphas: np.ndarray
-    b_values: np.ndarray
-    flags: list
-    alpha_minus: float
-    alpha_plus: float
-    t0: float
-    quotient_tag: str = "full"
+    def __init__(self, alphas, b_values, flags, alpha_minus, alpha_plus, t0,
+                 quotient_tag="full"):
+        self.alphas = alphas
+        self.b_values = b_values
+        self.flags = flags
+        self.alpha_minus = alpha_minus
+        self.alpha_plus = alpha_plus
+        self.t0 = t0
+        self.quotient_tag = quotient_tag
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -341,18 +355,3 @@ def legendre(curve, alphas=None, n_alphas=None):
              for out, k in zip(outside, j)]
     return SpectrumCurve(alphas, vals, flags, a_minus, a_plus, t0,
                          curve.quotient_tag)
-
-
-def level_set_dimension(alpha, psi, zeta, quotient=None, curve=None,
-                        betas=None, n_max=40, **kw):
-    """Dimension b(alpha) of the level set where the Birkhoff ratio of psi
-    to the geometry equals alpha. Returns NaN for alpha outside the sampled
-    slope range: the level set is empty there."""
-    if curve is None:
-        curve = free_energy_curve(psi, zeta, betas=betas, quotient=quotient,
-                                  n_max=n_max, **kw)
-    spec = legendre(curve, np.array([float(alpha)]))
-    if spec.flags == ["point"]:
-        return spec.b_values[0] if abs(alpha - spec.alpha_minus) < 1e-9 \
-            else math.nan
-    return float(spec.b_values[0])

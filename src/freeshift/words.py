@@ -10,8 +10,6 @@ Words travel through the library as plain tuples of ints; Alphabet checks
 letters and names them (``g1``, ``g1^-1``, ...) for output.
 """
 
-from dataclasses import dataclass
-
 from .errors import ValidationError
 
 
@@ -37,17 +35,6 @@ def concat_reduce(v, w):
 def inverse_word(w):
     """Group inverse: reverse the word and invert every letter."""
     return tuple(l ^ 1 for l in reversed(w))
-
-
-def count_words(d, n):
-    """|Sigma^n| as an exact int: 1 for n=0, else 2d(2d-1)^(n-1)."""
-    if d < 2:
-        raise ValidationError(f"free rank must be >= 2, got {d}")
-    if n < 0:
-        raise ValidationError(f"word length must be >= 0, got {n}")
-    if n == 0:
-        return 1
-    return 2 * d * (2 * d - 1) ** (n - 1)
 
 
 def enumerate_words(d, n):
@@ -86,15 +73,13 @@ def enumerate_words(d, n):
             return
 
 
-@dataclass(frozen=True)
 class Alphabet:
     """The 2d-letter alphabet of the rank-d free group."""
 
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValidationError(f"free rank must be >= 2, got {self.d}")
+    def __init__(self, d):
+        if d < 2:
+            raise ValidationError(f"free rank must be >= 2, got {d}")
+        self.d = d
 
     @property
     def size(self):

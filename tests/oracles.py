@@ -7,6 +7,9 @@ library output against these oracles on small instances, so the oracles
 must stay independent of the code under test (they import nothing from
 freeshift). reduced_word_counts counts words by an exact integer
 recurrence instead of enumerating them; tests check it against brute_words.
+The helpers that take a library Potential (birkhoff_sup_sum,
+distortion_constant, partition_sum_matrix, save_potential_csv) read it only
+through its d, depth, value(), max and min.
 
 Conventions (shared with the library by construction, asserted in tests):
 letters are ints 0..2d-1, letter 2k is the (k+1)-th generator, 2k+1 its
@@ -14,6 +17,7 @@ inverse, so the involution is xor with 1. A word is a tuple of letters with
 no adjacent inverse pairs.
 """
 
+import csv
 import functools
 import math
 from fractions import Fraction
@@ -239,6 +243,53 @@ def brute_sup_sum(d, depth, table, word):
                 rec(tail + (l,), j + 1)
     rec((), 0)
     return best
+
+
+def birkhoff_sup_sum(pot, word):
+    """S_w f of a library Potential by brute_sup_sum on its window table.
+    Empty word gives 0."""
+    table = {w: pot.value(w) for w in brute_words(pot.d, pot.depth)}
+    return brute_sup_sum(pot.d, pot.depth, table, tuple(word))
+
+
+def distortion_constant(pot):
+    """(k-1) (max f - min f): bounds the gap between the sup-sum and any
+    single completion's sum, uniformly over words."""
+    return (pot.depth - 1) * (pot.max - pot.min)
+
+
+def partition_sum_matrix(pot, n):
+    """Z_n = sum over reduced words of length n of exp(S_w f), by powers of
+    a dense transfer matrix over the depth-k windows built here from
+    brute_words: the matrix accumulates the interior windows, and each last
+    window's trailing completion (its brute_sup_sum less the window's own
+    value) is added at readout."""
+    d, k = pot.d, pot.depth
+    if n < k:
+        raise ValueError(f"need n >= window size {k}, got {n}")
+    windows = list(brute_words(d, k))
+    index = {w: i for i, w in enumerate(windows)}
+    table = {w: pot.value(w) for w in windows}
+    M = np.zeros((len(windows), len(windows)))
+    for u in brute_words(d, k + 1):
+        M[index[u[:-1]], index[u[1:]]] = math.exp(table[u[1:]])
+    vec = np.exp([table[w] for w in windows])
+    for _ in range(n - k):
+        vec = M.T @ vec
+    ends = np.exp([brute_sup_sum(d, k, table, w) - table[w]
+                   for w in windows])
+    return float(vec @ ends)
+
+
+def save_potential_csv(pot, path):
+    """Write a library Potential in the potential CSV format: header
+    w1,...,wk,value, one row per admissible window, each value as its
+    repr, so it reads back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        wr = csv.writer(fh)
+        wr.writerow([f"w{i + 1}" for i in range(pot.depth)] + ["value"])
+        for w in brute_words(pot.d, pot.depth):
+            wr.writerow(list(w) + [repr(pot.value(w))])
 
 
 @functools.cache

@@ -284,6 +284,23 @@ class TestSubcommands:
         assert reports["symmetric_on_average"]["value"] == pytest.approx(
             1.0, abs=0.1)
 
+    def test_diagnose_asymmetric_psi_on_z2(self, capsys, tmp_path):
+        # Z^2 is amenable, but this psi drifts: t_N(1) sits 0.6 below t(1)
+        # by the optimal twist, which says nothing about amenability
+        ini = tmp_path / "drift.ini"
+        ini.write_text(Z2.replace("ratios = 0.25",
+                                  "ratios = 0.5, 0.333333333333")
+                       + "\n[psi]\nletters = 1.0, -1.0, 0.0, 0.0\n")
+        code, payload, _ = run_cli(capsys, [
+            "diagnose", "--config", str(ini), "--beta-range=0:1:1",
+            "--n-max", "24"])
+        assert code == 0
+        assert payload["self_verified"] is True
+        amenability = payload["reports"]["amenability"]
+        assert amenability["verdict"] != "non-amenable detected"
+        assert [s["name"] for s in amenability["slacks"]] == ["gap(beta=0)"]
+        assert payload["reports"]["half_bound"]["verdict"] == "holds"
+
     def test_sigma_factor_scales_tolerances(self, capsys, tmp_path):
         # on FK3 the restricted values are extrapolated, so their sigmas
         # are positive and the factor shows in every slack tolerance

@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from freeshift import (FiniteQuotient, FreeAbelianQuotient, FreeKillQuotient,
                        GeometricPotential, ValidationError, default_beta_grid,
-                       load_config, save_potential_csv)
+                       load_config)
 from freeshift.config import parse_number
 
 MINIMAL = """\
@@ -153,14 +154,14 @@ class TestPotentialForms:
         sub = tmp_path / "sub"
         sub.mkdir()
         pot = Potential.from_letter_values(2, [-1.0, -1.0, -0.5, -0.5])
-        save_potential_csv(pot, str(sub / "psi.csv"))
+        oracles.save_potential_csv(pot, str(sub / "psi.csv"))
         cfg = load_config(_write(sub, MINIMAL + "[psi]\nfile = psi.csv\n"))
         assert np.allclose(cfg.psi.values, pot.values)
 
     def test_zeta_file_enforces_negativity(self, tmp_path):
         from freeshift import Potential
         pot = Potential.from_letter_values(2, [0.5, -1.0, -1.0, -1.0])
-        save_potential_csv(pot, str(tmp_path / "z.csv"))
+        oracles.save_potential_csv(pot, str(tmp_path / "z.csv"))
         text = "[model]\nd = 2\n\n[zeta]\nfile = z.csv\n"
         with pytest.raises(ValidationError, match="negative"):
             load_config(_write(tmp_path, text))

@@ -28,7 +28,8 @@ def _curves(quotient, psi, zeta, betas, n_max=40):
 
 class TestAmenability:
     def test_finite_quotient_gaps_vanish_exactly(self, s3):
-        rep = amenability_report(s3, _curves(s3, PSI_SYM, ZETA_1, BETAS))
+        rep = amenability_report(s3, _curves(s3, PSI_SYM, ZETA_1, BETAS),
+                                 PSI_SYM, ZETA_1)
         assert rep.classification == "consistent with amenable"
         gaps = [s for s in rep.slacks if s["name"].startswith("gap")]
         assert len(gaps) == len(BETAS)
@@ -38,14 +39,15 @@ class TestAmenability:
         # exact eigenvalues carry sigma 0; the noise floor must absorb
         # solver-level jitter instead of yielding "inconclusive"
         rep = amenability_report(zmod2,
-                                 _curves(zmod2, PSI_SYM, ZETA_1, BETAS))
+                                 _curves(zmod2, PSI_SYM, ZETA_1, BETAS),
+                                 PSI_SYM, ZETA_1)
         assert rep.classification == "consistent with amenable"
 
     def test_amenable_infinite_quotient(self, z2):
         from freeshift import GeometricPotential
         zeta = GeometricPotential.constant(2, math.log(0.25))
         rep = amenability_report(z2, _curves(z2, None, zeta, np.array([0.0]),
-                                             n_max=40))
+                                             n_max=40), None, zeta)
         assert rep.classification == "consistent with amenable"
         gap = rep.slacks[0]["slack"]
         assert abs(gap) <= 0.02
@@ -53,15 +55,53 @@ class TestAmenability:
     def test_nonamenable_quotient_detected(self, fk3):
         zeta = Potential.constant(3, -1.0)
         rep = amenability_report(fk3, _curves(fk3, None, zeta,
-                                              np.array([0.0]), n_max=30))
+                                              np.array([0.0]), n_max=30),
+                                 None, zeta)
         assert rep.classification == "non-amenable detected"
         assert rep.slacks[0]["slack"] >= 0.05
+
+    def test_symmetric_psi_on_fk3_detected_at_every_beta(self, fk3):
+        zeta = Potential.constant(3, -1.0)
+        psi = Potential.from_letter_values(
+            3, [-0.3, -0.3, -0.5, -0.5, 0.2, 0.2])
+        betas = np.array([-1.0, 0.0, 1.0])
+        rep = amenability_report(fk3, _curves(fk3, psi, zeta, betas,
+                                              n_max=30), psi, zeta)
+        assert rep.classification == "non-amenable detected"
+        assert [s["name"] for s in rep.slacks] == \
+            [f"gap(beta={b:g})" for b in betas]
+        assert len(rep.notes) == 2 and rep.verify()
+
+    def test_asymmetric_potentials_compare_symmetric_betas_only(self, z2):
+        # on Z^2 an asymmetric psi drifts: t_N(1) < t(1) though Z^2 is
+        # amenable, so only beta = 0 (the potential t zeta) is compared
+        zeta = Potential.from_letter_values(2, [-1.0, -1.0, -2.0, -2.0])
+        psi = Potential.from_letter_values(2, [1.0, -1.0, 0.0, 0.0])
+        betas = np.array([0.0, 1.0])
+        curves = _curves(z2, psi, zeta, betas, n_max=24)
+        assert curves[0].points[1].t - curves[1].points[1].t > 0.1
+        rep = amenability_report(z2, curves, psi, zeta)
+        assert [s["name"] for s in rep.slacks] == ["gap(beta=0)"]
+        assert rep.classification == "consistent with amenable"
+        assert rep.notes[-1].startswith("gap not compared")
+        assert "inverse-symmetric at beta = 1," in rep.notes[-1]
+        bound = half_bound_check(z2, zeta, curves=curves, psi=psi)
+        assert [s["name"] for s in bound.slacks] == ["delta_N - delta/2"]
+        assert bound.notes[-1].startswith("spectrum not compared")
+        assert "inverse-symmetric at beta = 1," in bound.notes[-1]
+        # an asymmetric zeta leaves no point: both verdicts inconclusive
+        tilted = Potential.from_letter_values(2, [-1.0, -1.5, -2.0, -2.0])
+        curves = _curves(z2, None, tilted, betas, n_max=24)
+        for rep in (amenability_report(z2, curves, None, tilted),
+                    half_bound_check(z2, tilted, curves=curves)):
+            assert rep.slacks == [] and rep.verify()
+            assert rep.classification == "inconclusive"
 
     def test_curves_on_different_betas_rejected(self, zmod2):
         full, _ = _curves(zmod2, None, ZETA_1, BETAS)
         _, restricted = _curves(zmod2, None, ZETA_1, BETAS + 0.5)
         with pytest.raises(ValidationError, match="same betas"):
-            amenability_report(zmod2, (full, restricted))
+            amenability_report(zmod2, (full, restricted), None, ZETA_1)
         with pytest.raises(ValidationError, match="same betas"):
             half_bound_check(zmod2, ZETA_1, curves=(full, restricted))
 
@@ -287,7 +327,8 @@ class TestGibbs:
 
 class TestVerdictReports:
     def test_self_verification_and_tampering(self, s3):
-        rep = amenability_report(s3, _curves(s3, PSI_SYM, ZETA_1, BETAS))
+        rep = amenability_report(s3, _curves(s3, PSI_SYM, ZETA_1, BETAS),
+                                 PSI_SYM, ZETA_1)
         assert rep.verify()
         rep.classification = "non-amenable detected"
         assert not rep.verify()

@@ -2,15 +2,22 @@
 module imports is used in it (or re-exported through ``__all__``), no
 function imports from the package itself (those imports go at module top,
 where a cycle would show at once), every module-level private function
-is referenced somewhere in the package, every dataclass field and every
-attribute a class sets on ``self`` is read somewhere, no runtime check is
-an ``assert`` (``python -O`` strips those; checks raise typed errors), and
-no module loads native code the runs do not need (hashlib's OpenSSL,
-numpy.random, numpy.ma)."""
+is referenced somewhere in the package, every attribute a class sets on
+``self`` (every field of a record class) is read somewhere, every name the
+package exports has a reader outside the tests, no runtime check is an
+``assert`` (``python -O`` strips those; checks raise typed errors), no
+module loads native code the runs do not need (hashlib's OpenSSL,
+numpy.random, numpy.ma), and no module imports ``dataclasses``, whose
+classes generate their methods with ``exec`` in every process that imports
+them."""
 
 import ast
 import collections
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -135,14 +142,6 @@ def test_check_detects_an_orphan_helper():
     assert _orphan_helpers(trees) == ["_recursive", "_unused"]
 
 
-def _is_dataclass(decorator):
-    target = (decorator.func if isinstance(decorator, ast.Call)
-              else decorator)
-    return (isinstance(target, ast.Name) and target.id == "dataclass"
-            or isinstance(target, ast.Attribute)
-            and target.attr == "dataclass")
-
-
 def _attribute_reads(trees):
     return {node.attr for tree in trees for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
@@ -159,38 +158,6 @@ def _parse_all():
               for p in sorted((ROOT / top).rglob("*.py"))
               if p != pathlib.Path(__file__).resolve()]
     return [parse(p) for p in MODULES], others
-
-
-def _unread_fields(lib_trees, trees):
-    """``Class.field`` of every dataclass field in lib_trees that no
-    attribute load in trees reads (a keyword or a store is no read)."""
-    reads = _attribute_reads(trees)
-    return sorted(f"{cls.name}.{stmt.target.id}"
-                  for tree in lib_trees for cls in ast.walk(tree)
-                  if isinstance(cls, ast.ClassDef)
-                  and any(_is_dataclass(d) for d in cls.decorator_list)
-                  for stmt in cls.body
-                  if isinstance(stmt, ast.AnnAssign)
-                  and isinstance(stmt.target, ast.Name)
-                  and stmt.target.id not in reads)
-
-
-def test_every_dataclass_field_is_read():
-    lib, others = _parse_all()
-    unread = _unread_fields(lib, lib + others)
-    assert not unread, f"dataclass fields nothing reads: {unread}"
-
-
-def test_check_detects_an_unread_field():
-    lib = ast.parse("from dataclasses import dataclass\n"
-                    "@dataclass\nclass A:\n    read: int\n"
-                    "    unread: int\n    written: int = 0\n"
-                    "@dataclass(frozen=True)\nclass B:\n    kw: int\n"
-                    "class C:\n    plain: int\n")
-    use = ast.parse("a = A(1, 2, written=3)\na.written = 4\n"
-                    "print(a.read, B(kw=1))\n")
-    assert _unread_fields([lib], [lib, use]) == ["A.unread", "A.written",
-                                                 "B.kw"]
 
 
 def _unread_attributes(lib_trees, trees):
@@ -231,8 +198,15 @@ def test_check_detects_an_unread_attribute():
                     "class Oops(ValueError):\n"
                     "    def __init__(self, g):\n        self.g = g\n"
                     "class B(errors.FreeshiftError):\n"
-                    "    def __init__(self):\n        self.h = 1\n")
-    assert _unread_attributes([lib], [lib]) == ["A.count", "A.unread"]
+                    "    def __init__(self):\n        self.h = 1\n"
+                    "class Record:\n"
+                    "    def __init__(self, kept, dropped=None):\n"
+                    "        self.kept = kept\n"
+                    "        self.dropped = [] if dropped is None "
+                    "else dropped\n")
+    use = ast.parse("r = Record(1, dropped=[2])\nprint(r.kept)\n")
+    assert _unread_attributes([lib], [lib, use]) == ["A.count", "A.unread",
+                                                     "Record.dropped"]
 
 
 @pytest.mark.parametrize("name", ["spectra.py", "diagnostics.py"])
@@ -324,3 +298,106 @@ def test_check_detects_heavy_native_imports():
                      "import numpy.ma\n"
                      "y = np.unique([1])\n")
     assert _heavy_imports(tree) == [5, 7, 8, 9]
+
+
+def _dataclasses_imports(tree):
+    """Lines that import the dataclasses module or a name from it."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  and any(alias.name == "dataclasses"
+                          for alias in node.names)
+                  or isinstance(node, ast.ImportFrom)
+                  and node.module == "dataclasses" and not node.level)
+
+
+def test_no_dataclasses_import():
+    found = {p.name: _dataclasses_imports(
+                 ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+             for p in MODULES}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"dataclasses imported: {found}"
+
+
+def test_check_detects_a_dataclasses_import():
+    tree = ast.parse("import dataclasses\n"
+                     "from dataclasses import dataclass, field\n"
+                     "import os, dataclasses as dc\n"
+                     "from .dataclasses import x\n"
+                     "import dataclasses_json\n")
+    assert _dataclasses_imports(tree) == [1, 2, 3]
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, freeshift.cli; "
+                               "print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def _exported(tree):
+    """The strings listed in a module's ``__all__``."""
+    return [c.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for c in ast.walk(node.value) if isinstance(c, ast.Constant)]
+
+
+def _names(tree, strings=False):
+    """Every name a tree loads or imports and every attribute it reads;
+    with ``strings``, every string constant too."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name for alias in node.names)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out.add(node.value)
+    return out
+
+
+def _readme_examples(text):
+    """The parsed ```python blocks of a README."""
+    return [ast.parse(block)
+            for block in re.findall(r"```python\n(.*?)```", text, re.S)]
+
+
+def _unread_exports(exported, lib_trees, bench_trees, readme_trees):
+    """Names of ``exported`` that no library module other than the package
+    ``__init__`` reads, that no bench file names (the tracer names what it
+    wraps as strings) and that no README example uses."""
+    readers = set()
+    for tree in lib_trees + readme_trees:
+        readers |= _names(tree)
+    for tree in bench_trees:
+        readers |= _names(tree, strings=True)
+    return sorted(set(exported) - readers)
+
+
+def test_every_export_has_a_reader():
+    def parse(p):
+        return ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+    init = parse(SRC / "__init__.py")
+    lib = [parse(p) for p in MODULES if p.name != "__init__.py"]
+    bench = [parse(p) for p in sorted((ROOT / "bench").glob("*.py"))]
+    readme = _readme_examples((ROOT / "README.md").read_text(
+        encoding="utf-8"))
+    unread = _unread_exports(_exported(init), lib, bench, readme)
+    assert not unread, f"exported names only tests read: {unread}"
+
+
+def test_check_detects_an_unread_export():
+    init = ast.parse("from .a import f\n"
+                     "__all__ = ['f', 'g', 'h', 'k', 'only_tests']\n")
+    lib = [ast.parse("def f():\n    return 1\ndef g():\n    return f()\n")]
+    bench = [ast.parse("WRAPPED = [('a', 'g'), ('a', 'h')]\n")]
+    readme = _readme_examples("text\n```python\nfrom freeshift import k\n"
+                              "```\n```sh\nonly_tests\n```\n")
+    assert _unread_exports(_exported(init), lib, bench, readme) == \
+        ["only_tests"]

@@ -10,7 +10,7 @@ from freeshift import (FreeAbelianQuotient, GeometricPotential,
                        NumericError, Potential, ValidationError,
                        bowen_dimension, cogrowth, combine, default_beta_grid,
                        delta, free_energy, free_energy_curve, full_pressure,
-                       legendre, level_set_dimension, restricted_pressure,
+                       legendre, restricted_pressure,
                        window_states)
 from freeshift.pressure import (scope_rows, transfer_pattern, twist_table,
                                 twisted_rows)
@@ -469,11 +469,9 @@ class TestCurvesAndSpectra:
         curve = free_energy_curve(psi_minus_one, two_ratio_zeta, betas=betas)
         spec = legendre(curve)
         mid = 0.5 * (spec.alpha_minus + spec.alpha_plus)
-        inside = level_set_dimension(mid, psi_minus_one, two_ratio_zeta,
-                                     curve=curve)
+        inside = legendre(curve, [mid]).b_values[0]
         assert not math.isnan(inside) and inside > 0
-        outside = level_set_dimension(spec.alpha_plus + 1.0, psi_minus_one,
-                                      two_ratio_zeta, curve=curve)
+        outside = legendre(curve, [spec.alpha_plus + 1.0]).b_values[0]
         assert math.isnan(outside)
 
     def test_domination_by_full_curve(self, z2):
