@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import warnings
-from decimal import Context, Decimal
 
 import numpy as np
 
@@ -149,6 +148,9 @@ def _a_text(log_a):
     try:
         return f"{math.exp(log_a):.12g}"
     except OverflowError:
+        # imported here: loading decimal costs every other process about
+        # half a megabyte of resident memory
+        from decimal import Context, Decimal
         return format(Decimal(log_a).exp(Context(prec=12)).normalize(), "g")
 
 

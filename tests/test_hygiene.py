@@ -327,14 +327,17 @@ def test_check_detects_a_dataclasses_import():
     assert _dataclasses_imports(tree) == [1, 2, 3]
 
 
-def test_cli_import_leaves_dataclasses_unloaded():
+def test_cli_import_leaves_dataclasses_and_decimal_unloaded():
+    # decimal serves only partition's beyond-float-range rows, and cli
+    # imports it there
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, freeshift.cli; "
-                               "print('dataclasses' in sys.modules)"],
+        [sys.executable, "-c", "import sys, freeshift.cli; print("
+                               "'dataclasses' in sys.modules, "
+                               "'decimal' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def _exported(tree):
