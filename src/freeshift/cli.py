@@ -200,7 +200,7 @@ def cmd_diagnose(cfg, args):
     reports["half_bound"] = half_bound_check(
         q, cfg.zeta, curves=curves, psi=cfg.psi, n_max=cfg.n_max,
         sigma_factor=cfg.sigma_factor, **kw).to_dict()
-    if cfg.psi.is_inverse_symmetric(tol=0.0):
+    if cfg.psi.is_inverse_symmetric():
         f_sym = cfg.psi
     else:
         f_sym = Potential.constant(cfg.d, 0.0)

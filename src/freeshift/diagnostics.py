@@ -231,7 +231,7 @@ def pressure_inequality_check(quotient, pot, n_max=40,
     which itself quantifies over infinitely many scales; the note records
     which condition was verified.
     """
-    if not pot.is_inverse_symmetric(tol=0.0):
+    if not pot.is_inverse_symmetric():
         raise ValidationError(
             "potential is not inverse-symmetric; the doubled-pressure "
             "inequality is only claimed for symmetric potentials")

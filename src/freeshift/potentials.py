@@ -122,13 +122,13 @@ class Potential:
                          for w in windows])
         return Potential(self.d, depth, vals)
 
-    def is_inverse_symmetric(self, tol=0.0):
+    def is_inverse_symmetric(self):
         """True when the table is invariant under word inversion of the
         windows (letter involution composed with reversal). This is the
         checkable sufficient condition used as a precondition by the
         symmetry-dependent inequalities."""
         for w in self._index:
-            if abs(self.value(w) - self.value(inverse_word(w))) > tol:
+            if self.value(w) != self.value(inverse_word(w)):
                 return False
         return True
 

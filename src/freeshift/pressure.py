@@ -50,9 +50,10 @@ enclosures, checked every few steps, so every exact eigenvalue carries a
 certified residual. One engine serves a single matrix (perron_eigen) and
 K weight rows on one pattern at once (pressure_rows, one GEMM per step for
 all rows, which with window tables g also iterates the left vectors and
-returns d/du P(f + u g) along them; the twisted pressure reads its
-theta-gradient there). Weights are tilted to largest weight 1 and the tilt
-added back to log rho, so P(f + c) = P(f) + c holds for any constant c.
+returns d/du P(f + u g) along them, and the second derivatives on request;
+the twisted pressure reads its theta-gradient and Hessian there). Weights
+are tilted to largest weight 1 and the tilt added back to log rho, so
+P(f + c) = P(f) + c holds for any constant c.
 
 scope_rows is the one place where a scope picks its pressure engine;
 restricted_pressure, the free-energy roots and the diagnostics' exact
@@ -290,32 +291,59 @@ class PressureRows:
     left and right Perron vectors."""
 
     def __init__(self, values, slopes, residuals, start, solves=1,
-                 iterations=None):
+                 iterations=None, hessian=None):
         self.values = values
         self.slopes = slopes            # None without a direction g
         self.residuals = residuals      # certified bound on each error
         self.start = start              # (right, left[, phi]): warm start
         self.solves = solves            # batched eigen solves behind values
         self.iterations = iterations    # power steps per row
+        self.hessian = hessian          # (K, c, c) second derivatives or None
 
 
-def pressure_rows(pattern, values, g=None, tol=1e-13, start=None):
+def _hessian(pattern, weights, rho, right, pi, centred):
+    """Second derivatives of P(f + u g) in u along the columns of g: the
+    asymptotic covariance of the chain Q_ij = M_ij r_j / (rho r_i), whose
+    stationary law is pi (Parry-Pollicott 1990). With centred = g - pi.g,
+    a = sum_n Q^n centred solves (I - Q + 1 pi^T) a = centred, and H =
+    X + X^T, X = pi.(centred (a - centred / 2)), is exactly symmetric. The
+    W x W solves go in blocks of at most 2^20 entries (8 MB)."""
+    step = max(1, 2 ** 20 // len(pattern) ** 2)
+    if len(rho) > step:
+        return np.concatenate([
+            _hessian(pattern, *(x[i:i + step] for x in
+                                (weights, rho, right, pi, centred)))
+            for i in range(0, len(rho), step)])
+    Q = (pattern * (weights * right)[:, None, :]
+         / (rho[:, None] * right)[:, :, None])
+    a = np.linalg.solve(np.eye(len(pattern)) - Q + pi[:, None, :], centred)
+    X = (pi[:, :, None] * centred).transpose(0, 2, 1) @ (a - 0.5 * centred)
+    return X + X.transpose(0, 2, 1)
+
+
+def pressure_rows(pattern, values, g=None, tol=1e-13, start=None,
+                  hessian=False):
     """Pressures of the potentials values[k] (window tables) and slopes
     along the window table g, on the scope of ``transfer_pattern``, by one
     batched power iteration. Each row is tilted to largest weight 1 and
     its shift added back, so no row can overflow. A (W, c) table g gives
-    (K, c) slopes, one column per direction; without g the left iterates
-    are skipped and slopes is None."""
+    (K, c) slopes, one column per direction, and with ``hessian`` the
+    (K, c, c) second derivatives along those columns; without g the left
+    iterates are skipped and slopes is None."""
     weights, shift = _tilt(values)
     rho, half, iterations, right, left = _perron_batch(
         pattern, weights, tol, want_left=g is not None, start=start)
-    slopes = None
+    slopes = H = None
     if g is not None:
         lr = left * right
         slopes = ((lr @ g).T / lr.sum(axis=1)).T
+        if hessian:
+            H = _hessian(pattern, weights, rho, right,
+                         lr / lr.sum(axis=1)[:, None],
+                         g - slopes[:, None, :])
     return PressureRows(np.log(rho) + shift, slopes,
                         half / rho, (right, left),
-                        iterations=iterations)
+                        iterations=iterations, hessian=H)
 
 
 class PressureResult:
@@ -351,9 +379,7 @@ def full_pressure(pot, tol=1e-13):
 # ---------------------------------------------------------------------------
 # twisted pressure (free abelian quotients)
 
-# central-difference step of the Hessian in the twist, and Newton rounds
-# before a twist minimum is declared uncertifiable
-HESSIAN_STEP = 1e-4
+# Newton rounds before a twist minimum is declared uncertifiable
 TWIST_MAX_ROUNDS = 100
 
 
@@ -383,25 +409,21 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
     """lambda_k = min over phi of P(values[k] + G phi) on the full window
     pattern, by Newton steps in phi for all rows at once.
 
-    Each round is one pressure_rows call over every live row and its 2r
-    central-difference neighbours phi +- h e_i. Their slopes along the
-    columns of G are the gradient of P in phi; the neighbours' differences
-    give the Hessian H. P is convex, so a row stops at a point where it was
-    evaluated once |grad|^2 / (2 lambda_min(H)) <= tol; its residual is
-    that bound plus the Perron enclosure. Otherwise it tries the Newton
-    step cut to a trust radius, which doubles after a full step that lowers
-    P and halves when a step does not, so a far minimum (a strongly
-    drifting potential) is reached without overshoot. Returns
-    PressureRows with the slopes along g (by the envelope theorem, the
-    derivatives of the minima) and start = (right, left, phi), which also
-    warm-starts rows of a later call."""
+    Each round is one pressure_rows call over the live rows. Their slopes
+    along the columns of G are the gradient of P in phi, and their second
+    derivatives along them the Hessian H, read off the same Perron vectors.
+    P is convex, so a row stops at a point where it was evaluated once
+    |grad|^2 / (2 lambda_min(H)) <= tol; its residual is that bound plus
+    the Perron enclosure. Otherwise it tries the Newton step cut to a trust
+    radius, which doubles after a full step that lowers P and halves when
+    a step does not, so a far minimum (a strongly drifting potential) is
+    reached without overshoot. Returns PressureRows with the slopes along
+    g (by the envelope theorem, the derivatives of the minima) and start =
+    (right, left, phi), which also warm-starts rows of a later call."""
     K, W = values.shape
     r = G.shape[1]
     lead = 0 if g is None else 1        # slope columns before the gradient
     table = G if g is None else np.column_stack([g, G])
-    probes = np.vstack([np.zeros((1, r)),
-                        HESSIAN_STEP * np.kron(np.eye(r), [[1.0], [-1.0]])])
-    n_probe = len(probes)
     phi = np.zeros((K, r)) if start is None else start[2].copy()
     vecs = None if start is None else start[:2]
     # the last point each row accepted, and the step tried from it
@@ -414,17 +436,9 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
     right, left = np.empty((K, W)), np.empty((K, W))
     live = np.arange(K)
     for solves in range(1, TWIST_MAX_ROUNDS + 1):
-        pots = (values[live, None, :]
-                + (phi[live, None, :] + probes) @ G.T).reshape(-1, W)
-        rows = pressure_rows(
-            pattern, pots, table, tol,
-            start=None if vecs is None
-            else tuple(np.repeat(v, n_probe, axis=0) for v in vecs))
-        slopes = rows.slopes.reshape(len(live), n_probe, -1)
-        P, res = rows.values[::n_probe], rows.residuals[::n_probe]
-        H = (slopes[:, 1::2, lead:] - slopes[:, 2::2, lead:]) \
-            / (2 * HESSIAN_STEP)
-        vecs = tuple(v[::n_probe] for v in rows.start)
+        rows = pressure_rows(pattern, values[live] + phi[live] @ G.T,
+                             table, tol, start=vecs, hessian=True)
+        P, res, vecs = rows.values, rows.residuals, rows.start
 
         # a tried step is kept when P fell (Armijo, within the enclosures)
         drop = np.einsum("ij,ij->i", base["grad"][live], step[live])
@@ -436,8 +450,8 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
         acc = live[keep]
         base["phi"][acc] = phi[acc]
         for name, val in (("P", P), ("res", res),
-                          ("grad", slopes[:, 0, lead:]),
-                          ("H", 0.5 * (H + H.transpose(0, 2, 1)))):
+                          ("grad", rows.slopes[:, lead:]),
+                          ("H", rows.hessian[:, lead:, lead:])):
             base[name][acc] = val[keep]
 
         # the gradient certificate at every row's base point
@@ -452,7 +466,7 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
         fin = live[done]
         values_out[fin] = P[done]
         if g is not None:
-            slopes_out[fin] = slopes[done, 0, 0]
+            slopes_out[fin] = rows.slopes[done, 0]
         residuals[fin] = res[done] + bound[done]
         right[fin], left[fin] = vecs[0][done], vecs[1][done]
         live, vecs = live[~done], tuple(v[~done] for v in vecs)

@@ -221,11 +221,6 @@ class FiniteQuotient(Quotient):
         self.identity_index = int(identity_index)
         self.generator_images = tuple(int(i) for i in generator_images)
         self._validate()
-        self._letter_images = []
-        for k in range(self.d):
-            g = self.generator_images[k]
-            self._letter_images.append(g)
-            self._letter_images.append(int(self._inv[g]))
 
     # -- group axioms -------------------------------------------------------
 
@@ -265,27 +260,17 @@ class FiniteQuotient(Quotient):
             if not 0 <= g < order:
                 raise ValidationError(f"generator image {g} out of range")
         inv = self._inv = self._inverse_table()
+        self._letter_images = [int(x) for g in self.generator_images
+                               for x in (g, inv[g])]
         # generation (surjectivity of the induced homomorphism)
-        gens = set(self.generator_images) | {int(inv[g])
-                                             for g in self.generator_images}
-        reached = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for s in gens:
-                    b = int(t[a, s])
-                    if b not in reached:
-                        reached.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        if len(reached) != order:
+        reached = sum(len(level) for level in self._levels(order, order))
+        if reached != order:
             raise ValidationError(
-                f"generator images generate only {len(reached)} of "
+                f"generator images generate only {reached} of "
                 f"{order} elements")
         # Light's associativity test: with a Latin square and generation it
         # suffices to check (x s) y == x (s y) for s in the generating set
-        for s in sorted(gens):
+        for s in sorted(set(self._letter_images)):
             left = t[t[:, s], :]
             right = t[:, t[s, :]]
             if not np.array_equal(left, right):

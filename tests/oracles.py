@@ -1,13 +1,15 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here is deliberately slow and simple: plain tuples, full
-enumeration, no recurrences shared with the library. The one matrix is the
-dense lift of lifted_delta, solved by numpy's eigvals. Tests compare
+enumeration, no recurrences shared with the library. The one large matrix
+is the dense lift of lifted_delta, solved by numpy's eigvals. Tests compare
 library output against these oracles on small instances, so the oracles
 must stay independent of the code under test (they import nothing from
 freeshift). reduced_word_counts counts words by an exact integer
 recurrence instead of enumerating them; tests check it against brute_words.
-The helpers that take a library Potential (birkhoff_sup_sum,
+freekill_pressure reads free-kill pressures of depth-1 potentials off the
+weighted cogrowth formula (2d x 2d systems), a route the library does not
+share. The helpers that take a library Potential (birkhoff_sup_sum,
 distortion_constant, partition_sum_matrix, save_potential_csv) read it only
 through its d, depth, value(), max and min.
 
@@ -416,6 +418,90 @@ def lifted_delta(d, identity, img, mul, zeta_letter):
     def pressure(u):
         return math.log(max(abs(np.linalg.eigvals(M * np.exp(u * weights)))))
     return bisect_root(pressure, 0.0, 16.0)
+
+
+def _free_group_radius(c, k):
+    """min over t >= 0 of sum_i sqrt(t^2 + c_i) - (k - 1) t: the spectral
+    radius of the nearest-neighbour walk on the free group F_k whose i-th
+    generator steps carry weights q, q' with c_i = 4 q q' (Akemann-Ostrand
+    1976; Woess 2000). The minimand is convex; its derivative is bisected."""
+    if k <= 1:
+        return sum(math.sqrt(ci) for ci in c)
+    lo, hi = 0.0, k * math.sqrt(max(c))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sum(mid / math.sqrt(mid * mid + ci) for ci in c) > k - 1:
+            hi = mid
+        else:
+            lo = mid
+    t = 0.5 * (lo + hi)
+    return sum(math.sqrt(t * t + ci) for ci in c) - (k - 1) * t
+
+
+def freekill_pressure(letter_values, killed):
+    """lambda_N(f) on the quotient of F_d that kills the 0-based generators
+    ``killed``, for a depth-1 f (one value per letter), by the weighted
+    cogrowth formula (Grigorchuk 1980; Cohen 1982, with letter weights).
+
+    With x_a = e^f(a), lambda_N = -log s*, s* the radius of convergence of
+    sum over reduced g in N of s^|g| prod x. A walk on the tree F_d with
+    step weights q has first-passage weights F_a = q_a + F_a sum_{b != a}
+    q_b F_{b^-1}, and its Green function summed over N is that of its image
+    walk on Q = F_d / N, which converges while the image's spectral radius
+    is below 1. Asking for F = s x makes the tree equations linear in q,
+    q + s^2 A q = s x; on Q, the free group on the survivors, killed steps
+    are a lazy weight. So s* is where rho_Q(q(s)) reaches 1, found by
+    bisection in s. A point counts as below s* only when q(s) > 0, F = s x
+    is the least tree solution (the tree system's Jacobian has spectral
+    radius below 1) and rho_Q < 1; without these tests the bisection can
+    stop at a spurious root. ValueError when min q / max q at the root is
+    below 1e-8: there the two sides of the formula nearly cancel, and two
+    variants of the route disagreed by 8e-10."""
+    f = np.asarray(letter_values, dtype=float)
+    top = f.max()
+    x = np.exp(f - top)                 # lambda_N(f + c) = lambda_N(f) + c
+    n = len(x)
+    d = n // 2
+    flip = np.arange(n) ^ 1
+    A = x[:, None] * x[flip][None, :] * (1 - np.eye(n))
+    not_back = np.arange(n)[None, :] != flip[:, None]
+    killed = set(killed)
+    survivors = [k for k in range(d) if k not in killed]
+
+    def below(s):
+        q = np.linalg.solve(np.eye(n) + s * s * A, s * x)
+        if not (q > 0).all():
+            return False, q
+        F = s * x
+        J = F[:, None] * q[flip][None, :] * not_back
+        J[np.arange(n), np.arange(n)] += q @ F[flip] - q * F[flip]
+        if max(abs(np.linalg.eigvals(J))) >= 1:
+            return False, q
+        L = sum(q[a] for a in range(n) if a // 2 in killed)
+        rho = L + _free_group_radius(
+            [4 * q[2 * k] * q[2 * k + 1] for k in survivors], len(survivors))
+        return rho < 1, q
+
+    lo = 0.5 / (2 * d - 1)              # lambda_N <= P(f) <= log(2d - 1)
+    if not below(lo)[0]:
+        raise ValueError("oracle: no start below the root")
+    hi = 2 * lo
+    while below(hi)[0]:
+        hi *= 2
+        if hi > 1e300:
+            raise ValueError("oracle: no point above the root")
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:                # down to adjacent floats
+        if below(mid)[0]:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    q = below(lo)[1]
+    if q.min() < 1e-8 * q.max():
+        raise ValueError(f"oracle: ill-conditioned, min q / max q = "
+                         f"{q.min() / q.max():.3g}")
+    return top - math.log(mid)
 
 
 def exact_rational_count_check(d, n):

@@ -113,7 +113,7 @@ class TestSymmetry:
     @settings(max_examples=25, deadline=None)
     def test_random_symmetric_generator(self, seed):
         p = random_inverse_symmetric(2, seed)
-        assert p.is_inverse_symmetric(tol=0.0)
+        assert p.is_inverse_symmetric()
         assert -1.0 <= p.min <= p.max <= 1.0
         again = random_inverse_symmetric(2, np.int64(seed))
         assert np.array_equal(again.values, p.values)
@@ -136,7 +136,7 @@ class TestSymmetry:
             else:
                 vals[w] = rng.uniform(-1, 1)
         p = Potential.from_table(2, 2, vals)
-        assert p.is_inverse_symmetric(tol=0.0)
+        assert p.is_inverse_symmetric()
 
 
 class TestCombine:

@@ -13,6 +13,8 @@ from freeshift import (FiniteQuotient, FreeAbelianQuotient,
                        growth_rate, perron_eigen,
                        random_inverse_symmetric, restricted_pressure,
                        window_states)
+from freeshift.pressure import (pressure_rows, transfer_pattern, twist_table,
+                                twisted_rows)
 
 
 def _random_pot(d, depth, seed, scale=1.0):
@@ -782,3 +784,144 @@ class TestTwistedPressure:
         with pytest.raises(NumericError, match="gradient certificate"):
             restricted_pressure(
                 Potential.from_letter_values(2, [10, -10, 0.3, -0.7]), z1)
+
+
+# asymmetric Z^2 letters, each twisted minimum with its eigen solves; the
+# values are those of the central-difference Newton steps the exact Hessian
+# replaced (which passed 2r + 1 = 5 rows per live row to pressure_rows)
+Z2_TWIST_PINS = [
+    ((1.0, -1.0, 0.0, 0.0), 1.0986122886681093, 2),
+    ((-0.7, -0.33, 0.03, 0.4), 0.9820049537928104, 4),
+    ((3.0, -3.0, 1.0, -2.0), 0.8642570098336584, 7),
+]
+
+
+class TestPressureHessian:
+    @pytest.mark.parametrize("d, vecs, depth, seed", [
+        (2, [[1, 0], [0, 1]], 2, 3),
+        (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2, 7),
+        (2, [[2, 1], [0, 3]], 3, 11)])
+    def test_matches_central_differences_of_slopes(self, d, vecs, depth,
+                                                   seed):
+        windows = window_states(d, depth)[0]
+        values = np.random.default_rng(seed).uniform(-1, 1, len(windows))
+        pattern = transfer_pattern(d, depth)
+        G = twist_table(FreeAbelianQuotient(d, len(vecs[0]), vecs),
+                        windows)[1]
+        H = pressure_rows(pattern, values[None], G, hessian=True).hessian[0]
+        h = 1e-4
+        fd = np.column_stack([
+            (pressure_rows(pattern, (values + h * G[:, i])[None], G).slopes
+             - pressure_rows(pattern, (values - h * G[:, i])[None],
+                             G).slopes)[0] / (2 * h)
+            for i in range(G.shape[1])])
+        assert np.array_equal(H, H.T)
+        assert np.abs(H - fd).max() <= 1e-6 * np.abs(H).max()
+
+    def test_blocked_rows_match_single_rows(self, z3):
+        # at W = 150 the W x W solves go in blocks of 46 rows
+        windows = window_states(3, 3)[0]
+        values = np.random.default_rng(4).uniform(-1, 1, (50, len(windows)))
+        pattern = transfer_pattern(3, 3)
+        G = twist_table(z3, windows)[1]
+        H = pressure_rows(pattern, values, G, hessian=True).hessian
+        for k in (0, 45, 46, 49):
+            one = pressure_rows(pattern, values[k:k + 1], G,
+                                hessian=True).hessian[0]
+            assert np.abs(H[k] - one).max() <= 1e-9 * np.abs(one).max()
+
+    def test_no_hessian_unless_asked(self):
+        pattern = transfer_pattern(2, 1)
+        rows = pressure_rows(pattern, np.zeros((1, 4)), np.eye(4))
+        assert rows.hessian is None
+
+    @pytest.mark.parametrize("letters, want, solves", Z2_TWIST_PINS)
+    def test_twist_solves_only_the_live_rows(self, z2, monkeypatch,
+                                             letters, want, solves):
+        calls = []
+
+        def spy(pattern, values, *args, **kwargs):
+            calls.append(len(values))
+            return pressure_rows(pattern, values, *args, **kwargs)
+        monkeypatch.setattr(pressure_mod, "pressure_rows", spy)
+        res = restricted_pressure(Potential.from_letter_values(2, letters),
+                                  z2)
+        assert calls == [1] * solves
+        assert res.detail["eigen_solves"] == solves
+        assert abs(res.value - want) <= 1e-14
+
+    def test_batched_twist_drops_finished_rows(self, z2, monkeypatch):
+        calls = []
+
+        def spy(pattern, values, *args, **kwargs):
+            calls.append(len(values))
+            return pressure_rows(pattern, values, *args, **kwargs)
+        monkeypatch.setattr(pressure_mod, "pressure_rows", spy)
+        G = twist_table(z2, window_states(2, 1)[0])[1]
+        values = np.array([pin[0] for pin in Z2_TWIST_PINS])
+        rows = twisted_rows(transfer_pattern(2, 1), G, values)
+        # the rows finish after 2, 4 and 7 rounds
+        assert calls == [3, 3, 2, 2, 1, 1, 1] and rows.solves == 7
+        assert np.abs(rows.values
+                      - [pin[1] for pin in Z2_TWIST_PINS]).max() <= 1e-14
+
+
+def _grigorchuk(d, survivors, c):
+    """lambda_N = c + log alpha for constant f = c on F_d modulo the killed
+    generators, k = survivors of them left: Grigorchuk's cogrowth formula
+    with rho = (d - k + sqrt(2k - 1)) / d the image walk's spectral radius
+    and alpha > sqrt(2d - 1) the root of rho = (m / 2d)(m / alpha +
+    alpha / m), m = sqrt(2d - 1)."""
+    rho = (d - survivors + math.sqrt(2 * survivors - 1)) / d
+    return c + math.log(d * rho + math.sqrt((d * rho) ** 2 - (2 * d - 1)))
+
+
+class TestFreeKillOracle:
+    """oracles.freekill_pressure, the weighted cogrowth route, against
+    closed forms, the library's exact Z^1 twist and the pinned values of
+    the fold of the renewal system (ROADMAP item 1)."""
+
+    def test_fk3_closed_form(self):
+        assert _grigorchuk(3, 2, 0.0) == pytest.approx(1.45903273179147012,
+                                                       abs=1e-15)
+
+    @pytest.mark.parametrize("d, killed, c", [
+        (2, {1}, 0.0), (3, {2}, 0.7), (3, {1, 2}, -1.3), (4, {3}, 0.0),
+        (4, {2, 3}, 2.5), (5, {4}, -0.4)])
+    def test_constant_potential_matches_grigorchuk(self, d, killed, c):
+        got = oracles.freekill_pressure([c] * (2 * d), killed)
+        assert abs(got - _grigorchuk(d, d - len(killed), c)) <= 1e-12
+
+    def test_matches_library_z1_twist(self, z1):
+        # F2 with g2 killed is Z, the image of z1: two independent routes
+        got = oracles.freekill_pressure(Z1_REF_LETTERS, {1})
+        lib = restricted_pressure(
+            Potential.from_letter_values(2, Z1_REF_LETTERS), z1)
+        assert abs(lib.value - 1.0088228629574045) <= 1e-14
+        assert abs(got - lib.value) <= 1e-12
+
+    @pytest.mark.parametrize("letters, want", [
+        ((0.3, -0.2, 0.1, 0.4, -0.5, 0.2), 1.5306151481479988),
+        ((0, 0, 0, 0, 2, 2), 2.5202532621987452),
+        ((0, 0, 0, 0, 6, 6), 6.016839502462774)])
+    def test_fk3_pins(self, letters, want):
+        assert abs(oracles.freekill_pressure(letters, {2}) - want) <= 1e-12
+
+    @pytest.mark.parametrize("letters", [
+        (10, 10, -10, -10, 0, 0), (10, -10, 10, -10, 10, -10)])
+    def test_refuses_ill_conditioned_weights(self, letters):
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            oracles.freekill_pressure(letters, {2})
+
+    # the third case needs the least-solution test: without it the
+    # bisection stops at a spurious root, 0.65 against 1.3470
+    @pytest.mark.parametrize("killed, letters", [
+        ({2}, [-1.0] * 6),
+        ({2}, list(np.random.default_rng(1).uniform(-1, 1, 6))),
+        ({1}, [1.4, -0.1, -2.3, -2.8, -0.9, 2.0])])
+    def test_growth_fit_within_three_sigma(self, killed, letters):
+        fit = restricted_pressure(Potential.from_letter_values(3, letters),
+                                  FreeKillQuotient(3, killed))
+        assert fit.method == "extrapolated"
+        exact = oracles.freekill_pressure(letters, killed)
+        assert abs(fit.value - exact) <= 3 * fit.sigma

@@ -219,9 +219,12 @@ class TestFiniteValidation:
             FiniteQuotient(2, table, 0, [1, 2])
 
     def test_rejects_non_generating_images(self):
-        table, ident, images = _s3()
-        with pytest.raises(ValidationError, match="generate"):
-            FiniteQuotient(2, table, ident, [ident, ident])
+        table, ident, (swap, cycle) = _s3()
+        for images, reached in (([ident, ident], 1), ([swap, swap], 2),
+                                ([cycle, ident], 3)):
+            with pytest.raises(ValidationError, match=f"generate only "
+                               f"{reached} of 6 elements"):
+                FiniteQuotient(2, table, ident, images)
 
     def test_rejects_bad_identity(self):
         with pytest.raises(ValidationError):
