@@ -141,17 +141,17 @@ def cmd_induced_edges(cfg, args):
 
 def _a_text(log_a):
     """a_n from log a_n with 12 significant digits, like every CSV float;
-    beyond the float range (log a_n > ~709.78) by correctly rounded
-    decimal exponentiation."""
+    outside the normal float range (log a_n below ~-708.40, where floats
+    lose digits and then flush to 0, or above ~709.78) by correctly
+    rounded decimal exponentiation; 0 for an empty fiber."""
     if not math.isfinite(log_a):
         return "0"
-    try:
+    if math.log(sys.float_info.min) <= log_a <= math.log(sys.float_info.max):
         return f"{math.exp(log_a):.12g}"
-    except OverflowError:
-        # imported here: loading decimal costs every other process about
-        # half a megabyte of resident memory
-        from decimal import Context, Decimal
-        return format(Decimal(log_a).exp(Context(prec=12)).normalize(), "g")
+    # imported here: loading decimal costs every other process about half a
+    # megabyte of resident memory
+    from decimal import Context, Decimal
+    return format(Decimal(log_a).exp(Context(prec=12)).normalize(), "g")
 
 
 def cmd_partition(cfg, args):

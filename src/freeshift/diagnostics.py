@@ -20,8 +20,7 @@ import numpy as np
 from .errors import NumericError, UndefinedRatioError, ValidationError
 from .pressure import (FIBER_MAX_STATES, TransferMatrix, _tail_fit,
                        fiber_partition, fiber_partition_many, full_pressure,
-                       growth_rate, has_exact_route, perron_eigen,
-                       restricted_pressure)
+                       perron_eigen, restricted_pressure)
 from .spectra import DEFAULT_U_TOL, delta, legendre
 
 ABS_MARGIN = 1e-3
@@ -254,24 +253,16 @@ def pressure_inequality_check(quotient, pot, n_max=40,
     return _report("bound", quantities, slacks, notes)
 
 
-def _exact_rate(pot, quotient):
-    """The exact fiber rate lambda_N (the restricted pressure) on scopes
-    with an exact route, None on free-kill ones: there the probe and the
-    statistic fit the rate from the series itself."""
-    return (restricted_pressure(pot, quotient) if has_exact_route(quotient)
-            else None)
-
-
 def divergence_probe(quotient, pot, n_max=60,
                      max_states=FIBER_MAX_STATES):
     """Polynomial-correction exponent of the fiber series.
 
     Fits a_n e^(-n lambda) ~ C n^(-gamma) on the tail and classifies
     divergence-type (gamma <= 1) versus convergence-type (gamma > 1) by the
-    point estimate, with the tail fit of growth_rate. On finite and free
-    abelian quotients lambda is the exact restricted pressure, held in a
-    fit of c - gamma log n + c1/n; on free-kill ones it is fitted with
-    gamma, whose sigma (the verdict's tolerance) then carries its error.
+    point estimate. lambda is the restricted pressure at this n_max. An
+    exact one is held in a fit of c - gamma log n + c1/n; an
+    "extrapolated" one (free-kill quotients) is fitted again with gamma,
+    whose sigma (the verdict's tolerance) then carries its error.
     The true divergence type is a statement about an infinite series; this
     is a labeled heuristic, not a proof.
     """
@@ -280,15 +271,13 @@ def divergence_probe(quotient, pot, n_max=60,
     if terms < 6:
         raise NumericError(
             f"divergence probe needs >= 6 nonzero fiber terms, got {terms}")
-    exact = _exact_rate(pot, quotient)
-    if exact is None:
-        fit = growth_rate(series)
-        lam = _qty("lambda_hat", fit.lam, fit.sigma, "extrapolated")
-    else:
-        fit = _tail_fit(series, exact.value)
-        lam = _qty("lambda_hat", exact.value, exact.sigma, exact.method)
-    quantities = [lam, _qty("gamma_hat", fit.gamma, fit.gamma_sigma,
-                            "extrapolated")]
+    rate = restricted_pressure(pot, quotient, n_max=n_max,
+                               max_states=max_states)
+    fit = _tail_fit(series, None if rate.method == "extrapolated"
+                    else rate.value)
+    quantities = [_qty("lambda_hat", rate.value, rate.sigma, rate.method),
+                  _qty("gamma_hat", fit.gamma, fit.gamma_sigma,
+                       "extrapolated")]
     slacks = [{"name": "gamma-1", "slack": fit.gamma - 1.0,
                "tol": fit.gamma_sigma}]
     notes = [f"quotient: {quotient.describe()}",
@@ -317,10 +306,10 @@ def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None,
         sum_{k<=n} e^(-k lam) a_k(g)  /  sum_{k<=n} e^(-k lam) a_k(g^{-1})
 
     where a_k(g) are the exact g-fiber partition sums and lam is the fiber
-    growth rate: exact on finite and free abelian quotients, fitted from
-    the identity series on free-kill ones. A finite surrogate for the
-    symmetric-on-average ratio (the true statistic takes sup over all of G
-    and limsup in n)."""
+    growth rate, the restricted pressure at this n_max: exact on finite and
+    free abelian quotients, fitted from the identity series on free-kill
+    ones. A finite surrogate for the symmetric-on-average ratio (the true
+    statistic takes sup over all of G and limsup in n)."""
     if n_max is None:
         n_max = n
     if n_max < n:
@@ -334,9 +323,8 @@ def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None,
                 targets.append(t)
     series = fiber_partition_many(pot, quotient, n_max, targets,
                                   max_states=max_states)
-    exact = _exact_rate(pot, quotient)
-    lam = (growth_rate(series[quotient.identity]).lam if exact is None
-           else exact.value)
+    lam = restricted_pressure(pot, quotient, n_max=n_max,
+                              max_states=max_states).value
 
     def partial(g):
         s = series[g]

@@ -55,9 +55,9 @@ the twisted pressure reads its theta-gradient and Hessian there). Weights
 are tilted to largest weight 1 and the tilt added back to log rho, so
 P(f + c) = P(f) + c holds for any constant c.
 
-scope_rows is the one place where a scope picks its pressure engine;
-restricted_pressure, the free-energy roots and the diagnostics' exact
-rates all evaluate rows of that route.
+scope_rows is the one place where a scope picks its pressure engine, on
+every scope; restricted_pressure (and through it the diagnostics' rates)
+and the free-energy roots all evaluate rows of that route.
 """
 
 import math
@@ -285,20 +285,21 @@ def perron_eigen(M, tol=1e-13, max_iter=100_000, want_left=False, *,
 
 
 class PressureRows:
-    """Exact pressures of K potentials on one scope, with the derivatives
-    d/du P(f_k + u g) at u = 0, which equal the equilibrium integrals of g
-    (Ruelle, Thermodynamic Formalism): sum l g r / sum l r over the
-    left and right Perron vectors."""
+    """Pressures of K potentials on one scope, with the derivatives d/du
+    P(f_k + u g) at u = 0 on the exact routes, which equal the equilibrium
+    integrals of g (Ruelle, Thermodynamic Formalism): sum l g r / sum l r
+    over the left and right Perron vectors. Fitted rows hold their fits."""
 
     def __init__(self, values, slopes, residuals, start, solves=1,
-                 iterations=None, hessian=None):
+                 iterations=None, hessian=None, fits=None):
         self.values = values
-        self.slopes = slopes            # None without a direction g
-        self.residuals = residuals      # certified bound on each error
-        self.start = start              # (right, left[, phi]): warm start
+        self.slopes = slopes            # None on fits or without g
+        self.residuals = residuals      # error bound (fits: rms)
+        self.start = start              # (right, left[, phi]); fits: None
         self.solves = solves            # batched eigen solves behind values
         self.iterations = iterations    # power steps per row
         self.hessian = hessian          # (K, c, c) second derivatives or None
+        self.fits = fits                # per-row PressureResult of a fit
 
 
 def _hessian(pattern, weights, rho, right, pi, centred):
@@ -493,46 +494,57 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
 # ---------------------------------------------------------------------------
 # the pressure route of each scope
 
-def has_exact_route(quotient):
-    """True on the scopes whose pressure is exact: the full shift (None),
-    finite and free abelian quotients. Free-kill quotients are fitted from
-    their fiber series."""
-    return quotient is None or isinstance(
-        quotient, (FiniteQuotient, FreeAbelianQuotient))
-
-
-def scope_rows(d, depth, quotient=None, g=None, tol=1e-13):
-    """The pressure route of a scope, None where it has no exact route:
-    (rows, method, detail). rows(values, start=None) is the PressureRows
-    of the depth-``depth`` window tables ``values`` with slopes along g;
-    detail(rows, k) is the PressureResult detail of row k. The full shift
-    and finite quotients run pressure_rows on the full window pattern, free
-    abelian quotients twisted_rows on it."""
-    if not has_exact_route(quotient):
-        return None
+def scope_rows(d, depth, quotient=None, g=None, tol=1e-13, n_max=40,
+               max_states=FIBER_MAX_STATES):
+    """The pressure route of a scope: (rows, method, result).
+    rows(values, start=None) is the PressureRows of the depth-``depth``
+    window tables ``values`` with slopes along g, and result(rows, k) the
+    PressureResult of row k. The full shift and finite quotients run
+    pressure_rows on the full window pattern, free abelian quotients
+    twisted_rows on it, both exact (sigma 0). Free-kill quotients fit the
+    identity-fiber series of each row up to ``n_max`` under ``max_states``
+    (extrapolated_pressure): their rows hold the fits, with no slopes and
+    no start."""
     if quotient is not None and quotient.d != d:
         raise ValidationError("potential and quotient rank mismatch")
+    if isinstance(quotient, FreeKillQuotient):
+        def fitted(values, start=None):
+            fits = [extrapolated_pressure(Potential(d, depth, v), quotient,
+                                          n_max, max_states) for v in values]
+            return PressureRows(np.array([f.value for f in fits]), None,
+                                np.array([f.residual for f in fits]), None,
+                                fits=fits)
+        return fitted, "extrapolated", lambda rows, k: rows.fits[k]
     pattern = transfer_pattern(d, depth)
     if isinstance(quotient, FreeAbelianQuotient):
         basis, G = twist_table(quotient, window_states(d, depth)[0])
+        method = "exact-twisted"
 
-        def twisted_detail(rows, k):
+        def evaluate(values, start=None):
+            return twisted_rows(pattern, G, values, g, tol, start)
+
+        def detail(rows, k):
             # a single row tries one Newton step in every round but its last
             return {"theta": (rows.start[2][k] @ basis).tolist(),
                     "newton_steps": rows.solves - 1,
                     "eigen_solves": rows.solves, "states": len(pattern)}
-        return (lambda values, start=None: twisted_rows(
-            pattern, G, values, g, tol, start),
-            "exact-twisted", twisted_detail)
-    # finite quotients too: the full Perron vector lifts to a positive
-    # eigenvector of the irreducible lift, so lambda_N = P(f) exactly
+    elif quotient is None or isinstance(quotient, FiniteQuotient):
+        # finite quotients too: the full Perron vector lifts to a positive
+        # eigenvector of the irreducible lift, so lambda_N = P(f) exactly
+        method = "exact-eigenvalue"
 
-    def detail(rows, k):
-        return {"iterations": int(rows.iterations[k]),
-                "states": len(pattern)}
-    return (lambda values, start=None: pressure_rows(
-        pattern, values, g, tol, start),
-        "exact-eigenvalue", detail)
+        def evaluate(values, start=None):
+            return pressure_rows(pattern, values, g, tol, start)
+
+        def detail(rows, k):
+            return {"iterations": int(rows.iterations[k]),
+                    "states": len(pattern)}
+    else:
+        raise ValidationError(
+            f"unsupported quotient type {type(quotient).__name__}")
+    return evaluate, method, lambda rows, k: PressureResult(
+        float(rows.values[k]), 0.0, method, float(rows.residuals[k]),
+        detail(rows, k))
 
 
 # ---------------------------------------------------------------------------
@@ -895,17 +907,11 @@ def growth_rate(series):
 
 def restricted_pressure(pot, quotient, n_max=40, tol=1e-13,
                         max_states=FIBER_MAX_STATES):
-    """The scope's pressure: one row of its scope_rows route (sigma 0),
-    else the growth fit of the identity-fiber series up to ``n_max``
-    (extrapolated_pressure), the only place ``n_max`` and ``max_states``
-    enter."""
-    route = scope_rows(pot.d, pot.depth, quotient, tol=tol)
-    if route is None:
-        return extrapolated_pressure(pot, quotient, n_max, max_states)
-    evaluate, method, detail = route
-    rows = evaluate(pot.values[None])
-    return PressureResult(float(rows.values[0]), 0.0, method,
-                          float(rows.residuals[0]), detail(rows, 0))
+    """The scope's pressure: row 0 of its scope_rows route. ``n_max`` and
+    ``max_states`` bound the fiber series that free-kill quotients fit."""
+    evaluate, _, result = scope_rows(pot.d, pot.depth, quotient, tol=tol,
+                                     n_max=n_max, max_states=max_states)
+    return result(evaluate(pot.values[None]), 0)
 
 
 def extrapolated_pressure(pot, quotient, n_max=40,

@@ -19,8 +19,8 @@ so convex too, and by the envelope theorem its derivative is taken at the
 minimising twist. Each round is one batched power iteration (on Z^k, one
 batched twist minimisation), warm-started from the previous round's
 Perron vectors and twists, with the Collatz-Wielandt enclosure checked
-every few steps. Free-kill quotients have a fitted pressure and no
-derivative: s is the secant through each row's previous point, and at
+every few steps. On free-kill quotients the route fits each row and gives
+no derivative: s is the secant through each row's previous point, and at
 first min zeta, the steepest slope a convex decreasing P can have, so the
 first step cannot overshoot.
 
@@ -93,42 +93,35 @@ def _checked_psi(psi, zeta):
 
 def _roots(psi, zeta, betas, quotient, n_max, u_tol, u_max, tol):
     """Roots of P(beta psi + u zeta) = 0 for every beta at once, by steps
-    u <- u - P/s from u = 0 (see the module docstring). Exact scopes
-    evaluate all live rows in one batch of their scope_rows route, warm
-    started, with s = P'; free-kill quotients fit each row
-    (restricted_pressure) and take s from the secant through its previous
-    point, min zeta at first. A row stops at a point where P was
-    evaluated, once its step is at most u_tol / 2 and |P| <=
-    max(1e-9, max|zeta| u_tol)."""
+    u <- u - P/s from u = 0 (see the module docstring). Every round
+    evaluates all live rows in one batch of the scope's scope_rows route.
+    Rows with slopes take s = P' and warm start from the route's start;
+    fitted rows take s from the secant through their previous point, min
+    zeta at first. A row stops at a point where P was evaluated, once its
+    step is at most u_tol / 2 and |P| <= max(1e-9, max|zeta| u_tol)."""
     depth = max(psi.depth, zeta.depth)
     a = psi.as_depth(depth).values
     z = zeta.as_depth(depth).values
-    route = scope_rows(zeta.d, depth, quotient, z, tol)
-    method = "extrapolated" if route is None else route[1]
+    evaluate, method, _ = scope_rows(zeta.d, depth, quotient, z, tol, n_max)
     bound = max(1e-9, float(np.abs(zeta.values).max()) * u_tol)
     betas = np.asarray(betas, dtype=float)
     n = len(betas)
     u, t, residual, sigma = (np.zeros(n) for _ in range(4))
-    # the fitted rows' slopes and their previous point (u, P)
-    slopes, last_u, last_p = np.full(n, z.min()), np.empty(n), np.empty(n)
+    # the fitted rows' secant slopes and their previous point (u, P)
+    secant, last_u, last_p = np.full(n, z.min()), np.empty(n), np.empty(n)
     evaluations = np.zeros(n, dtype=np.int64)
     live, start = np.arange(n), None
     for k in range(NEWTON_MAX_ROUNDS):
-        tables = betas[live, None] * a + u[live, None] * z
-        if route is None:
-            fits = [restricted_pressure(Potential(zeta.d, depth, f), quotient,
-                                        n_max=n_max, tol=tol)
-                    for f in tables]
-            values = np.array([f.value for f in fits])
-            sigma[live] = [f.sigma for f in fits]
+        rows = evaluate(betas[live, None] * a + u[live, None] * z, start)
+        values = rows.values
+        if rows.slopes is None:
+            sigma[live] = [f.sigma for f in rows.fits]
             if k:
-                slopes[live] = ((values - last_p[live])
+                secant[live] = ((values - last_p[live])
                                 / (u[live] - last_u[live]))
             last_u[live], last_p[live] = u[live], values
-            step = -values / slopes[live]
+            step = -values / secant[live]
         else:
-            rows = route[0](tables, start)
-            values = rows.values
             step = -values / rows.slopes
         evaluations[live] += 1
         done = (np.abs(step) <= 0.5 * u_tol) & (np.abs(values) <= bound)
@@ -142,7 +135,7 @@ def _roots(psi, zeta, betas, quotient, n_max, u_tol, u_max, tol):
         if np.abs(u[live]).max() > u_max:
             raise NumericError(
                 f"free-energy Newton step left [-{u_max:g}, {u_max:g}]")
-        if route is not None:
+        if rows.start is not None:
             start = tuple(v[keep] for v in rows.start)
     else:
         raise NumericError(

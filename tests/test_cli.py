@@ -223,6 +223,27 @@ class TestSubcommands:
         rows = (out / "partition.csv").read_text().splitlines()
         assert rows[-1] == "80,5.23746711575e+341,786.837354718"
 
+    def test_partition_below_float_range(self, capsys, tmp_path):
+        # FK3 with psi = -20: from n = 39 on a_n is subnormal or below the
+        # float range, so it is printed by exact decimal exponentiation,
+        # never as 0 or with a subnormal float's lost digits
+        ini = tmp_path / "deep.ini"
+        ini.write_text("[model]\nd = 3\n\n[quotient]\ntype = freekill\n"
+                       "killed = 3\n\n[zeta]\nratios = 0.5\n\n"
+                       "[psi]\nconstant = -20.0\n")
+        out = tmp_path / "artifacts"
+        code, _, _ = run_cli(
+            capsys, ["partition", "--config", str(ini), "--n-max", "80",
+                     "--out", str(out)])
+        assert code == 0
+        rows = [r.split(",") for r in
+                (out / "partition.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 80
+        assert not [n for n, a, log_a in rows
+                    if a == "0" and log_a != "-inf"]
+        assert rows[38] == ["39", "8.06042504799e-317", "-727.832508189"]
+        assert rows[-1] == ["80", "2.19598833701e-647", "-1488.98592295"]
+
     def test_spectrum(self, capsys, tmp_path):
         ini = tmp_path / "s.ini"
         ini.write_text(SPECTRUM)

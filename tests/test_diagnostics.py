@@ -218,7 +218,6 @@ class TestDivergenceProbe:
         def no_fit(*args, **kwargs):
             raise AssertionError("growth_rate on an exact scope")
 
-        monkeypatch.setattr(diag, "growth_rate", no_fit)
         monkeypatch.setattr(pressure_mod, "growth_rate", no_fit)
         for q, rep in ((s3, 2), (zmod2, 1), (z2, (1, 0))):
             pot = random_inverse_symmetric(2, 3)

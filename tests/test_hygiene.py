@@ -209,23 +209,35 @@ def test_check_detects_an_unread_attribute():
                                                      "Record.dropped"]
 
 
+def _scope_choices(tree):
+    """What in a module above pressure picks a scope's engine itself: an
+    import from quotients, a name ending in Quotient, or an import of
+    has_exact_route or growth_rate, the old exactness test and the fit."""
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    found = {"quotients" for node in imports if node.module == "quotients"}
+    found |= {alias.name for node in imports for alias in node.names
+              if alias.name in ("has_exact_route", "growth_rate")}
+    return found | {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)
+                    and node.id.endswith("Quotient")}
+
+
 @pytest.mark.parametrize("name", ["spectra.py", "diagnostics.py"])
 def test_scope_engine_choice_stays_in_pressure(name):
-    # pressure.scope_rows alone picks each scope's engine: the layers above
-    # it import nothing from quotients and test no quotient type
+    # pressure.scope_rows alone picks each scope's engine, on every scope:
+    # the layers above it evaluate its routes and test no quotient type
     tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
-    modules = {node.module for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom)}
-    assert "quotients" not in modules
-    names = {node.id for node in ast.walk(tree)
-             if isinstance(node, ast.Name)}
-    assert not {n for n in names if n.endswith("Quotient")}
-    if name == "spectra.py":
-        # the root loop's one scope test is the route scope_rows returns
-        imported = {alias.name for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom)
-                    for alias in node.names}
-        assert "has_exact_route" not in names | imported
+    assert not _scope_choices(tree)
+
+
+def test_check_detects_a_scope_choice():
+    tree = ast.parse("from .quotients import FreeKillQuotient\n"
+                     "from .pressure import growth_rate, has_exact_route\n"
+                     "def rate(q):\n"
+                     "    return isinstance(q, FreeAbelianQuotient)\n")
+    assert _scope_choices(tree) == {"quotients", "growth_rate",
+                                    "has_exact_route", "FreeAbelianQuotient"}
 
 
 def _asserts(tree):

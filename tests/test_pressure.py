@@ -13,7 +13,8 @@ from freeshift import (FiniteQuotient, FreeAbelianQuotient,
                        growth_rate, perron_eigen,
                        random_inverse_symmetric, restricted_pressure,
                        window_states)
-from freeshift.pressure import (pressure_rows, transfer_pattern, twist_table,
+from freeshift.pressure import (extrapolated_pressure, pressure_rows,
+                                scope_rows, transfer_pattern, twist_table,
                                 twisted_rows)
 
 
@@ -652,6 +653,13 @@ class TestRestrictedPressure:
         with pytest.raises(ValidationError, match="rank mismatch"):
             restricted_pressure(Potential.constant(5 - d, 0.0), q)
 
+    def test_unsupported_quotient_type_raises(self):
+        class Other:
+            d = 2
+
+        with pytest.raises(ValidationError, match="unsupported quotient"):
+            restricted_pressure(Potential.constant(2, 0.0), Other())
+
     @pytest.mark.parametrize("name", ["zmod2", "s3", "z1", "z3"])
     def test_detail_keys(self, bundle, name):
         # the provenance each exact route reports, whichever engine runs
@@ -670,6 +678,30 @@ class TestRestrictedPressure:
             assert res.detail["eigen_solves"] == \
                 res.detail["newton_steps"] + 1
             assert res.detail["states"] == windows
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_free_kill_route_rows_are_the_fits(self, fk3, depth):
+        # the free-kill branch of scope_rows fits each row's identity-fiber
+        # series: row by row the numbers of extrapolated_pressure, with no
+        # slopes and no warm start
+        W = len(window_states(3, depth)[0])
+        tables = np.random.default_rng(depth).uniform(-1, 1, (3, W))
+        evaluate, method, result = scope_rows(3, depth, fk3)
+        rows = evaluate(tables)
+        assert method == "extrapolated"
+        assert rows.slopes is None and rows.start is None
+        for k, table in enumerate(tables):
+            want = extrapolated_pressure(Potential(3, depth, table), fk3)
+            got = result(rows, k)
+            assert rows.values[k] == got.value == want.value
+            assert rows.residuals[k] == got.residual == want.residual
+            assert (got.sigma, got.method, got.detail) == \
+                (want.sigma, want.method, want.detail)
+        # n_max and max_states reach the fits
+        short = scope_rows(3, depth, fk3, n_max=30)
+        assert short[2](short[0](tables[:1]), 0).detail["n_max"] == 30
+        with pytest.raises(ResourceError):
+            scope_rows(3, depth, fk3, max_states=1000)[0](tables)
 
     def test_restricted_never_exceeds_full(self, bundle):
         for name, (d, q, _) in bundle.items():

@@ -28,8 +28,8 @@ RECORDS = [
     (GeometricPotential, "d depth values", {}),
     (PerronResult, "rho residual iterations right left", {"left": None}),
     (PressureRows, "values slopes residuals start solves iterations "
-                   "hessian",
-     {"solves": 1, "iterations": None, "hessian": None}),
+                   "hessian fits",
+     {"solves": 1, "iterations": None, "hessian": None, "fits": None}),
     (PressureResult, "value sigma method residual detail", {"detail": {}}),
     (FiberSeries, "n_max log_values period meta", {"meta": {}}),
     (GrowthFit, "lam sigma gamma gamma_sigma n_points window rms", {}),

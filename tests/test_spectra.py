@@ -104,6 +104,39 @@ class TestFreeEnergy:
                                   quotient=fk3, n_max=30)
         assert [p.evaluations for p in curve.points] == [1] * len(betas)
 
+    def test_free_kill_rounds_fit_every_live_row_at_once(self, fk3,
+                                                         monkeypatch):
+        # each Newton round makes one call of the free-kill route with all
+        # live rows, and no one-potential pressure; the roots are those of
+        # the fits one row at a time (pinned)
+        calls = []
+
+        def spy(*args, **kwargs):
+            evaluate, method, result = pressure_mod.scope_rows(*args,
+                                                               **kwargs)
+
+            def counted(values, start=None):
+                calls.append(len(values))
+                return evaluate(values, start)
+            return counted, method, result
+
+        def no_single_row(*args, **kwargs):
+            raise AssertionError("a one-potential pressure in the root loop")
+
+        monkeypatch.setattr(spectra_mod, "scope_rows", spy)
+        monkeypatch.setattr(spectra_mod, "restricted_pressure", no_single_row)
+        zeta = GeometricPotential.from_letter_values(3, ZETA3)
+        psi = Potential.from_letter_values(3, FK3_PSI)
+        curve = free_energy_curve(psi, zeta, [-1.0, 0.0, 1.0], quotient=fk3,
+                                  n_max=30)
+        evals = [p.evaluations for p in curve.points]
+        assert calls == [sum(e > k for e in evals) for k in range(max(evals))]
+        assert calls == [3] * 6
+        assert curve.points == [
+            spectra_mod.FreeEnergyPoint(beta, t, sigma, "extrapolated",
+                                        residual, 6)
+            for beta, t, sigma, residual in FK3_CURVE_PINS]
+
     @pytest.mark.parametrize("scope", ["full", "s3"])
     def test_evaluations_per_point(self, two_ratio_zeta, psi_minus_one, s3,
                                    scope):
@@ -182,6 +215,13 @@ FK3_PSI = [0.3, -0.2, 0.1, 0.4, -0.5, 0.2]
 FK3_BETAS = [-4.0, -1.0, 1.0, 4.0]
 SCOPES = ["full", "s3", "zmod2", "depth2", "d3", "d3-zmod2"]
 NEWTON_BETAS = [-2.0, -0.5, 0.0, 1.0, 3.0]
+# (beta, t, sigma, residual) of the FK3 curve of FK3_PSI at n_max 30, from
+# one restricted_pressure fit per row and round
+FK3_CURVE_PINS = [
+    (-1.0, 1.3734790198368045, 0.004978507180891553, 1.4617611022797398e-13),
+    (0.0, 1.3755286264758622, 0.0051254406854206085, 1.5778850164748372e-13),
+    (1.0, 1.4437234395388978, 0.0047084320262374465, 2.1162634116933214e-13),
+]
 
 
 class TestNewtonCurves:
