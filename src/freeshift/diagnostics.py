@@ -18,9 +18,9 @@ import math
 import numpy as np
 
 from .errors import NumericError, UndefinedRatioError, ValidationError
-from .pressure import (FIBER_MAX_STATES, TransferMatrix, _tail_fit,
+from .pressure import (FIBER_MAX_STATES, _perron_batch, _tail_fit,
                        fiber_partition, fiber_partition_many, full_pressure,
-                       perron_eigen, restricted_pressure)
+                       restricted_pressure, transfer_pattern)
 from .spectra import DEFAULT_U_TOL, delta, legendre
 
 ABS_MARGIN = 1e-3
@@ -356,12 +356,8 @@ def symmetric_on_average_statistic(quotient, pot, reps, n, n_max=None,
 class GibbsData:
     """The Gibbs measure of a depth-1 potential and its constants."""
 
-    def __init__(self, rho, pressure, right, left, initial, transition,
-                 c_hat, per_level_c):
-        self.rho = rho
+    def __init__(self, pressure, initial, transition, c_hat, per_level_c):
         self.pressure = pressure
-        self.right = right              # Perron eigenvector h
-        self.left = left                # left eigenvector nu
         self.initial = initial          # stationary pi_i ~ nu_i h_i
         self.transition = transition    # Q[i,j] = M[i,j] h_j / (rho h_i)
         self.c_hat = c_hat
@@ -387,15 +383,15 @@ def gibbs_verify(pot, max_len=8, tol=1e-13):
             f"gibbs_verify needs a depth-1 potential, got depth {pot.depth}")
     if max_len < 1:
         raise ValidationError("max_len must be >= 1")
-    tm = TransferMatrix(pot)
-    M = tm.matrix
-    pe = perron_eigen(M, tol, want_left=True)
-    rho = pe.rho
-    h = pe.right / pe.right.max()
-    nu = pe.left / pe.left.max()
+    # Perron data of the untilted matrix pattern * w; h, nu peak at 1
+    pattern = transfer_pattern(pot.d, 1)
+    w = np.exp(pot.values)
+    rho, _, _, right, left = _perron_batch(pattern, w[None], tol,
+                                           want_left=True)
+    rho, h, nu = float(rho[0]), right[0], left[0]
     pi = nu * h
     pi = pi / pi.sum()
-    Q = M * h[None, :] / (rho * h[:, None])
+    Q = pattern * (w * h)[None, :] / (rho * h[:, None])
     P = math.log(rho)
 
     row_defect = float(np.abs(Q.sum(axis=1) - 1.0).max())
@@ -411,7 +407,7 @@ def gibbs_verify(pot, max_len=8, tol=1e-13):
         if n == 1:
             pairs = ratio.diagonal()
         elif n == 2:
-            pairs = ratio[tm.pattern > 0]
+            pairs = ratio[pattern > 0]
         else:
             pairs = ratio.ravel()
         per_level[n] = float(np.maximum(pairs, 1.0 / pairs).max())
@@ -424,7 +420,7 @@ def gibbs_verify(pot, max_len=8, tol=1e-13):
         level_defect = max(level_defect, abs(float(v.sum()) - 1.0))
         v = v @ Q
 
-    data = GibbsData(rho, P, h, nu, pi, Q, c_hat, per_level)
+    data = GibbsData(P, pi, Q, c_hat, per_level)
     stable = per_level[max_len] <= 1.05 * per_level[max(1, max_len // 2)]
     quantities = [
         _qty("pressure", P, 0.0, "exact-eigenvalue"),

@@ -28,7 +28,7 @@ def window_states(d, m):
     """All admissible m-windows in lexicographic order plus an index map."""
     key = (d, m)
     if key not in _window_cache:
-        windows = list(enumerate_words(d, m))
+        windows = enumerate_words(d, m)
         _window_cache[key] = (windows, {w: i for i, w in enumerate(windows)})
     return _window_cache[key]
 

@@ -47,13 +47,14 @@ window u[:-1] to window u[1:] for every admissible word u one letter
 longer, whose column j carries the weight of the window it enters. Perron
 roots are computed by power iteration with Collatz-Wielandt ratio
 enclosures, checked every few steps, so every exact eigenvalue carries a
-certified residual. One engine serves a single matrix (perron_eigen) and
-K weight rows on one pattern at once (pressure_rows, one GEMM per step for
-all rows, which with window tables g also iterates the left vectors and
-returns d/du P(f + u g) along them, and the second derivatives on request;
-the twisted pressure reads its theta-gradient and Hessian there). Weights
-are tilted to largest weight 1 and the tilt added back to log rho, so
-P(f + c) = P(f) + c holds for any constant c.
+certified residual. One engine, _perron_batch, iterates K weight rows on
+one pattern with one GEMM per step. pressure_rows runs it and, with window
+tables g, iterates the left vectors too and returns d/du P(f + u g) along
+them, and the second derivatives on request (the twisted pressure's
+theta-gradient and Hessian); the Gibbs check runs one untilted row with
+left vectors, and perron_eigen (K = 1) serves only full_pressure. Pressure
+weights are tilted to largest weight 1 and the tilt added back to log rho,
+so P(f + c) = P(f) + c holds for any constant c.
 
 scope_rows is the one place where a scope picks its pressure engine, on
 every scope; restricted_pressure (and through it the diagnostics' rates)
@@ -106,15 +107,10 @@ def _tilt(log_weights):
 
 
 class TransferMatrix:
-    """Weighted adjacency over windows; weight exp(f(target window))."""
+    """The window pattern of a potential's transfer matrix."""
 
     def __init__(self, pot):
-        self.pot = pot
         self.pattern = transfer_pattern(pot.d, pot.depth)
-
-    @property
-    def matrix(self):
-        return self.pattern * np.exp(self.pot.values)
 
 
 class LiftedTransferMatrix:
@@ -128,7 +124,7 @@ class LiftedTransferMatrix:
     generate G (see FiniteQuotient._period_search); at depth m it is the
     m-block presentation of that graph, conjugate to it and so irreducible
     too. The full Perron vector, copied to every element, is a positive
-    eigenvector of it, so its Perron root is that of TransferMatrix."""
+    eigenvector of it, so its Perron root is that of the full matrix."""
 
     MAX_STATES = 20_000
 
@@ -168,15 +164,14 @@ CHECK_STRIDE = 4
 
 
 class PerronResult:
-    """Perron root ``rho`` with its right (and, when asked, left) vector;
-    ``residual`` is the half-width of the Collatz-Wielandt enclosure."""
+    """Perron root ``rho`` with its right vector; ``residual`` is the
+    half-width of the Collatz-Wielandt enclosure."""
 
-    def __init__(self, rho, residual, iterations, right, left=None):
+    def __init__(self, rho, residual, iterations, right):
         self.rho = rho
         self.residual = residual
         self.iterations = iterations
         self.right = right
-        self.left = left
 
 
 def _perron_batch(pattern, weights, tol, max_iter=100_000,
@@ -259,8 +254,7 @@ def _perron_batch(pattern, weights, tol, max_iter=100_000,
     return rho, half, iterations, right, left
 
 
-def perron_eigen(M, tol=1e-13, max_iter=100_000, want_left=False, *,
-                 weights=None):
+def perron_eigen(M, tol=1e-13, max_iter=100_000, *, weights=None):
     """Power iteration on M from the all-ones vector: the K = 1 case of the
     batched engine. With ``weights``, the matrix is M with column j scaled
     by weights[j], which is never formed.
@@ -278,10 +272,10 @@ def perron_eigen(M, tol=1e-13, max_iter=100_000, want_left=False, *,
                else np.asarray(weights, dtype=float))
     if weights.shape != (len(M),):
         raise ValidationError("perron_eigen needs one weight per column")
-    rho, half, iterations, right, left = _perron_batch(
-        M, weights[None], tol, max_iter, want_left)
+    rho, half, iterations, right, _ = _perron_batch(
+        M, weights[None], tol, max_iter)
     return PerronResult(float(rho[0]), float(half[0]), int(iterations[0]),
-                        right[0], None if left is None else left[0])
+                        right[0])
 
 
 class PressureRows:
@@ -626,7 +620,7 @@ def _extended_states(d, cap):
     (length, letters); state 0 is the empty context."""
     states = [()]
     for n in range(1, cap + 1):
-        states.extend(enumerate_words(d, n))
+        states.extend(window_states(d, n)[0])
     return states, {s: i for i, s in enumerate(states)}
 
 

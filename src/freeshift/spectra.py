@@ -48,6 +48,8 @@ DEFAULT_BETA_STEP = 0.05
 
 
 def default_beta_grid(lo=None, hi=None, step=None):
+    """lo to hi in round((hi - lo) / step) equal steps, so the grid ends at
+    hi: lo=0, hi=1, step=0.3 gives 0, 1/3, 2/3 and 1."""
     lo = DEFAULT_BETA_RANGE[0] if lo is None else lo
     hi = DEFAULT_BETA_RANGE[1] if hi is None else hi
     step = DEFAULT_BETA_STEP if step is None else step
@@ -222,13 +224,11 @@ def cogrowth(quotient, n_max=40, tol=1e-13):
 # curves
 
 class FreeEnergyCurve:
-    """The FreeEnergyPoint of every beta, in grid order; ``quotient_tag``
-    names the scope ("full" or the quotient's description)."""
+    """The FreeEnergyPoint of every beta, in grid order."""
 
-    def __init__(self, betas, points, quotient_tag="full"):
+    def __init__(self, betas, points):
         self.betas = betas
         self.points = points
-        self.quotient_tag = quotient_tag
 
     @property
     def t_values(self):
@@ -272,13 +272,12 @@ def free_energy_curve(psi, zeta, betas=None, quotient=None, n_max=40,
         betas = default_beta_grid()
     betas = np.asarray(betas, dtype=float)
     psi = _checked_psi(psi, zeta)
-    tag = "full" if quotient is None else quotient.describe()
     if float(np.ptp(zeta.values)) == 0.0:
         points = [_closed_form(psi, zeta, b, quotient, n_max, tol)
                   for b in betas]
     else:
         points = _roots(psi, zeta, betas, quotient, n_max, u_tol, u_max, tol)
-    return FreeEnergyCurve(betas, points, tag)
+    return FreeEnergyCurve(betas, points)
 
 
 class SpectrumCurve:
@@ -289,15 +288,13 @@ class SpectrumCurve:
     slope range exhausted), "outside" (NaN) beyond [alpha_minus,
     alpha_plus], "point" for the degenerate single-alpha spectrum."""
 
-    def __init__(self, alphas, b_values, flags, alpha_minus, alpha_plus, t0,
-                 quotient_tag="full"):
+    def __init__(self, alphas, b_values, flags, alpha_minus, alpha_plus, t0):
         self.alphas = alphas
         self.b_values = b_values
         self.flags = flags
         self.alpha_minus = alpha_minus
         self.alpha_plus = alpha_plus
         self.t0 = t0
-        self.quotient_tag = quotient_tag
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -333,7 +330,7 @@ def legendre(curve, alphas=None, n_alphas=None):
         # affine t: constant psi/zeta ratio, the spectrum is a point
         alpha = float(-slopes.mean())
         return SpectrumCurve(np.array([alpha]), np.array([t0]), ["point"],
-                             alpha, alpha, t0, curve.quotient_tag)
+                             alpha, alpha, t0)
     if alphas is None:
         alphas = np.linspace(a_minus, a_plus, n_alphas or len(betas))
     alphas = np.asarray(alphas, dtype=float)
@@ -346,5 +343,4 @@ def legendre(curve, alphas=None, n_alphas=None):
     flags = ["outside" if out else
              "endpoint" if k in (0, len(betas) - 1) else "interior"
              for out, k in zip(outside, j)]
-    return SpectrumCurve(alphas, vals, flags, a_minus, a_plus, t0,
-                         curve.quotient_tag)
+    return SpectrumCurve(alphas, vals, flags, a_minus, a_plus, t0)

@@ -38,39 +38,17 @@ def inverse_word(w):
 
 
 def enumerate_words(d, n):
-    """Yield all admissible length-n words as tuples, lexicographically.
-
-    Streaming: constant memory in the number of words. n=0 yields the
-    empty word once.
-    """
+    """All admissible length-n words as tuples, in lexicographic order, as
+    a list; n=0 gives the empty word once."""
     if d < 2:
         raise ValidationError(f"free rank must be >= 2, got {d}")
     if n < 0:
         raise ValidationError(f"word length must be >= 0, got {n}")
-    if n == 0:
-        yield ()
-        return
-    size = 2 * d
-    word = [0] * n
-    for i in range(1, n):
-        word[i] = 1 if word[i - 1] == 1 else 0
-    while True:
-        yield tuple(word)
-        # odometer: bump the deepest position that still has headroom,
-        # skipping the single letter forbidden by its predecessor
-        pos = n - 1
-        while pos >= 0:
-            nxt = word[pos] + 1
-            if pos > 0 and nxt == (word[pos - 1] ^ 1):
-                nxt += 1
-            if nxt < size:
-                word[pos] = nxt
-                for i in range(pos + 1, n):
-                    word[i] = 1 if word[i - 1] == 1 else 0
-                break
-            pos -= 1
-        else:
-            return
+    words = [()]
+    for _ in range(n):
+        words = [w + (a,) for w in words for a in range(2 * d)
+                 if not w or a != w[-1] ^ 1]
+    return words
 
 
 class Alphabet:

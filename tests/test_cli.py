@@ -355,19 +355,42 @@ class TestSubcommands:
 
     def test_diagnose_computes_each_curve_once(self, capsys, tmp_path,
                                                monkeypatch):
-        built = []
+        # the scope of every curve diagnose asks for, and every curve built
+        built, made = [], []
+        curve = cli.free_energy_curve
+
+        def spy(*args, quotient=None, **kw):
+            built.append("full" if quotient is None else quotient.describe())
+            return curve(*args, quotient=quotient, **kw)
 
         class CountingCurve(spectra_mod.FreeEnergyCurve):
             def __init__(self, *args, **kw):
                 super().__init__(*args, **kw)
-                built.append(self.quotient_tag)
+                made.append(self)
 
+        monkeypatch.setattr(cli, "free_energy_curve", spy)
         monkeypatch.setattr(spectra_mod, "FreeEnergyCurve", CountingCurve)
         code, payload, _ = run_cli(capsys, ["diagnose", "--config",
                                             zmod2_ini(tmp_path)])
         assert code == 0
         assert payload["self_verified"] is True
         assert sorted(built) == sorted(["full", payload["quotient"]])
+        assert len(made) == len(built)
+
+    def test_diagnose_on_the_trivial_group(self, capsys, tmp_path):
+        # every letter maps to the identity of the order-1 group, so the
+        # statistic has no generator image but the identity to compare
+        (tmp_path / "one.table").write_text("1 0\n0\n")
+        ini = tmp_path / "one.ini"
+        ini.write_text(ZMOD2.replace("zmod2.table", "one.table")
+                       .replace("images = 1, 1", "images = 0, 0"))
+        code, payload, _ = run_cli(capsys, ["diagnose", "--config", str(ini),
+                                            "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert payload["self_verified"] is True
+        stat = payload["reports"]["symmetric_on_average"]
+        assert stat["per_g"] == {"0": 1.0}
+        assert stat["value"] == 1.0
 
     @staticmethod
     def _ball_radii(monkeypatch):
@@ -496,6 +519,15 @@ class TestOverridesAndErrors:
         code, payload, _ = run_cli(
             capsys, ["delta", "--config", base_ini, "--beta-range", "oops"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--n-max", "--tolerance"])
+    def test_nonpositive_override_exit_2(self, capsys, base_ini, flag):
+        code, payload, err = run_cli(
+            capsys, ["delta", "--config", base_ini, flag, "0"])
+        assert code == 2
+        assert payload["error"]["type"] == "ValidationError"
+        assert flag in payload["error"]["message"]
+        assert "Traceback" not in err
 
     def test_threads_flag_exit_2(self, capsys, base_ini):
         # no flag sets a thread count: argparse refuses --threads like any

@@ -13,9 +13,9 @@ from freeshift import (FiniteQuotient, FreeAbelianQuotient,
                        growth_rate, perron_eigen,
                        random_inverse_symmetric, restricted_pressure,
                        window_states)
-from freeshift.pressure import (extrapolated_pressure, pressure_rows,
-                                scope_rows, transfer_pattern, twist_table,
-                                twisted_rows)
+from freeshift.pressure import (_perron_batch, extrapolated_pressure,
+                                pressure_rows, scope_rows, transfer_pattern,
+                                twist_table, twisted_rows)
 
 
 def _random_pot(d, depth, seed, scale=1.0):
@@ -126,7 +126,7 @@ class TestFullPressure:
     def test_matches_dense_eigensolver(self, depth):
         pot = _random_pot(2, depth, seed=depth + 40)
         tm = TransferMatrix(pot)
-        dense = max(abs(np.linalg.eigvals(tm.matrix)))
+        dense = max(abs(np.linalg.eigvals(tm.pattern * np.exp(pot.values))))
         res = full_pressure(pot)
         assert res.value == pytest.approx(math.log(dense), abs=1e-10)
 
@@ -175,8 +175,9 @@ class TestPerron:
     def test_left_eigenvector(self):
         rng = np.random.default_rng(21)
         M = rng.uniform(0.5, 1.5, size=(6, 6))
-        res = perron_eigen(M, want_left=True)
-        assert np.allclose(res.left @ M, res.rho * res.left, atol=1e-9)
+        rho, _, _, _, left = _perron_batch(M, np.ones((1, 6)), 1e-13,
+                                           want_left=True)
+        assert np.allclose(left[0] @ M, rho[0] * left[0], atol=1e-9)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
@@ -186,11 +187,11 @@ class TestPerron:
         rng = np.random.default_rng(13)
         M = rng.uniform(0.5, 1.5, size=(5, 5))
         w = rng.uniform(0.1, 2.0, size=5)
-        res = perron_eigen(M, weights=w, want_left=True)
-        ref = perron_eigen(M * w, want_left=True)
+        res = perron_eigen(M, weights=w)
+        ref = perron_eigen(M * w)
         assert res.rho == pytest.approx(ref.rho, rel=1e-13)
-        assert np.allclose(res.left @ (M * w), res.rho * res.left,
-                           atol=1e-12)
+        rho, _, _, _, left = _perron_batch(M, w[None], 1e-13, want_left=True)
+        assert np.allclose(left[0] @ (M * w), rho[0] * left[0], atol=1e-12)
         with pytest.raises(ValidationError, match="weight per column"):
             perron_eigen(M, weights=w[:4])
 
@@ -245,6 +246,11 @@ class TestPerron:
     def test_rejects_nonpositive_max_iter(self, max_iter):
         with pytest.raises(ValidationError, match="max_iter"):
             perron_eigen(np.ones((2, 2)), max_iter=max_iter)
+
+    def test_zero_matrix_fails_fast(self):
+        # the first power step is all zero: no ratio to enclose rho with
+        with pytest.raises(NumericError, match="zero row block"):
+            perron_eigen(np.zeros((2, 2)))
 
 
 class TestWindowGraph:
@@ -557,12 +563,29 @@ class TestFiberPartition:
         assert np.allclose(res[(1, 0)].log_values, single.log_values,
                            equal_nan=True)
 
+    def test_ball_dp_stops_at_an_empty_level(self, z2):
+        # at n_max 2 the DP indexes ball(1), and every length-2 word leaves
+        # it: the second level is empty and both series end there
+        res = fiber_partition_many(Potential.constant(2, 0.0), z2, 2,
+                                   [(0, 0), (1, 0)])
+        assert res[(0, 0)].log_values.tolist() == [-math.inf, -math.inf]
+        assert res[(1, 0)].log_values.tolist() == [0.0, -math.inf]
+
+    def test_ball_dp_state_budget(self, z2):
+        # ball(5) of Z^2 has 61 elements, which the ball table may build,
+        # but the DP needs them for each of the S = 5 extended states
+        with pytest.raises(ResourceError, match="required 305, budget 100"):
+            fiber_partition(Potential.constant(2, 0.0), z2, 10,
+                            max_states=100)
+
     def test_budget_and_validation_errors(self, z2, fk3):
         pot2 = Potential.constant(2, 0.0)
         with pytest.raises(ResourceError):
             fiber_partition(pot2, z2, 30, max_states=10)
         with pytest.raises(ValidationError):
             fiber_partition(pot2, z2, 1)   # below the period
+        with pytest.raises(ValidationError, match="n_max must be >= 1"):
+            fiber_partition(pot2, z2, 0)
         pot3 = Potential.constant(3, 0.0)
         # the renewal's series of FK3 at n_max 6 hold 5 * 7 * 7^2 = 1715
         # entries: (survivors + 1)(n_max + 1) S^2

@@ -22,11 +22,10 @@ RECORDS = [
     (VerdictReport, "rule quantities slacks classification notes",
      {"notes": []}),
     (SymmetricAverageResult, "value per_g lam_hat horizon", {}),
-    (GibbsData, "rho pressure right left initial transition c_hat "
-                "per_level_c", {}),
+    (GibbsData, "pressure initial transition c_hat per_level_c", {}),
     (Potential, "d depth values", {}),
     (GeometricPotential, "d depth values", {}),
-    (PerronResult, "rho residual iterations right left", {"left": None}),
+    (PerronResult, "rho residual iterations right", {}),
     (PressureRows, "values slopes residuals start solves iterations "
                    "hessian fits",
      {"solves": 1, "iterations": None, "hessian": None, "fits": None}),
@@ -35,9 +34,8 @@ RECORDS = [
     (GrowthFit, "lam sigma gamma gamma_sigma n_points window rms", {}),
     (FreeEnergyPoint, "beta t sigma method residual evaluations", {}),
     (CogrowthResult, "eta sigma method fiber_rate ambient_rate", {}),
-    (FreeEnergyCurve, "betas points quotient_tag", {"quotient_tag": "full"}),
-    (SpectrumCurve, "alphas b_values flags alpha_minus alpha_plus t0 "
-                    "quotient_tag", {"quotient_tag": "full"}),
+    (FreeEnergyCurve, "betas points", {}),
+    (SpectrumCurve, "alphas b_values flags alpha_minus alpha_plus t0", {}),
     (Alphabet, "d", {}),
 ]
 

@@ -6,7 +6,8 @@ import pytest
 import oracles
 import freeshift.pressure as pressure_mod
 import freeshift.spectra as spectra_mod
-from freeshift import (FreeAbelianQuotient, GeometricPotential,
+from freeshift import (FreeAbelianQuotient, FreeEnergyCurve,
+                       FreeEnergyPoint, GeometricPotential,
                        NumericError, Potential, ValidationError,
                        bowen_dimension, cogrowth, combine, default_beta_grid,
                        delta, free_energy, free_energy_curve, full_pressure,
@@ -564,8 +565,22 @@ class TestCurvesAndSpectra:
         with pytest.raises(ValidationError, match="two or more points"):
             default_beta_grid(0, 1, 5)
 
+    def test_beta_grid_ends_at_hi(self):
+        # 1 / 0.3 rounds to 3 steps of 1/3
+        assert default_beta_grid(0, 1, 0.3).tolist() == \
+            np.linspace(0, 1, 4).tolist()
+
     def test_legendre_refuses_one_point(self, two_ratio_zeta,
                                         psi_minus_one):
         curve = free_energy_curve(psi_minus_one, two_ratio_zeta, [0.0])
         with pytest.raises(ValidationError, match="two or more points"):
+            legendre(curve)
+
+    def test_legendre_refuses_a_concave_curve(self):
+        # the slope falls from 1 to 0.5, and no sigma allows for it
+        points = [FreeEnergyPoint(b, t, 0.0, "exact-eigenvalue", 0.0, 1)
+                  for b, t in [(0.0, 0.0), (1.0, 1.0), (2.0, 1.5)]]
+        curve = FreeEnergyCurve(np.array([0.0, 1.0, 2.0]), points)
+        with pytest.raises(ValidationError,
+                           match=r"non-convex.*margin -0\.5\)"):
             legendre(curve)
