@@ -18,8 +18,9 @@ import math
 import numpy as np
 
 from .errors import NumericError, UndefinedRatioError, ValidationError
-from .pressure import (FIBER_MAX_STATES, _perron_batch, _tail_fit,
-                       fiber_partition, fiber_partition_many, full_pressure,
+from .pressure import (FIBER_MAX_STATES, _equilibrium_chain,
+                       _perron_batch, _tail_fit, fiber_partition,
+                       fiber_partition_many, full_pressure,
                        restricted_pressure, transfer_pattern)
 from .spectra import DEFAULT_U_TOL, delta, legendre
 
@@ -383,15 +384,13 @@ def gibbs_verify(pot, max_len=8, tol=1e-13):
             f"gibbs_verify needs a depth-1 potential, got depth {pot.depth}")
     if max_len < 1:
         raise ValidationError("max_len must be >= 1")
-    # Perron data of the untilted matrix pattern * w; h, nu peak at 1
+    # Perron data of the untilted matrix pattern * w; h peaks at 1
     pattern = transfer_pattern(pot.d, 1)
     w = np.exp(pot.values)
     rho, _, _, right, left = _perron_batch(pattern, w[None], tol,
                                            want_left=True)
-    rho, h, nu = float(rho[0]), right[0], left[0]
-    pi = nu * h
-    pi = pi / pi.sum()
-    Q = pattern * (w * h)[None, :] / (rho * h[:, None])
+    Q, pi = _equilibrium_chain(pattern, w[None], rho, right, left)
+    Q, pi, rho, h = Q[0], pi[0], float(rho[0]), right[0]
     P = math.log(rho)
 
     row_defect = float(np.abs(Q.sum(axis=1) - 1.0).max())
@@ -416,7 +415,7 @@ def gibbs_verify(pot, max_len=8, tol=1e-13):
     # level masses via matrix powers (mu is a probability on each level)
     level_defect = 0.0
     v = pi.copy()
-    for n in range(1, min(max_len, 8) + 1):
+    for n in range(1, max_len + 1):
         level_defect = max(level_defect, abs(float(v.sum()) - 1.0))
         v = v @ Q
 

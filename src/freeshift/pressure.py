@@ -296,21 +296,30 @@ class PressureRows:
         self.fits = fits                # per-row PressureResult of a fit
 
 
-def _hessian(pattern, weights, rho, right, pi, centred):
+def _equilibrium_chain(pattern, weights, rho, right, left):
+    """The equilibrium chains of K Perron solves of M_k = pattern *
+    weights[k]: Q_ij = M_ij r_j / (rho r_i), row-stochastic, and its
+    stationary law pi = l r / sum l r (Parry-Pollicott 1990)."""
+    Q = (pattern * (weights * right)[:, None, :]
+         / (rho[:, None] * right)[:, :, None])
+    lr = left * right
+    return Q, lr / lr.sum(axis=1)[:, None]
+
+
+def _hessian(pattern, weights, rho, right, left, centred):
     """Second derivatives of P(f + u g) in u along the columns of g: the
-    asymptotic covariance of the chain Q_ij = M_ij r_j / (rho r_i), whose
-    stationary law is pi (Parry-Pollicott 1990). With centred = g - pi.g,
-    a = sum_n Q^n centred solves (I - Q + 1 pi^T) a = centred, and H =
-    X + X^T, X = pi.(centred (a - centred / 2)), is exactly symmetric. The
-    W x W solves go in blocks of at most 2^20 entries (8 MB)."""
+    asymptotic covariance of the equilibrium chain Q with stationary law
+    pi. With centred = g - pi.g, a = sum_n Q^n centred solves (I - Q + 1
+    pi^T) a = centred, and H = X + X^T, X = pi.(centred (a - centred /
+    2)), is exactly symmetric. The W x W solves go in blocks of at most
+    2^20 entries (8 MB)."""
     step = max(1, 2 ** 20 // len(pattern) ** 2)
     if len(rho) > step:
         return np.concatenate([
             _hessian(pattern, *(x[i:i + step] for x in
-                                (weights, rho, right, pi, centred)))
+                                (weights, rho, right, left, centred)))
             for i in range(0, len(rho), step)])
-    Q = (pattern * (weights * right)[:, None, :]
-         / (rho[:, None] * right)[:, :, None])
+    Q, pi = _equilibrium_chain(pattern, weights, rho, right, left)
     a = np.linalg.solve(np.eye(len(pattern)) - Q + pi[:, None, :], centred)
     X = (pi[:, :, None] * centred).transpose(0, 2, 1) @ (a - 0.5 * centred)
     return X + X.transpose(0, 2, 1)
@@ -333,8 +342,7 @@ def pressure_rows(pattern, values, g=None, tol=1e-13, start=None,
         lr = left * right
         slopes = ((lr @ g).T / lr.sum(axis=1)).T
         if hessian:
-            H = _hessian(pattern, weights, rho, right,
-                         lr / lr.sum(axis=1)[:, None],
+            H = _hessian(pattern, weights, rho, right, left,
                          g - slopes[:, None, :])
     return PressureRows(np.log(rho) + shift, slopes,
                         half / rho, (right, left),
@@ -837,7 +845,9 @@ class GrowthFit:
     (C lambda^n n^-gamma); without it the slope estimate is biased by
     -gamma/n_bar, which is far larger than the target accuracy at the
     default n_max. sigma is max(regression stderr, half-window
-    sensitivity), 0 for an exact lambda held in the fit."""
+    sensitivity), 0 for an exact lambda held in the fit; the stderr of a
+    coefficient is sqrt(s2 [(X^T X)^-1]_ii), s2 the residual sum of
+    squares over m - 3 for m points, and rms is that sum over m, rooted."""
 
     def __init__(self, lam, sigma, gamma, gamma_sigma, n_points, window,
                  rms):
@@ -860,7 +870,16 @@ def _tail_fit(series, lam=None):
     over the nonzero terms past the leading quarter; with the
     exact rate ``lam`` held there, of log a_n - lam n = c - gamma log n +
     c1/n instead, and sigma 0. Each sigma dominates the regression stderr
-    and the change of its estimate on the tail half of the window."""
+    and the change of its estimate on the tail half of the window.
+
+    The three-column least squares runs on numpy arithmetic alone, with no
+    LAPACK routine: modified Gram-Schmidt on the columns of [X y], a
+    backward-stable least-squares method (Bjorck, BIT 7, 1967), gives X =
+    QR, Q^T y in the last column of R and the residual as what is left of
+    y. R^-1 is a 3 x 3 back substitution; the coefficients are R^-1 Q^T y,
+    and since (X^T X)^-1 = R^-1 R^-T, the diagonal behind each stderr is a
+    row sum of (R^-1)^2. Four distinct lengths give (1, log n, n) and (1,
+    log n, 1/n) full column rank, so the diagonal of R is positive."""
     finite = np.isfinite(series.log_values)
     ns = series.lengths[finite].astype(float)
     ys = series.log_values[finite]
@@ -874,14 +893,31 @@ def _tail_fit(series, lam=None):
         ys = ys - lam * ns
 
     def fit(ns, ys):
-        # columns 1, log n, then n (rate fitted) or 1/n (rate held)
-        X = np.column_stack([np.ones(len(ns)), np.log(ns),
-                             ns if lam is None else 1.0 / ns])
-        coef, *_ = np.linalg.lstsq(X, ys, rcond=None)
-        resid = ys - X @ coef
-        s2 = float(resid @ resid) / max(len(ns) - 3, 1)
-        err = np.sqrt(np.maximum(np.diag(s2 * np.linalg.inv(X.T @ X)), 0.0))
-        return coef, err, math.sqrt(float(resid @ resid) / len(ns))
+        # rows 1, log n, then n (rate fitted) or 1/n (rate held), and ys;
+        # Gram-Schmidt leaves R[:, 3] = Q^T ys and the residual in row 3
+        A = np.array([np.ones(len(ns)), np.log(ns),
+                      ns if lam is None else 1.0 / ns, ys])
+        R = [[0.0] * 4 for _ in range(3)]
+        for k in range(3):
+            R[k][k] = math.sqrt(float((A[k] * A[k]).sum()))
+            A[k] /= R[k][k]
+            dots = (A[k + 1:] * A[k]).sum(axis=1)
+            A[k + 1:] -= dots[:, None] * A[k]
+            R[k][k + 1:] = dots.tolist()
+        # R^-1 by back substitution
+        inv = [[0.0] * 3 for _ in range(3)]
+        for i in (2, 1, 0):
+            inv[i][i] = 1.0 / R[i][i]
+            for j in range(i + 1, 3):
+                inv[i][j] = -sum(R[i][m] * inv[m][j]
+                                 for m in range(i + 1, j + 1)) / R[i][i]
+        coef = np.array([sum(inv[i][j] * R[j][3] for j in range(i, 3))
+                         for i in range(3)])
+        ss = float((A[3] * A[3]).sum())
+        s2 = ss / max(len(ns) - 3, 1)
+        err = np.array([math.sqrt(s2 * sum(x * x for x in row))
+                        for row in inv])
+        return coef, err, math.sqrt(ss / len(ns))
 
     coef, err, rms = fit(ns, ys)
     half = len(ns) // 2

@@ -9,9 +9,11 @@ freeshift). reduced_word_counts counts words by an exact integer
 recurrence instead of enumerating them; tests check it against brute_words.
 freekill_pressure reads free-kill pressures of depth-1 potentials off the
 weighted cogrowth formula (2d x 2d systems), a route the library does not
-share. The helpers that take a library Potential (birkhoff_sup_sum,
-distortion_constant, partition_sum_matrix, save_potential_csv) read it only
-through its d, depth, value(), max and min.
+share. exact_least_squares solves small least-squares problems in
+rational arithmetic. The helpers that take a library Potential
+(birkhoff_sup_sum, distortion_constant, partition_sum_matrix,
+save_potential_csv) read it only through its d, depth, value(), max and
+min.
 
 Conventions (shared with the library by construction, asserted in tests):
 letters are ints 0..2d-1, letter 2k is the (k+1)-th generator, 2k+1 its
@@ -389,6 +391,30 @@ def bisect_root(pressure, lo, hi, u_tol=1e-13):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def exact_least_squares(columns, ys):
+    """Least squares of ys on the given columns in exact rational
+    arithmetic: the floats are read as the rationals they are, the normal
+    equations G c = X^T y are solved by Gauss-Jordan elimination on [G | X^T
+    y | I], and the result is (coefficients, diagonal of G^-1), as
+    Fractions. The reference for the library's tail fit and its sigmas."""
+    X = [[Fraction(float(x)) for x in col] for col in columns]
+    y = [Fraction(float(v)) for v in ys]
+    k = len(X)
+    rows = [[sum(a * b for a, b in zip(X[i], X[j])) for j in range(k)]
+            + [sum(a * b for a, b in zip(X[i], y))]
+            + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [a - rows[r][c] * b
+                           for a, b in zip(rows[r], rows[c])]
+    return ([row[k] for row in rows],
+            [rows[i][k + 1 + i] for i in range(k)])
 
 
 def lifted_delta(d, identity, img, mul, zeta_letter):

@@ -319,6 +319,19 @@ class TestGibbs:
         assert data.per_level_c[8] <= 1.05 * data.per_level_c[4]
         assert rep.classification == "verified"
 
+    def test_level_masses_checked_to_max_len(self):
+        # a gibbs_len above 8 checks every level: the slack is that of the
+        # largest defect of the level masses sum(pi Q^n) over all 12
+        # levels, which this potential reaches past level 8
+        data, rep = gibbs_verify(random_inverse_symmetric(2, 1), max_len=12)
+        v, defects = data.initial, []
+        for _ in range(12):
+            defects.append(abs(float(v.sum()) - 1.0))
+            v = v @ data.transition
+        assert max(defects) > max(defects[:8])
+        slacks = {s["name"]: s["slack"] for s in rep.slacks}
+        assert slacks["level-mass defect"] == 1e-10 - max(defects)
+
     def test_rejects_deeper_potentials(self):
         with pytest.raises(ValidationError, match="depth-1"):
             gibbs_verify(Potential.constant(2, 0.0, depth=2))

@@ -312,6 +312,46 @@ def test_check_detects_heavy_native_imports():
     assert _heavy_imports(tree) == [5, 7, 8, 9]
 
 
+def _lapack_least_squares(tree):
+    """Lines that name numpy.linalg's lstsq or inv, as an attribute of
+    ``linalg`` or in a from-import: the growth fit solves its least squares
+    without them, and each pages LAPACK code into the process."""
+    banned = {"lstsq", "inv"}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in banned:
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                    or isinstance(owner, ast.Name) and owner.id == "linalg"):
+                lines.add(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module == "numpy.linalg"
+              and any(alias.name in banned for alias in node.names)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_no_lapack_least_squares():
+    found = {p.name: _lapack_least_squares(
+                 ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+             for p in MODULES}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"numpy.linalg.lstsq or inv used: {found}"
+
+
+def test_check_detects_lapack_least_squares():
+    tree = ast.parse("import numpy as np\n"
+                     "c, *_ = np.linalg.lstsq(X, y, rcond=None)\n"
+                     "G = numpy.linalg.inv(X.T @ X)\n"
+                     "from numpy.linalg import eigh, inv\n"
+                     "from numpy import linalg\n"
+                     "c = linalg.lstsq(X, y)\n"
+                     "x = np.linalg.solve(A, b)\n"
+                     "inv = table.inv\n"
+                     "from .linalg import lstsq\n")
+    assert _lapack_least_squares(tree) == [2, 3, 4, 6]
+
+
 def _dataclasses_imports(tree):
     """Lines that import the dataclasses module or a name from it."""
     return sorted(node.lineno for node in ast.walk(tree)

@@ -8,7 +8,7 @@ import freeshift.pressure as pressure_mod
 from freeshift import (FiniteQuotient, FreeAbelianQuotient,
                        FreeKillQuotient, LiftedTransferMatrix, NumericError,
                        Potential, ResourceError, TransferMatrix,
-                       ValidationError, fiber_partition,
+                       ValidationError, divergence_probe, fiber_partition,
                        fiber_partition_many, free_energy_curve, full_pressure,
                        growth_rate, perron_eigen,
                        random_inverse_symmetric, restricted_pressure,
@@ -22,6 +22,22 @@ def _random_pot(d, depth, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     windows, _ = window_states(d, depth)
     return Potential(d, depth, rng.uniform(-scale, scale, len(windows)))
+
+
+# (n_max, held rate or None) of the tail-fit checks
+FIT_CASES = [(n, lam) for n in (8, 13, 24, 40, 61) for lam in (None, 1.1)]
+
+
+def _fit_window(ns, logs, lam):
+    """(lengths, ys, columns) of the least squares the tail fit solves on a
+    series with every term nonzero: the window past the leading quarter,
+    ys = log a_n (- lam n), columns 1, log n and n (or 1/n when held)."""
+    start = min(len(ns) // 4, len(ns) - 4)
+    ns, ys = ns[start:], logs[start:]
+    if lam is not None:
+        ys = ys - lam * ns
+    return ns, ys, [np.ones(len(ns)), np.log(ns),
+                    ns if lam is None else 1.0 / ns]
 
 
 # (quotient, depth, seed, n_max, shift) of the constant-shift checks; "fk2"
@@ -628,6 +644,66 @@ class TestGrowthRate:
         series = fiber_partition(Potential.constant(2, 0.0), z2, 7)
         with pytest.raises(NumericError):
             growth_rate(series)
+
+    @pytest.mark.parametrize("n_max, lam", FIT_CASES)
+    def test_matches_lapack_least_squares(self, n_max, lam):
+        # the Gram-Schmidt fit against numpy's SVD least squares
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            ns = np.arange(1, n_max + 1, dtype=float)
+            logs = (0.7 + 1.1 * ns - 1.5 * np.log(ns)
+                    + 0.05 * rng.standard_normal(n_max))
+            fit = pressure_mod._tail_fit(
+                pressure_mod.FiberSeries(n_max, logs, period=1), lam)
+            ns, ys, cols = _fit_window(ns, logs, lam)
+            coef, *_ = np.linalg.lstsq(np.column_stack(cols), ys, rcond=None)
+            assert fit.gamma == pytest.approx(-coef[1], rel=1e-11)
+            if lam is None:
+                assert fit.lam == pytest.approx(coef[2], rel=1e-11)
+
+    @pytest.mark.parametrize("n_max, lam", FIT_CASES)
+    def test_sigmas_match_exact_rational_covariance(self, n_max, lam):
+        # noise orthogonal to the columns on both halves of the window
+        # leaves the half-window estimates equal to the full ones, so each
+        # sigma is the regression stderr sqrt(s2 diag (X^T X)^-1), and the
+        # diagonal, read back through rms, matches exact arithmetic
+        rng = np.random.default_rng(n_max)
+        ns = np.arange(1, n_max + 1, dtype=float)
+        window, _, cols = _fit_window(ns, ns, lam)     # columns only
+        X = np.column_stack(cols)
+        noise = 0.02 * rng.standard_normal(len(window))
+        for part in np.array_split(np.arange(len(window)), 2):
+            coef, *_ = np.linalg.lstsq(X[part], noise[part], rcond=None)
+            noise[part] -= X[part] @ coef
+        logs = 0.7 + 1.1 * ns - 1.5 * np.log(ns)
+        logs[-len(window):] += noise
+        fit = pressure_mod._tail_fit(
+            pressure_mod.FiberSeries(n_max, logs, period=1), lam)
+        _, ys, cols = _fit_window(ns, logs, lam)
+        coef, diag = oracles.exact_least_squares(cols, ys)
+        m = fit.n_points
+        read = [(sigma / fit.rms) ** 2 * (m - 3) / m
+                for sigma in (fit.gamma_sigma, fit.sigma)]
+        assert read[0] == pytest.approx(float(diag[1]), rel=1e-13, abs=0)
+        assert fit.gamma == pytest.approx(-float(coef[1]), rel=1e-11)
+        if lam is None:
+            assert read[1] == pytest.approx(float(diag[2]), rel=1e-13,
+                                            abs=0)
+            assert fit.lam == pytest.approx(float(coef[2]), rel=1e-11)
+        else:
+            assert fit.lam == lam and fit.sigma == 0.0
+
+    def test_fits_without_lapack(self, fk3, s3, monkeypatch):
+        # the growth fit pages in no LAPACK routine
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK on the fit path")
+
+        for name in ("lstsq", "inv", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        pot = Potential.from_letter_values(3, [-1.0] * 6)
+        assert restricted_pressure(pot, fk3).method == "extrapolated"
+        growth_rate(fiber_partition(pot, fk3, 40))
+        divergence_probe(s3, _random_pot(2, 1, seed=5), n_max=36)
 
 
 class TestRestrictedPressure:

@@ -219,9 +219,9 @@ NEWTON_BETAS = [-2.0, -0.5, 0.0, 1.0, 3.0]
 # (beta, t, sigma, residual) of the FK3 curve of FK3_PSI at n_max 30, from
 # one restricted_pressure fit per row and round
 FK3_CURVE_PINS = [
-    (-1.0, 1.3734790198368045, 0.004978507180891553, 1.4617611022797398e-13),
-    (0.0, 1.3755286264758622, 0.0051254406854206085, 1.5778850164748372e-13),
-    (1.0, 1.4437234395388978, 0.0047084320262374465, 2.1162634116933214e-13),
+    (-1.0, 1.373479019836804, 0.004978507180881583, 1.473059804031688e-13),
+    (0.0, 1.3755286264758626, 0.005125440685408453, 1.5708934210423477e-13),
+    (1.0, 1.4437234395388976, 0.0047084320262243805, 2.1142593914981218e-13),
 ]
 
 
