@@ -57,7 +57,7 @@ def _classify(rule, slacks):
 
 class VerdictReport:
     """Self-verifying report: the classification is a pure function of the
-    stored slacks, so recompute_classification() must reproduce it."""
+    stored slacks, so verify() re-derives it from them."""
 
     def __init__(self, rule, quantities, slacks, classification, notes=None):
         self.rule = rule
@@ -66,11 +66,8 @@ class VerdictReport:
         self.classification = classification
         self.notes = [] if notes is None else notes
 
-    def recompute_classification(self):
-        return _classify(self.rule, self.slacks)
-
     def verify(self):
-        return self.recompute_classification() == self.classification
+        return _classify(self.rule, self.slacks) == self.classification
 
     def to_dict(self):
         return {

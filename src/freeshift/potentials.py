@@ -105,10 +105,6 @@ class Potential:
     def max(self):
         return float(self.values.max())
 
-    @property
-    def min(self):
-        return float(self.values.min())
-
     def as_depth(self, depth):
         """Lift to a (not smaller) depth; the lifted table reads the first
         ``self.depth`` letters of each window. Sup-sums are unchanged."""

@@ -116,8 +116,9 @@ class TransferMatrix:
 class LiftedTransferMatrix:
     """Transfer matrix of the group extension over a finite quotient:
     states are (window, element) pairs, transitions multiply the element by
-    the image of the appended letter. It serves inspection and the test of
-    its irreducibility; no pressure route solves on it.
+    the image of the appended letter. Only its 0/1 ``pattern`` is kept; it
+    serves inspection and the test of its irreducibility, and no pressure
+    route solves on it.
 
     The matrix is irreducible. At depth 1 its graph is the (letter,
     element) graph, strongly connected because the loop images at a letter
@@ -134,8 +135,7 @@ class LiftedTransferMatrix:
                 "lifted transfer matrices need a finite quotient")
         if pot.d != quotient.d:
             raise ValidationError("potential and quotient rank mismatch")
-        self.pot = pot
-        self.order = order = quotient.table.shape[0]
+        order = quotient.table.shape[0]
         windows = window_states(pot.d, pot.depth)[0]
         W = len(windows)
         if W * order > self.MAX_STATES:
@@ -151,31 +151,26 @@ class LiftedTransferMatrix:
         self.pattern[src[:, None] * order + np.arange(order),
                      dst[:, None] * order + shifts[last]] = 1.0
 
-    @property
-    def matrix(self):
-        return self.pattern * np.repeat(np.exp(self.pot.values), self.order)
-
 
 # ---------------------------------------------------------------------------
 # Perron eigendata with certified enclosures
 
-# power steps between enclosure checks
+# power steps between enclosure checks, and before the iteration gives up
 CHECK_STRIDE = 4
+POWER_MAX_STEPS = 100_000
 
 
 class PerronResult:
-    """Perron root ``rho`` with its right vector; ``residual`` is the
-    half-width of the Collatz-Wielandt enclosure."""
+    """Perron root ``rho``; ``residual`` is the half-width of the
+    Collatz-Wielandt enclosure."""
 
-    def __init__(self, rho, residual, iterations, right):
+    def __init__(self, rho, residual, iterations):
         self.rho = rho
         self.residual = residual
         self.iterations = iterations
-        self.right = right
 
 
-def _perron_batch(pattern, weights, tol, max_iter=100_000,
-                  want_left=False, start=None):
+def _perron_batch(pattern, weights, tol, want_left=False, start=None):
     """Perron data of the K matrices M_k = pattern * weights[k] (column j
     scaled by weights[k, j]) by one batched power iteration.
 
@@ -190,8 +185,6 @@ def _perron_batch(pattern, weights, tol, max_iter=100_000,
     Returns rho of each M_k (the enclosure midpoint), the half-widths of
     the enclosures, the power steps taken, and the right (and left) Perron
     vectors at peak 1."""
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     K, n = weights.shape
     ones = np.ones((K, n))
     V = ones if start is None else start[0]
@@ -224,7 +217,7 @@ def _perron_batch(pattern, weights, tol, max_iter=100_000,
     live = np.arange(K)
     steps = 0
     while live.size:
-        todo = min(CHECK_STRIDE, max_iter - steps)
+        todo = min(CHECK_STRIDE, POWER_MAX_STEPS - steps)
         for _ in range(todo):           # the last power step is checked
             V0, L0 = V, L
             V, gv = normalised((W * V) @ pattern.T)
@@ -246,15 +239,15 @@ def _perron_batch(pattern, weights, tol, max_iter=100_000,
             live, V, W = live[keep], V[keep], W[keep]
             if want_left:
                 L = L[keep]
-        if live.size and steps >= max_iter:
+        if live.size and steps >= POWER_MAX_STEPS:
             raise NumericError(
-                f"power iteration did not converge in {max_iter} iterations "
-                f"(enclosure width {(hi - lo)[~done].max():g}, "
+                f"power iteration did not converge in {POWER_MAX_STEPS} "
+                f"iterations (enclosure width {(hi - lo)[~done].max():g}, "
                 f"tol {tol:g})")
     return rho, half, iterations, right, left
 
 
-def perron_eigen(M, tol=1e-13, max_iter=100_000, *, weights=None):
+def perron_eigen(M, tol=1e-13, *, weights=None):
     """Power iteration on M from the all-ones vector: the K = 1 case of the
     batched engine. With ``weights``, the matrix is M with column j scaled
     by weights[j], which is never formed.
@@ -272,10 +265,8 @@ def perron_eigen(M, tol=1e-13, max_iter=100_000, *, weights=None):
                else np.asarray(weights, dtype=float))
     if weights.shape != (len(M),):
         raise ValidationError("perron_eigen needs one weight per column")
-    rho, half, iterations, right, _ = _perron_batch(
-        M, weights[None], tol, max_iter)
-    return PerronResult(float(rho[0]), float(half[0]), int(iterations[0]),
-                        right[0])
+    rho, half, iterations, _, _ = _perron_batch(M, weights[None], tol)
+    return PerronResult(float(rho[0]), float(half[0]), int(iterations[0]))
 
 
 class PressureRows:
@@ -526,9 +517,7 @@ def scope_rows(d, depth, quotient=None, g=None, tol=1e-13, n_max=40,
             return twisted_rows(pattern, G, values, g, tol, start)
 
         def detail(rows, k):
-            # a single row tries one Newton step in every round but its last
             return {"theta": (rows.start[2][k] @ basis).tolist(),
-                    "newton_steps": rows.solves - 1,
                     "eigen_solves": rows.solves, "states": len(pattern)}
     elif quotient is None or isinstance(quotient, FiniteQuotient):
         # finite quotients too: the full Perron vector lifts to a positive
@@ -555,11 +544,11 @@ def scope_rows(d, depth, quotient=None, g=None, tol=1e-13, n_max=40,
 class FiberSeries:
     """log a_n for n = 1..n_max (NEG_INF where the fiber is empty)."""
 
-    def __init__(self, n_max, log_values, period, meta=None):
+    def __init__(self, n_max, log_values, period):
         self.n_max = n_max
         self.log_values = log_values
         self.period = period
-        self.meta = {} if meta is None else meta
+        self.meta = {}          # always empty; bench/tracer.py reads it
 
     @property
     def lengths(self):
@@ -616,9 +605,7 @@ def fiber_partition_many(pot, quotient, n_max, targets,
         raise ValidationError(
             f"unsupported quotient type {type(quotient).__name__}")
     logs = logs + top * np.arange(1, n_max + 1)
-    meta = {"quotient": quotient.describe(), "depth": pot.depth}
-    return {t: FiberSeries(n_max, logs[i], p, dict(meta))
-            for i, t in enumerate(targets)}
+    return {t: FiberSeries(n_max, logs[i], p) for i, t in enumerate(targets)}
 
 
 # -- tilted steps over extended window states (both fiber engines) --------

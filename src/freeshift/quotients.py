@@ -2,10 +2,10 @@
 
 A quotient is specified by the images of the d generators in a target group
 G; N is the kernel of the induced homomorphism F_d -> G. Downstream code only
-needs a handful of primitives: evaluating words, membership in N, the period
-(gcd of lengths of cyclically admissible N-words), balls and word lengths
-in the image group, and first-return words (nonempty N-words with no proper
-nonempty prefix in N).
+needs a handful of primitives: evaluating words (a word is in N when it
+evaluates to the identity), the period (gcd of lengths of cyclically
+admissible N-words), balls and word lengths in the image group, and
+first-return words (nonempty N-words with no proper nonempty prefix in N).
 
 Three target models are supported:
 
@@ -33,6 +33,8 @@ from .errors import ResourceError, ValidationError
 from .words import Alphabet, concat_reduce, inverse_word
 
 MAX_FINITE_ORDER = 10_000
+# search-tree nodes a first-return enumeration may visit
+FIRST_RETURN_MAX_NODES = 5_000_000
 
 
 class Quotient(ABC):
@@ -81,9 +83,6 @@ class Quotient(ABC):
         for letter in letters:
             g = self.multiply(g, self.letter_image(letter))
         return g
-
-    def is_in_N(self, letters):
-        return self.eval_word(letters) == self.identity
 
     def period(self):
         """The exact period of N, the gcd of the lengths of cyclically
@@ -163,7 +162,7 @@ class Quotient(ABC):
         raise ValidationError(f"element {min(todo, key=repr)!r} is not "
                               f"within {limit} letters of the identity")
 
-    def first_return_words(self, max_length, max_nodes=5_000_000):
+    def first_return_words(self, max_length):
         """Nonempty N-words of length <= max_length with no proper nonempty
         prefix in N, ordered by (length, letters).
 
@@ -186,10 +185,10 @@ class Quotient(ABC):
                 if l == forbidden:
                     continue
                 visited += 1
-                if visited > max_nodes:
+                if visited > FIRST_RETURN_MAX_NODES:
                     raise ResourceError(
                         "first-return enumeration exceeded node budget",
-                        required=visited, budget=max_nodes)
+                        required=visited, budget=FIRST_RETURN_MAX_NODES)
                 g = self.multiply(prods[-1], images[l])
                 word.append(l)
                 prods.append(g)
@@ -259,7 +258,11 @@ class FiniteQuotient(Quotient):
         for g in self.generator_images:
             if not 0 <= g < order:
                 raise ValidationError(f"generator image {g} out of range")
-        inv = self._inv = self._inverse_table()
+        # every row is a permutation, so it holds e once: nonzero lists the
+        # right inverses in row order
+        inv = self._inv = np.nonzero(t == e)[1]
+        if not np.array_equal(t[inv, idx], np.full(order, e)):
+            raise ValidationError("some right inverse is not a left inverse")
         self._letter_images = [int(x) for g in self.generator_images
                                for x in (g, inv[g])]
         # generation (surjectivity of the induced homomorphism)
@@ -277,19 +280,6 @@ class FiniteQuotient(Quotient):
                 raise ValidationError(
                     f"multiplication table is not associative "
                     f"(fails at generator image {s})")
-
-    def _inverse_table(self):
-        order = self.table.shape[0]
-        rows, cols = np.nonzero(self.table == self.identity_index)
-        inv = np.full(order, -1, dtype=np.int64)
-        inv[rows] = cols
-        if (inv < 0).any():
-            raise ValidationError("some element has no right inverse")
-        # two-sidedness
-        if not np.array_equal(self.table[inv, np.arange(order)],
-                              np.full(order, self.identity_index)):
-            raise ValidationError("some right inverse is not a left inverse")
-        return inv
 
     @classmethod
     def from_file(cls, d, path, generator_images):

@@ -26,7 +26,8 @@ first step cannot overshoot.
 
 When zeta is constant the root is available in closed form from a single
 pressure evaluation (P(beta psi) shifts linearly in u), which is also what
-makes the cogrowth ratio cheap: eta = lambda_N / log(2d - 1).
+makes the cogrowth ratio cheap: eta = lambda_N / log(2d - 1). A second
+evaluation at the root certifies it as every other root is certified.
 """
 
 import csv
@@ -43,6 +44,8 @@ DEFAULT_U_TOL = 1e-10
 # steps before a root is declared uncertifiable; a convex decreasing
 # pressure needs far fewer (about 4 per point on exact scopes, 7 on fits)
 NEWTON_MAX_ROUNDS = 100
+# a root beyond [-U_MAX, U_MAX] is refused
+U_MAX = 1e6
 DEFAULT_BETA_RANGE = (-4.0, 4.0)
 DEFAULT_BETA_STEP = 0.05
 
@@ -62,8 +65,7 @@ def default_beta_grid(lo=None, hi=None, step=None):
 
 
 class FreeEnergyPoint:
-    """The root t of P(beta psi + t zeta) = 0 with its provenance. Points
-    compare equal when every attribute does."""
+    """The root t of P(beta psi + t zeta) = 0 with its provenance."""
 
     def __init__(self, beta, t, sigma, method, residual, evaluations):
         self.beta = beta
@@ -72,11 +74,6 @@ class FreeEnergyPoint:
         self.method = method
         self.residual = residual    # |pressure at t|, evaluated there
         self.evaluations = evaluations
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
 
 
 def _checked_psi(psi, zeta):
@@ -93,7 +90,7 @@ def _checked_psi(psi, zeta):
     return psi
 
 
-def _roots(psi, zeta, betas, quotient, n_max, u_tol, u_max, tol):
+def _roots(psi, zeta, betas, quotient, n_max, u_tol, tol):
     """Roots of P(beta psi + u zeta) = 0 for every beta at once, by steps
     u <- u - P/s from u = 0 (see the module docstring). Every round
     evaluates all live rows in one batch of the scope's scope_rows route.
@@ -134,9 +131,9 @@ def _roots(psi, zeta, betas, quotient, n_max, u_tol, u_max, tol):
         if not live.size:
             break
         u[live] += step[keep]
-        if np.abs(u[live]).max() > u_max:
+        if np.abs(u[live]).max() > U_MAX:
             raise NumericError(
-                f"free-energy Newton step left [-{u_max:g}, {u_max:g}]")
+                f"free-energy Newton step left [-{U_MAX:g}, {U_MAX:g}]")
         if rows.start is not None:
             start = tuple(v[keep] for v in rows.start)
     else:
@@ -151,27 +148,38 @@ def _roots(psi, zeta, betas, quotient, n_max, u_tol, u_max, tol):
                                       evaluations)]
 
 
-def _closed_form(psi, zeta, beta, quotient, n_max, tol):
+def _closed_form(psi, zeta, beta, quotient, n_max, u_tol, tol):
     """The root for a constant zeta = -c: P(beta psi + u zeta) =
-    P(beta psi) - u c, so one pressure evaluation gives it."""
+    P(beta psi) - u c, so one pressure evaluation gives t = P(beta psi) /
+    c. A second one, at t, is the residual, held to _roots' bound."""
     c = -float(zeta.values[0])
-    pot = combine((beta, psi), (0.0, zeta))
-    base = (full_pressure(pot, tol=tol) if quotient is None else
-            restricted_pressure(pot, quotient, n_max=n_max, tol=tol))
+
+    def pressure(u):
+        pot = combine((beta, psi), (u, zeta))
+        return (full_pressure(pot, tol=tol) if quotient is None else
+                restricted_pressure(pot, quotient, n_max=n_max, tol=tol))
+    base = pressure(0.0)
     t = base.value / c
-    residual = abs(base.value - t * c)    # exact algebra, ~eps
+    if abs(t) > U_MAX:
+        raise NumericError(
+            f"free-energy Newton step left [-{U_MAX:g}, {U_MAX:g}]")
+    residual, bound = abs(pressure(t).value), max(1e-9, c * u_tol)
+    if residual > bound:
+        raise NumericError(
+            f"free-energy root certificate failed: |P| = {residual:g} "
+            f"exceeds {bound:g} at the closed-form root")
     return FreeEnergyPoint(float(beta), t, base.sigma / c, base.method,
-                           residual, 1)
+                           residual, 2)
 
 
 def free_energy(psi, zeta, beta, quotient=None, n_max=40,
-                u_tol=DEFAULT_U_TOL, u_max=1e6, tol=1e-13):
+                u_tol=DEFAULT_U_TOL, tol=1e-13):
     """Solve P(beta psi + u zeta, scope) = 0 for u: the one-point
     free_energy_curve. psi may be None (treated as zero). Every root
     certifies |pressure at root| <= max(1e-9, max|zeta| u_tol); on a
     free-kill quotient sigma = sigma_lambda / |mean zeta|, 0 elsewhere."""
     return free_energy_curve(psi, zeta, [beta], quotient, n_max, u_tol=u_tol,
-                             u_max=u_max, tol=tol).points[0]
+                             tol=tol).points[0]
 
 
 def delta(zeta, quotient=None, n_max=40, **kw):
@@ -265,18 +273,18 @@ class FreeEnergyCurve:
 
 
 def free_energy_curve(psi, zeta, betas=None, quotient=None, n_max=40,
-                      u_tol=DEFAULT_U_TOL, u_max=1e6, tol=1e-13):
+                      u_tol=DEFAULT_U_TOL, tol=1e-13):
     """t(beta) over a grid, in grid order: all roots at once (_roots), or
-    one pressure evaluation per point when zeta is constant."""
+    the closed form of each point when zeta is constant."""
     if betas is None:
         betas = default_beta_grid()
     betas = np.asarray(betas, dtype=float)
     psi = _checked_psi(psi, zeta)
     if float(np.ptp(zeta.values)) == 0.0:
-        points = [_closed_form(psi, zeta, b, quotient, n_max, tol)
+        points = [_closed_form(psi, zeta, b, quotient, n_max, u_tol, tol)
                   for b in betas]
     else:
-        points = _roots(psi, zeta, betas, quotient, n_max, u_tol, u_max, tol)
+        points = _roots(psi, zeta, betas, quotient, n_max, u_tol, tol)
     return FreeEnergyCurve(betas, points)
 
 

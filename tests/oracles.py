@@ -259,7 +259,7 @@ def birkhoff_sup_sum(pot, word):
 def distortion_constant(pot):
     """(k-1) (max f - min f): bounds the gap between the sup-sum and any
     single completion's sum, uniformly over words."""
-    return (pot.depth - 1) * (pot.max - pot.min)
+    return (pot.depth - 1) * (pot.max - float(pot.values.min()))
 
 
 def partition_sum_matrix(pot, n):

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import freeshift.spectra as spectra_mod
-from freeshift import cli
+from freeshift import cli, load_config
 from freeshift.quotients import Quotient
 
 BASE = """\
@@ -304,6 +304,18 @@ class TestSubcommands:
         assert reports["gibbs"]["verdict"] == "verified"
         assert reports["symmetric_on_average"]["value"] == pytest.approx(
             1.0, abs=0.1)
+
+    def test_diagnose_thins_the_grid_to_nine_betas(self, base_ini):
+        # the default 161-point grid gives beta = -4, -3, ..., 4; a grid of
+        # 10 keeps 9 distinct points, and one of at most 9 stays whole
+        cfg = load_config(base_ini)
+        assert len(cfg.betas) == 161
+        assert cli._diag_betas(cfg).tolist() == list(range(-4, 5))
+        cfg.betas = np.linspace(0.0, 0.9, 10)
+        assert cli._diag_betas(cfg).tolist() == \
+            cfg.betas[[0, 1, 2, 3, 4, 6, 7, 8, 9]].tolist()
+        cfg.betas = np.linspace(0.0, 0.8, 9)
+        assert cli._diag_betas(cfg) is cfg.betas
 
     def test_diagnose_asymmetric_psi_on_z2(self, capsys, tmp_path):
         # Z^2 is amenable, but this psi drifts: t_N(1) sits 0.6 below t(1)

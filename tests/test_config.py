@@ -8,7 +8,7 @@ import pytest
 import oracles
 from freeshift import (FiniteQuotient, FreeAbelianQuotient, FreeKillQuotient,
                        GeometricPotential, ValidationError, default_beta_grid,
-                       load_config)
+                       delta, load_config)
 from freeshift.config import parse_number
 
 MINIMAL = """\
@@ -96,6 +96,32 @@ class TestValidation:
         with pytest.raises(ValidationError, match="n_max"):
             load_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("text, match", [
+        (MINIMAL.replace("0.25", "0.25, x"), "bad numeric list"),
+        (MINIMAL + "[quotient]\ntype = freekill\nkilled = 1.5\n",
+         "expected integers"),
+        (MINIMAL + "[psi]\nconstant = 1\nletters = 1, 2\n",
+         "exactly one of constant/letters/file"),
+        (MINIMAL + "[quotient]\ntype = finite\nfile = g.table\n",
+         r"type=finite needs file= \(table\) and images="),
+        (MINIMAL + "[quotient]\ntype = abelian\nrank = 2\n",
+         "type=abelian needs rank= and vectors="),
+        (MINIMAL + "[quotient]\ntype = freekill\n",
+         "type=freekill needs killed="),
+        ("d = 2\n" + MINIMAL, "config parse error"),
+        (MINIMAL.replace("d = 2", "d = 1"), "d must be >= 2"),
+        (MINIMAL + "[grid]\nalpha_count = 0\n", "alpha_count must be >= 1"),
+        (MINIMAL + "[tolerances]\neigen = -1e-13\n",
+         "tolerances must be positive"),
+        (MINIMAL + "[tolerances]\nsigma_factor = 0\n",
+         "tolerances must be positive")],
+        ids=["float-list", "int-list", "psi-two-sources", "finite-no-images",
+             "abelian-no-vectors", "freekill-no-killed", "parse-error",
+             "rank-1", "alpha-count-0", "eigen-negative", "sigma-factor-0"])
+    def test_refusals(self, tmp_path, text, match):
+        with pytest.raises(ValidationError, match=match):
+            load_config(_write(tmp_path, text))
+
 
 class TestNonFinite:
     """Numbers from outside must be finite: nan and inf are refused where
@@ -157,6 +183,23 @@ class TestPotentialForms:
         oracles.save_potential_csv(pot, str(sub / "psi.csv"))
         cfg = load_config(_write(sub, MINIMAL + "[psi]\nfile = psi.csv\n"))
         assert np.allclose(cfg.psi.values, pot.values)
+
+    def test_zeta_constant_gives_the_closed_form(self, tmp_path, s3):
+        # [zeta] constant = -0.7 is the contraction e^-0.7 on every letter:
+        # delta = log 3 / 0.7, and the same on the finite quotient S3
+        (tmp_path / "s3.table").write_text(
+            f"{len(s3.table)} {s3.identity}\n"
+            + "".join(" ".join(map(str, row)) + "\n" for row in s3.table))
+        images = ", ".join(map(str, s3.generator_images))
+        cfg = load_config(_write(
+            tmp_path, "[model]\nd = 2\n\n[zeta]\nconstant = -0.7\n\n"
+                      "[quotient]\ntype = finite\nfile = s3.table\n"
+                      f"images = {images}\n"))
+        assert isinstance(cfg.zeta, GeometricPotential)
+        assert np.array_equal(cfg.zeta.values, np.full(4, -0.7))
+        for quotient in (None, cfg.quotient):
+            assert delta(cfg.zeta, quotient=quotient).t == pytest.approx(
+                math.log(3) / 0.7, abs=1e-12)
 
     def test_zeta_file_enforces_negativity(self, tmp_path):
         from freeshift import Potential

@@ -188,7 +188,7 @@ class TestDivergenceProbe:
         import freeshift.pressure as pm
         ns = np.arange(1, 21, dtype=float)
         logs = math.log(3) * ns - gamma0 * np.log(ns)
-        series = pm.FiberSeries(20, logs, period=1, meta={})
+        series = pm.FiberSeries(20, logs, period=1)
         monkeypatch.setattr(diag, "fiber_partition",
                             lambda pot, q, n_max, max_states: series)
         rep = divergence_probe(z2, Potential.constant(2, 0.0), n_max=20)
@@ -336,6 +336,10 @@ class TestGibbs:
         with pytest.raises(ValidationError, match="depth-1"):
             gibbs_verify(Potential.constant(2, 0.0, depth=2))
 
+    def test_rejects_empty_cylinder_range(self):
+        with pytest.raises(ValidationError, match="max_len must be >= 1"):
+            gibbs_verify(Potential.constant(2, 0.0), max_len=0)
+
 
 class TestVerdictReports:
     def test_self_verification_and_tampering(self, s3):
@@ -360,6 +364,11 @@ class TestVerdictReports:
         again = VerdictReport(d["rule"], d["quantities"], d["slacks"],
                               d["verdict"], d["notes"])
         assert again.verify()
+
+    def test_unknown_rule_is_refused(self):
+        rep = VerdictReport("majority", [], [], "holds")
+        with pytest.raises(ValidationError, match="unknown verdict rule"):
+            rep.verify()
 
     def test_every_number_has_provenance(self, z2, fk3):
         # Z^2 restricted pressures are exact twisted minima (sigma 0);

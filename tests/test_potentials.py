@@ -37,6 +37,21 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="admissible"):
             Potential.from_table(2, 2, {(0, 1): 1.0})
 
+    def test_refusals(self):
+        for make, match in [
+                (lambda: Potential(1, 1, [0.0] * 2), "free rank must be >= 2"),
+                (lambda: Potential(2, 0, [0.0] * 4), "depth must be >= 1"),
+                (lambda: Potential(2, 1, [0.0] * 3), r"has \(3,\) entries"),
+                (lambda: Potential.from_letter_values(2, [1, 2, 3]),
+                 "need 4 per-letter values"),
+                (lambda: Potential.constant(2, 0.0).value((0, 1)),
+                 r"\(0, 1\) is not an admissible 1-window"),
+                (lambda: GeometricPotential.from_ratios(2, [0.5] * 3),
+                 "need 4 contraction ratios"),
+                (lambda: combine(), "at least one term")]:
+            with pytest.raises(ValidationError, match=match):
+                make()
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
             Potential.from_letter_values(2, [0, 0, 0, math.inf])
@@ -114,7 +129,7 @@ class TestSymmetry:
     def test_random_symmetric_generator(self, seed):
         p = random_inverse_symmetric(2, seed)
         assert p.is_inverse_symmetric()
-        assert -1.0 <= p.min <= p.max <= 1.0
+        assert -1.0 <= p.values.min() <= p.max <= 1.0
         again = random_inverse_symmetric(2, np.int64(seed))
         assert np.array_equal(again.values, p.values)
 
@@ -179,3 +194,17 @@ class TestCsv:
         path.write_text("w1\n0\n")
         with pytest.raises(ValidationError, match="header"):
             load_potential_csv(2, str(path))
+        for text, match in [("", "empty potential file"),
+                            ("w1,value\n0,1.0,2.0\n", r":2: expected 2 "
+                                                      "columns"),
+                            ("w1,value\n0,1.0\n1,x\n", r":3: could not "
+                                                      "convert")]:
+            path.write_text(text)
+            with pytest.raises(ValidationError, match=match):
+                load_potential_csv(2, str(path))
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("w1,value\n\n0,1\n1,2\n\n2,3\n3,4\n")
+        assert load_potential_csv(2, str(path)).values.tolist() == \
+            [1.0, 2.0, 3.0, 4.0]

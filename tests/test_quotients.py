@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import freeshift.quotients as quotients_mod
 from freeshift import (FiniteQuotient, FreeAbelianQuotient, FreeKillQuotient,
                        Quotient, ResourceError, ValidationError)
 from freeshift.quotients import letter_shifts
@@ -43,6 +44,10 @@ class TestAgainstOracleOps:
                     assert q.word_length([g], 3) == r, (name, g)
                     assert q.word_length([ident, g], 3) == r, (name, g)
             assert q.word_length([ident], 0) == 0, name
+
+    def test_ball_refuses_negative_radius(self, z2):
+        with pytest.raises(ValidationError, match="radius must be >= 0"):
+            z2.ball(-1)
 
     def test_word_length_refuses_far_elements(self, z2):
         with pytest.raises(ValidationError, match="within 4 letters"):
@@ -87,7 +92,7 @@ class TestPeriod:
         a, b, c_inv = 0, 2, 5
         word = (a,) * 7 + (b,) * 9 + (c_inv,) * 13
         q = FreeAbelianQuotient(3, 2, vectors)
-        assert q.is_in_N(word)
+        assert q.eval_word(word) == q.identity
         assert is_reduced(word) and word[0] != word[-1] ^ 1
         assert len(word) % 2 == 1
         assert q.period() == 1
@@ -181,20 +186,21 @@ class TestFirstReturns:
                           key=lambda w: (len(w), w))
             assert q.first_return_words(depth) == want, name
 
-    def test_node_budget(self, z2):
+    def test_node_budget(self, z2, monkeypatch):
+        monkeypatch.setattr(quotients_mod, "FIRST_RETURN_MAX_NODES", 10)
         with pytest.raises(ResourceError):
-            z2.first_return_words(8, max_nodes=10)
+            z2.first_return_words(8)
 
     def test_returns_factor_words(self, z2):
         # every N-word of length 6 splits at its N-prefixes into first
         # returns; verify the split pieces are in the first-return list
         returns = set(z2.first_return_words(6))
         for w in oracles.brute_words(2, 6):
-            if not z2.is_in_N(w):
+            if z2.eval_word(w) != z2.identity:
                 continue
             pieces, start = [], 0
             for i in range(1, len(w) + 1):
-                if z2.is_in_N(w[:i]):
+                if z2.eval_word(w[:i]) == z2.identity:
                     pieces.append(w[start:i])
                     start = i
             assert all(p in returns for p in pieces), w
@@ -230,6 +236,33 @@ class TestFiniteValidation:
         with pytest.raises(ValidationError):
             FiniteQuotient(2, [[0, 1], [1, 0]], 1, [1, 1])
 
+    @pytest.mark.parametrize("table, identity, images, match", [
+        ([[0, 1]], 0, [1, 1], "must be square"),
+        (np.zeros((0, 0), dtype=int), 0, [0, 0], "empty"),
+        ([[0, 2], [2, 0]], 0, [1, 1], "entries out of range"),
+        ([[0, 1], [1, 0]], 2, [1, 1], "identity index 2 out of range"),
+        # rows are permutations, column 1 is not
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], 0, [1, 2],
+         "some column is not a permutation"),
+        ([[0, 1], [1, 0]], 0, [1], "need 2 generator images, got 1"),
+        ([[0, 1], [1, 0]], 0, [1, 2], "generator image 2 out of range"),
+        # a loop: 2 * 3 = 0 but 3 * 2 = 1
+        ([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+          [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]], 0, [1, 2],
+         "right inverse is not a left inverse")],
+        ids=["not-square", "empty", "entry-range", "identity-range",
+             "column", "image-count", "image-range", "one-sided-inverse"])
+    def test_refusals(self, table, identity, images, match):
+        with pytest.raises(ValidationError, match=match):
+            FiniteQuotient(2, table, identity, images)
+
+    def test_order_cap(self, monkeypatch):
+        table, ident, images = _s3()
+        monkeypatch.setattr(quotients_mod, "MAX_FINITE_ORDER", 5)
+        with pytest.raises(ValidationError,
+                           match="order 6 exceeds supported cap 5"):
+            FiniteQuotient(2, table, ident, images)
+
     def test_from_file_round_trip(self, tmp_path, s3):
         table, ident, images = _s3()
         path = tmp_path / "s3.table"
@@ -245,6 +278,15 @@ class TestFiniteValidation:
         bad.write_text("2 0\n0 1\n")
         with pytest.raises(ValidationError):
             FiniteQuotient.from_file(2, str(bad), [1, 1])
+        for text, match in [("# nothing\n\n", "empty table file"),
+                            ("2 e\n0 1\n1 0\n", "bad header"),
+                            ("2 0 1\n0 1\n1 0\n", "header must be"),
+                            ("2 0\n0 1\n1 x\n", "bad table entry"),
+                            ("2 0\n0 1 1\n1 0\n",
+                             "row 0 has 3 entries, expected 2")]:
+            bad.write_text(text)
+            with pytest.raises(ValidationError, match=match):
+                FiniteQuotient.from_file(2, str(bad), [1, 1])
 
 
 def _s3():

@@ -25,12 +25,12 @@ RECORDS = [
     (GibbsData, "pressure initial transition c_hat per_level_c", {}),
     (Potential, "d depth values", {}),
     (GeometricPotential, "d depth values", {}),
-    (PerronResult, "rho residual iterations right", {}),
+    (PerronResult, "rho residual iterations", {}),
     (PressureRows, "values slopes residuals start solves iterations "
                    "hessian fits",
      {"solves": 1, "iterations": None, "hessian": None, "fits": None}),
     (PressureResult, "value sigma method residual detail", {"detail": {}}),
-    (FiberSeries, "n_max log_values period meta", {"meta": {}}),
+    (FiberSeries, "n_max log_values period", {}),
     (GrowthFit, "lam sigma gamma gamma_sigma n_points window rms", {}),
     (FreeEnergyPoint, "beta t sigma method residual evaluations", {}),
     (CogrowthResult, "eta sigma method fiber_rate ambient_rate", {}),

@@ -48,6 +48,46 @@ class TestFreeEnergy:
         b = free_energy(Potential.constant(2, 0.0), two_ratio_zeta, 0.7)
         assert a.t == pytest.approx(b.t, abs=1e-12)
 
+    def test_rank_mismatch_is_refused(self, two_ratio_zeta):
+        with pytest.raises(ValidationError, match="different ranks"):
+            free_energy(Potential.constant(3, 0.0), two_ratio_zeta, 0.7)
+
+    def test_closed_form_residual_is_evaluated(self, s3, fk3):
+        # the residual of a constant-zeta root is |P| evaluated at the
+        # root, through the scope's own entry point: two evaluations
+        for d, quotient in ((2, None), (2, s3), (3, fk3)):
+            zeta = GeometricPotential.constant(d, math.log(0.3))
+            psi = Potential.from_letter_values(d, np.linspace(-1, 0.5, 2 * d))
+            for beta in (-1.0, 0.0, 1.5):
+                point = free_energy(psi, zeta, beta, quotient=quotient,
+                                    n_max=30)
+                at_root = combine((beta, psi), (point.t, zeta))
+                P = (full_pressure(at_root) if quotient is None else
+                     restricted_pressure(at_root, quotient, n_max=30))
+                assert point.evaluations == 2
+                assert point.residual == abs(P.value), (d, beta)
+
+    def test_closed_form_refuses_as_the_root_loop_does(self, monkeypatch):
+        # zeta of scale 1e-9 puts delta near 1.1e9: a constant one is
+        # refused like a two-ratio one, whose Newton steps leave U_MAX
+        for zeta in (GeometricPotential.constant(2, -1e-9),
+                     GeometricPotential.from_letter_values(
+                         2, [-1e-9, -1e-9, -2e-9, -2e-9])):
+            with pytest.raises(NumericError,
+                               match=r"step left \[-1e\+06, 1e\+06\]"):
+                delta(zeta)
+        # a pressure that is not affine in u fails the certificate at t
+        exact = spectra_mod.full_pressure
+
+        def skewed(pot, tol=1e-13):
+            res = exact(pot, tol=tol)
+            res.value *= 1 + 1e-6
+            return res
+
+        monkeypatch.setattr(spectra_mod, "full_pressure", skewed)
+        with pytest.raises(NumericError, match="certificate failed"):
+            delta(GeometricPotential.constant(2, math.log(0.5)))
+
     def test_rejects_nonnegative_zeta(self):
         bad = Potential.from_letter_values(2, [-1, -1, 0.0, -1])
         with pytest.raises(ValidationError):
@@ -99,11 +139,12 @@ class TestFreeEnergy:
                                   quotient=fk3, n_max=30)
         evals = [p.evaluations for p in curve.points]
         assert np.mean(evals) <= 7 and max(evals) <= 8, evals
-        # a constant zeta keeps its closed form: one fit per point
+        # a constant zeta keeps its closed form: one fit per point, and
+        # one more at the root for its residual
         flat = GeometricPotential.constant(3, math.log(0.25))
         curve = free_energy_curve(Potential.constant(3, -1.0), flat, betas,
                                   quotient=fk3, n_max=30)
-        assert [p.evaluations for p in curve.points] == [1] * len(betas)
+        assert [p.evaluations for p in curve.points] == [2] * len(betas)
 
     def test_free_kill_rounds_fit_every_live_row_at_once(self, fk3,
                                                          monkeypatch):
@@ -133,9 +174,9 @@ class TestFreeEnergy:
         evals = [p.evaluations for p in curve.points]
         assert calls == [sum(e > k for e in evals) for k in range(max(evals))]
         assert calls == [3] * 6
-        assert curve.points == [
-            spectra_mod.FreeEnergyPoint(beta, t, sigma, "extrapolated",
-                                        residual, 6)
+        assert [vars(p) for p in curve.points] == [
+            vars(spectra_mod.FreeEnergyPoint(beta, t, sigma, "extrapolated",
+                                             residual, 6))
             for beta, t, sigma, residual in FK3_CURVE_PINS]
 
     @pytest.mark.parametrize("scope", ["full", "s3"])
@@ -301,10 +342,12 @@ class TestNewtonCurves:
 
     def test_uncertified_roots_raise(self, two_ratio_zeta, s3,
                                      monkeypatch):
-        # the root of delta is about 1.244: a u_max below it stops the
+        # the root of delta is about 1.244: a U_MAX below it stops the
         # Newton steps, and a single round cannot certify it
-        with pytest.raises(NumericError, match="Newton step left"):
-            delta(two_ratio_zeta, quotient=s3, u_max=1.0)
+        with monkeypatch.context() as m:
+            m.setattr(spectra_mod, "U_MAX", 1.0)
+            with pytest.raises(NumericError, match="Newton step left"):
+                delta(two_ratio_zeta, quotient=s3)
         monkeypatch.setattr(spectra_mod, "NEWTON_MAX_ROUNDS", 1)
         with pytest.raises(NumericError, match="certificate failed"):
             delta(two_ratio_zeta, quotient=s3)
