@@ -69,7 +69,7 @@ from .errors import NumericError, ResourceError, ValidationError
 from .potentials import Potential, boundary_completion, window_states
 from .quotients import (FiniteQuotient, FreeAbelianQuotient,
                         FreeKillQuotient, letter_shifts)
-from .words import enumerate_words, is_reduced
+from .words import enumerate_words, inverse_word, is_reduced
 
 NEG_INF = float("-inf")
 # the renewal keeps the peak of every tilted level inside TILT_RANGE, far
@@ -386,22 +386,30 @@ def _letter_vectors(quotient):
 
 def twist_table(quotient, windows):
     """(B, G): B an orthonormal basis (r, k) of the span of the letter
-    vectors, the right singular vectors of their matrix with nonzero
-    singular value (r is the rank of the image, 0 when every vector is 0),
-    and G[j] the coordinates in B of the vector of the last letter of
-    windows[j]. The twist by theta = B.T phi adds G @ phi to a window
-    table."""
+    vectors (r is the rank of the image, 0 when every vector is 0), by
+    modified Gram-Schmidt in numpy arithmetic, no LAPACK routine; and G[j]
+    the coordinates in B of the vector of the last letter of windows[j].
+    The twist by theta = B.T phi adds G @ phi to a window table."""
     letters = _letter_vectors(quotient)
-    # eigh of the Gram matrix gives the right singular vectors, and shares
-    # its LAPACK routine with the Hessian's eigvalsh
-    sq, vecs = np.linalg.eigh(letters.T @ letters)
-    basis = vecs[:, sq > sq.max(initial=0.0) * len(sq) * 1e-12].T
+    basis = []
+    for v in letters:
+        u = v
+        for b in basis + basis:     # orthogonalised twice
+            u = u - (u @ b) * b
+        if u @ u > 1e-20 * (v @ v):
+            basis.append(u / math.sqrt(u @ u))
+    basis = np.array(basis).reshape(-1, letters.shape[1])
     return basis, (letters @ basis.T)[[w[-1] for w in windows]]
 
 
-def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
+def twisted_rows(pattern, G, inverse, values, g=None, tol=1e-13,
+                 start=None):
     """lambda_k = min over phi of P(values[k] + G phi) on the full window
-    pattern, by Newton steps in phi for all rows at once.
+    pattern, inverse[j] the index of the inverse of window j. Inversion
+    negates the Z^k cocycle, so a row it leaves unchanged (values[k] ==
+    values[k, inverse]) has P even and convex in phi, minimal at phi = 0:
+    such rows take the full shift's one pressure_rows call, its enclosure
+    their residual. The others take Newton steps in phi, all at once.
 
     Each round is one pressure_rows call over the live rows. Their slopes
     along the columns of G are the gradient of P in phi, and their second
@@ -413,13 +421,13 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
     a step does not, so a far minimum (a strongly drifting potential) is
     reached without overshoot. Returns PressureRows with the slopes along
     g (by the envelope theorem, the derivatives of the minima) and start =
-    (right, left, phi), which also warm-starts rows of a later call."""
+    (right, left, phi), which also warm-starts rows of a later call; left
+    is None without g."""
     K, W = values.shape
     r = G.shape[1]
     lead = 0 if g is None else 1        # slope columns before the gradient
     table = G if g is None else np.column_stack([g, G])
     phi = np.zeros((K, r)) if start is None else start[2].copy()
-    vecs = None if start is None else start[:2]
     # the last point each row accepted, and the step tried from it
     base = {"phi": phi.copy(), "P": np.zeros(K), "res": np.zeros(K),
             "grad": np.zeros((K, r)), "H": np.zeros((K, r, r))}
@@ -427,9 +435,24 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
     radius = np.ones(K)
     values_out, residuals = np.empty(K), np.empty(K)
     slopes_out = None if g is None else np.empty(K)
-    right, left = np.empty((K, W)), np.empty((K, W))
-    live = np.arange(K)
-    for solves in range(1, TWIST_MAX_ROUNDS + 1):
+    right = np.empty((K, W))
+    left = None if g is None else np.empty((K, W))
+    sym = (values == values[:, inverse]).all(axis=1)
+    if sym.any():
+        rows = pressure_rows(pattern, values[sym], g, tol, None if start is
+                             None else tuple(v[sym] for v in start[:2]))
+        values_out[sym], residuals[sym] = rows.values, rows.residuals
+        right[sym], phi[sym] = rows.start[0], 0.0
+        if g is not None:
+            slopes_out[sym], left[sym] = rows.slopes, rows.start[1]
+    live, solves = np.flatnonzero(~sym), int(sym.any())
+    vecs = None if start is None else tuple(v[live] for v in start[:2])
+    while live.size:
+        if solves == TWIST_MAX_ROUNDS + sym.any():
+            raise NumericError(
+                f"twisted pressure: the gradient certificate did not pass "
+                f"in {TWIST_MAX_ROUNDS} Newton rounds")
+        solves += 1
         rows = pressure_rows(pattern, values[live] + phi[live] @ G.T,
                              table, tol, start=vecs, hessian=True)
         P, res, vecs = rows.values, rows.residuals, rows.start
@@ -459,14 +482,11 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
         done = keep & (bound <= tol)
         fin = live[done]
         values_out[fin] = P[done]
-        if g is not None:
-            slopes_out[fin] = rows.slopes[done, 0]
         residuals[fin] = res[done] + bound[done]
-        right[fin], left[fin] = vecs[0][done], vecs[1][done]
+        right[fin] = vecs[0][done]
+        if g is not None:
+            slopes_out[fin], left[fin] = rows.slopes[done, 0], vecs[1][done]
         live, vecs = live[~done], tuple(v[~done] for v in vecs)
-        if not live.size:
-            return PressureRows(values_out, slopes_out, residuals,
-                                (right, left, phi), solves)
 
         # Newton step from the base (steepest descent where the Hessian
         # is not positive), cut to the trust radius
@@ -479,9 +499,8 @@ def twisted_rows(pattern, G, values, g=None, tol=1e-13, start=None):
         d *= np.minimum(1.0, radius[live] / np.linalg.norm(d, axis=1))[:, None]
         step[live] = d
         phi[live] = base["phi"][live] + d
-    raise NumericError(
-        f"twisted pressure: the gradient certificate did not pass in "
-        f"{TWIST_MAX_ROUNDS} Newton rounds")
+    return PressureRows(values_out, slopes_out, residuals,
+                        (right, left, phi), solves)
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +529,13 @@ def scope_rows(d, depth, quotient=None, g=None, tol=1e-13, n_max=40,
         return fitted, "extrapolated", lambda rows, k: rows.fits[k]
     pattern = transfer_pattern(d, depth)
     if isinstance(quotient, FreeAbelianQuotient):
-        basis, G = twist_table(quotient, window_states(d, depth)[0])
+        windows, index = window_states(d, depth)
+        basis, G = twist_table(quotient, windows)
+        inverse = [index[inverse_word(w)] for w in windows]
         method = "exact-twisted"
 
         def evaluate(values, start=None):
-            return twisted_rows(pattern, G, values, g, tol, start)
+            return twisted_rows(pattern, G, inverse, values, g, tol, start)
 
         def detail(rows, k):
             return {"theta": (rows.start[2][k] @ basis).tolist(),

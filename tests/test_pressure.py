@@ -10,7 +10,7 @@ from freeshift import (FiniteQuotient, FreeAbelianQuotient,
                        Potential, ResourceError, TransferMatrix,
                        ValidationError, divergence_probe, fiber_partition,
                        fiber_partition_many, free_energy_curve, full_pressure,
-                       growth_rate, perron_eigen,
+                       growth_rate, inverse_word, perron_eigen,
                        random_inverse_symmetric, restricted_pressure,
                        window_states)
 from freeshift.pressure import (_perron_batch, extrapolated_pressure,
@@ -29,6 +29,29 @@ def _random_pot(d, depth, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     windows, _ = window_states(d, depth)
     return Potential(d, depth, rng.uniform(-scale, scale, len(windows)))
+
+
+def _inverse(d, depth):
+    """inverse[j]: the index of the inverse of window j."""
+    windows, index = window_states(d, depth)
+    return [index[inverse_word(w)] for w in windows]
+
+
+def _refuse_twist_lapack(monkeypatch):
+    """Make the LAPACK routines the twisted route may call raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK on the symmetric twisted route")
+    for name in ("eigh", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def _symmetric_pot(d, depth, seed):
+    """An inverse-symmetric depth-``depth`` potential: the lift of
+    random_inverse_symmetric plus a random table, plus the inversion of
+    that sum (a + b == b + a in floats, so the symmetry is exact)."""
+    t = (random_inverse_symmetric(d, seed).as_depth(depth).values
+         + _random_pot(d, depth, seed).values)
+    return Potential(d, depth, t + t[_inverse(d, depth)])
 
 
 # (n_max, held rate or None) of the tail-fit checks
@@ -887,12 +910,44 @@ class TestTwistedPressure:
         assert (vals[1:] - res.value).min() >= 1e-8   # strict minimum
 
     def test_symmetric_potential_takes_one_solve_and_no_step(self, z2):
+        # theta* = 0 by symmetry: the full shift's own solve
         pot = random_inverse_symmetric(2, 4)
         res = restricted_pressure(pot, z2)
+        full = full_pressure(pot)
         assert res.detail["theta"] == [0.0, 0.0]
         assert res.detail["eigen_solves"] == 1      # so no Newton step
-        assert res.value == pytest.approx(full_pressure(pot).value,
-                                          abs=1e-12)
+        assert res.value == full.value
+        assert res.residual == full.residual
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("d, vecs", [
+        (2, [[1], [0]]), (2, [[1, 0], [0, 1]]),
+        (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (2, [[2, 1], [0, 3]]),
+        (2, [[1, 2], [2, 4]])])
+    def test_symmetric_rows_reach_no_lapack(self, monkeypatch, d, vecs,
+                                            depth):
+        # neither the twist basis nor an inverse-symmetric row calls a
+        # LAPACK routine, each of which pages native code into the process
+        pot = _symmetric_pot(d, depth, seed=depth)
+        assert pot.is_inverse_symmetric()
+        q = FreeAbelianQuotient(d, len(vecs[0]), vecs)
+        want = full_pressure(pot)
+        _refuse_twist_lapack(monkeypatch)
+        res = restricted_pressure(pot, q)
+        assert res.method == "exact-twisted"
+        assert (res.value, res.residual) == (want.value, want.residual)
+        assert res.detail["theta"] == [0.0] * len(vecs[0])
+        assert res.detail["eigen_solves"] == 1
+
+    def test_symmetric_curve_reaches_no_lapack(self, z2, monkeypatch,
+                                               psi_minus_one,
+                                               two_ratio_zeta):
+        # every row beta psi + t zeta is inverse-symmetric, so t_N = t
+        want = free_energy_curve(psi_minus_one, two_ratio_zeta, [-1.0, 0.5])
+        _refuse_twist_lapack(monkeypatch)
+        curve = free_energy_curve(psi_minus_one, two_ratio_zeta,
+                                  [-1.0, 0.5], quotient=z2)
+        assert [p.t for p in curve.points] == [p.t for p in want.points]
 
     def test_zero_image_is_full_pressure(self):
         q = FreeAbelianQuotient(2, 1, [[0], [0]])
@@ -945,6 +1000,28 @@ Z2_TWIST_PINS = [
     ((-0.7, -0.33, 0.03, 0.4), 0.9820049537928104, 4),
     ((3.0, -3.0, 1.0, -2.0), 0.8642570098336584, 7),
 ]
+
+
+class TestTwistBasis:
+    @pytest.mark.parametrize("d, vecs, r", [
+        (2, [[1], [0]], 1), (2, [[1, 0], [0, 1]], 2),
+        (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), (2, [[2, 1], [0, 3]], 2),
+        (2, [[1, 2], [2, 4]], 1), (2, [[0], [0]], 0)])
+    def test_gram_schmidt_spans_the_letter_vectors(self, d, vecs, r):
+        q = FreeAbelianQuotient(d, len(vecs[0]), vecs)
+        windows = window_states(d, 2)[0]
+        basis, G = twist_table(q, windows)
+        assert basis.shape == (r, len(vecs[0]))
+        assert np.abs(basis @ basis.T - np.eye(r)).max(initial=0.0) <= 1e-14
+        # the projector onto the span, from the eigenvectors of the Gram
+        # matrix with nonzero eigenvalue
+        letters = np.array([q.letter_image(a) for a in range(2 * d)], float)
+        sq, V = np.linalg.eigh(letters.T @ letters)
+        V = V[:, sq > 1e-9 * max(sq.max(), 1.0)]
+        assert np.abs(basis.T @ basis - V @ V.T).max() <= 1e-13
+        # the coordinates of every window's last letter
+        last = letters[[w[-1] for w in windows]]
+        assert np.abs(G @ basis - last).max() <= 1e-13
 
 
 class TestPressureHessian:
@@ -1010,11 +1087,44 @@ class TestPressureHessian:
         monkeypatch.setattr(pressure_mod, "pressure_rows", spy)
         G = twist_table(z2, window_states(2, 1)[0])[1]
         values = np.array([pin[0] for pin in Z2_TWIST_PINS])
-        rows = twisted_rows(transfer_pattern(2, 1), G, values)
+        rows = twisted_rows(transfer_pattern(2, 1), G, _inverse(2, 1),
+                            values)
         # the rows finish after 2, 4 and 7 rounds
         assert calls == [3, 3, 2, 2, 1, 1, 1] and rows.solves == 7
         assert np.abs(rows.values
                       - [pin[1] for pin in Z2_TWIST_PINS]).max() <= 1e-14
+
+    @pytest.mark.parametrize("with_g", [False, True])
+    def test_mixed_batch_splits_symmetric_rows(self, z2, monkeypatch,
+                                               with_g):
+        # a symmetric row takes one solve at phi = 0 before the pins'
+        # Newton rounds, which run as they do alone
+        calls = []
+
+        def spy(pattern, values, *args, **kwargs):
+            calls.append(len(values))
+            return pressure_rows(pattern, values, *args, **kwargs)
+        monkeypatch.setattr(pressure_mod, "pressure_rows", spy)
+        pattern = transfer_pattern(2, 1)
+        G = twist_table(z2, window_states(2, 1)[0])[1]
+        symmetric = np.array([0.4, 0.4, -0.3, -0.3])
+        values = np.array([pin[0] for pin in Z2_TWIST_PINS[:2]]
+                          + [symmetric, Z2_TWIST_PINS[2][0]])
+        g = np.array([0.5, -1.0, 2.0, 0.25]) if with_g else None
+        rows = twisted_rows(pattern, G, _inverse(2, 1), values, g)
+        assert calls == [1, 3, 3, 2, 2, 1, 1, 1] and rows.solves == 8
+        pins = [0, 1, 3]
+        assert np.abs(rows.values[pins]
+                      - [pin[1] for pin in Z2_TWIST_PINS]).max() <= 1e-14
+        alone = pressure_rows(pattern, symmetric[None], g)
+        assert rows.values[2] == alone.values[0]
+        assert rows.residuals[2] == alone.residuals[0]
+        assert (rows.start[2][2] == 0).all()
+        assert np.linalg.norm(rows.start[2][pins], axis=1).min() > 0.1
+        assert (rows.start[1] is None) == (g is None)
+        if with_g:
+            assert rows.slopes[2] == alone.slopes[0]
+            assert (rows.start[1][2] == alone.start[1][0]).all()
 
 
 def _grigorchuk(d, survivors, c):

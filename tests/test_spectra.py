@@ -11,7 +11,7 @@ from freeshift import (FreeAbelianQuotient, FreeEnergyCurve,
                        NumericError, Potential, ValidationError,
                        bowen_dimension, cogrowth, combine, default_beta_grid,
                        delta, free_energy, free_energy_curve, full_pressure,
-                       legendre, restricted_pressure,
+                       inverse_word, legendre, restricted_pressure,
                        window_states)
 from freeshift.pressure import (scope_rows, transfer_pattern, twist_table,
                                 twisted_rows)
@@ -429,12 +429,14 @@ class TestTwistedCurves:
         psi, zeta, quotient = _lattice_case(name)
         depth = max(psi.depth, zeta.depth)
         pattern = transfer_pattern(zeta.d, depth)
-        G = twist_table(quotient, window_states(zeta.d, depth)[0])[1]
+        windows, index = window_states(zeta.d, depth)
+        G = twist_table(quotient, windows)[1]
+        inverse = [index[inverse_word(w)] for w in windows]
         a = psi.as_depth(depth).values
         z = zeta.as_depth(depth).values
         betas = np.array(NEWTON_BETAS)[:, None]
         h = 1e-5
-        rows = [twisted_rows(pattern, G, betas * a + u * z, z)
+        rows = [twisted_rows(pattern, G, inverse, betas * a + u * z, z)
                 for u in (-h, 0.0, h)]
         fd = (rows[2].values - rows[0].values) / (2 * h)
         assert np.abs(rows[1].slopes - fd).max() <= 1e-7
