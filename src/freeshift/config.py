@@ -20,12 +20,13 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from .diagnostics import SIGMA_FACTOR
 from .errors import ValidationError
 from .potentials import GeometricPotential, Potential, load_potential_csv
 from .pressure import FIBER_MAX_STATES
 from .quotients import (FiniteQuotient, FreeAbelianQuotient,
                         FreeKillQuotient)
-from .spectra import default_beta_grid
+from .spectra import DEFAULT_U_TOL, default_beta_grid
 
 _ALLOWED = {
     "model": {"d", "seed"},
@@ -110,11 +111,7 @@ def _ints(text):
 
 def _vectors(text):
     """semicolon-separated comma vectors: '1,0; 0,1'"""
-    out = []
-    for chunk in text.split(";"):
-        if chunk.strip():
-            out.append(tuple(_ints(chunk)))
-    return out
+    return [tuple(_ints(chunk)) for chunk in text.split(";") if chunk.strip()]
 
 
 def _build_zeta(cp, d, base_dir):
@@ -239,8 +236,10 @@ def load_config(path):
         raise ValidationError("alpha_count must be >= 1")
 
     tol_eigen = _setting(cp, "tolerances", "eigen", float, 1e-13)
-    tol_bisection = _setting(cp, "tolerances", "bisection", float, 1e-10)
-    sigma_factor = _setting(cp, "tolerances", "sigma_factor", float, 3.0)
+    tol_bisection = _setting(cp, "tolerances", "bisection", float,
+                             DEFAULT_U_TOL)
+    sigma_factor = _setting(cp, "tolerances", "sigma_factor", float,
+                            SIGMA_FACTOR)
     if min(tol_eigen, tol_bisection) <= 0 or sigma_factor <= 0:
         raise ValidationError("tolerances must be positive")
 

@@ -18,10 +18,9 @@ import math
 import numpy as np
 
 from .errors import NumericError, UndefinedRatioError, ValidationError
-from .pressure import (FIBER_MAX_STATES, _equilibrium_chain,
-                       _perron_batch, _tail_fit, fiber_partition,
-                       fiber_partition_many, full_pressure,
-                       restricted_pressure, transfer_pattern)
+from .pressure import (FIBER_MAX_STATES, _equilibrium_chain, _tail_fit,
+                       fiber_partition, fiber_partition_many, full_pressure,
+                       pressure_rows, restricted_pressure, transfer_pattern)
 from .spectra import DEFAULT_U_TOL, delta, legendre
 
 ABS_MARGIN = 1e-3
@@ -372,41 +371,36 @@ def gibbs_verify(pot, max_len=8, tol=1e-13):
     """Build the Gibbs measure of a depth-1 potential from Perron eigendata
     and certify the Gibbs property with an explicit constant.
 
-    mu is the stationary Markov measure with transitions weighted by the
-    normalized transfer matrix. For depth 1 the Gibbs ratio
-    mu[w] / exp(S_w f - |w| P) depends only on the first and last letters,
-    so C_hat is exact, constant in cylinder length from length 3 on."""
+    P and the Perron vectors come from pressure_rows, whose tilt makes a
+    constant shift of f move P alone. mu is the stationary Markov measure
+    of the weights e^(f - P), Perron root 1, none above 1 (every constant
+    word is admissible, so P >= max f). At depth 1 the Gibbs ratio mu[w] /
+    exp(S_w f - |w| P) depends only on the first and last letters, so
+    C_hat is exact, constant in cylinder length from length 3 on."""
     if pot.depth != 1:
         raise ValidationError(
             f"gibbs_verify needs a depth-1 potential, got depth {pot.depth}")
     if max_len < 1:
         raise ValidationError("max_len must be >= 1")
-    # Perron data of the untilted matrix pattern * w; h peaks at 1
+    # Perron data of pattern * e^(f - P), root 1; h peaks at 1
     pattern = transfer_pattern(pot.d, 1)
-    w = np.exp(pot.values)
-    rho, _, _, right, left = _perron_batch(pattern, w[None], tol,
-                                           want_left=True)
-    Q, pi = _equilibrium_chain(pattern, w[None], rho, right, left)
-    Q, pi, rho, h = Q[0], pi[0], float(rho[0]), right[0]
-    P = math.log(rho)
+    rows = pressure_rows(pattern, pot.values[None], tol=tol)
+    P, (right, left) = float(rows.values[0]), rows.start
+    Q, pi = _equilibrium_chain(pattern, np.exp(pot.values - P)[None],
+                               np.ones(1), right, left)
+    Q, pi, h = Q[0], pi[0], right[0]
 
     row_defect = float(np.abs(Q.sum(axis=1) - 1.0).max())
     stat_defect = float(np.abs(pi @ Q - pi).max())
 
-    # exact Gibbs ratios: mu[w]/e^{S-nP} = pi_a e^{-f(a)}/h_a * h_b * rho
-    # for first letter a, last letter b
-    f_letter = np.array([pot.value((a,)) for a in range(2 * pot.d)])
-    base = pi * np.exp(-f_letter) / h
-    ratio = np.outer(base, h) * rho
-    per_level = {}
-    for n in range(1, max_len + 1):
-        if n == 1:
-            pairs = ratio.diagonal()
-        elif n == 2:
-            pairs = ratio[pattern > 0]
-        else:
-            pairs = ratio.ravel()
-        per_level[n] = float(np.maximum(pairs, 1.0 / pairs).max())
+    # exact Gibbs ratios: mu[w]/e^{S-nP} = pi_a e^{P-f(a)} h_b / h_a for
+    # first letter a, last letter b (the depth-1 table is f by letter)
+    ratio = np.outer(pi * np.exp(P - pot.values) / h, h)
+    # words of length 1 have a = b, of length 2 are edges a -> b, and
+    # longer ones reach every pair
+    worst = [float(np.maximum(r, 1.0 / r).max())
+             for r in (ratio.diagonal(), ratio[pattern > 0], ratio.ravel())]
+    per_level = {n: worst[min(n, 3) - 1] for n in range(1, max_len + 1)}
     c_hat = max(per_level.values())
 
     # level masses via matrix powers (mu is a probability on each level)

@@ -33,6 +33,15 @@ def window_states(d, m):
     return _window_cache[key]
 
 
+def _window_inverse(d, m):
+    """The index of the inverse of each m-window, in window_states order."""
+    key = (d, m, "inverse")
+    if key not in _window_cache:
+        index = window_states(d, m)[1]      # dicts keep the window order
+        _window_cache[key] = np.array([index[inverse_word(w)] for w in index])
+    return _window_cache[key]
+
+
 class Potential:
     """Depth-k potential as a dense value table over admissible k-windows.
 
@@ -123,10 +132,8 @@ class Potential:
         windows (letter involution composed with reversal). This is the
         checkable sufficient condition used as a precondition by the
         symmetry-dependent inequalities."""
-        for w in self._index:
-            if self.value(w) != self.value(inverse_word(w)):
-                return False
-        return True
+        inverse = _window_inverse(self.d, self.depth)
+        return bool((self.values == self.values[inverse]).all())
 
     def __mul__(self, c):
         return Potential(self.d, self.depth, self.values * float(c))

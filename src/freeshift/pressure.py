@@ -47,14 +47,14 @@ window u[:-1] to window u[1:] for every admissible word u one letter
 longer, whose column j carries the weight of the window it enters. Perron
 roots are computed by power iteration with Collatz-Wielandt ratio
 enclosures, checked every few steps, so every exact eigenvalue carries a
-certified residual. One engine, _perron_batch, iterates K weight rows on
-one pattern with one GEMM per step. pressure_rows runs it and, with window
-tables g, iterates the left vectors too and returns d/du P(f + u g) along
-them, and the second derivatives on request (the twisted pressure's
-theta-gradient and Hessian); the Gibbs check runs one untilted row with
-left vectors, and perron_eigen (K = 1) serves only full_pressure. Pressure
-weights are tilted to largest weight 1 and the tilt added back to log rho,
-so P(f + c) = P(f) + c holds for any constant c.
+certified residual. One engine, _perron_batch, iterates the right and
+left vectors of K weight rows on one pattern, one GEMM each per step.
+pressure_rows runs it and, with window tables g, returns d/du P(f + u g)
+along them, and the second derivatives on request (the twisted
+pressure's theta-gradient and Hessian); the Gibbs check runs one row of
+it, and perron_eigen (K = 1) serves only full_pressure. Pressure weights
+are tilted to largest weight 1 and the tilt added back to log rho, so
+P(f + c) = P(f) + c holds for any constant c.
 
 scope_rows is the one place where a scope picks its pressure engine, on
 every scope; restricted_pressure (and through it the diagnostics' rates)
@@ -66,10 +66,11 @@ import math
 import numpy as np
 
 from .errors import NumericError, ResourceError, ValidationError
-from .potentials import Potential, boundary_completion, window_states
+from .potentials import (Potential, _window_inverse, boundary_completion,
+                         window_states)
 from .quotients import (FiniteQuotient, FreeAbelianQuotient,
                         FreeKillQuotient, letter_shifts)
-from .words import enumerate_words, inverse_word, is_reduced
+from .words import enumerate_words, is_reduced
 
 NEG_INF = float("-inf")
 # the renewal keeps the peak of every tilted level inside TILT_RANGE, far
@@ -170,30 +171,26 @@ class PerronResult:
         self.iterations = iterations
 
 
-def _perron_batch(pattern, weights, tol, want_left=False, start=None):
+def _perron_batch(pattern, weights, tol, start=None):
     """Perron data of the K matrices M_k = pattern * weights[k] (column j
     scaled by weights[k, j]) by one batched power iteration.
 
-    A step of every row is one GEMM (weights * V) @ pattern.T, and of the
-    left iterates weights * (L @ pattern); each step is normalised to peak
-    1 per row. After every CHECK_STRIDE steps the Collatz-Wielandt ratios
-    (M v)_i / v_i of each live row are checked; a row is done once they
-    pinch rho(M_k) to relative width ``tol``, on the left iterate too when
-    it is wanted. ``start`` (right, left) replaces the all-ones start
-    vectors.
+    A step of every row is one GEMM (weights * V) @ pattern.T for the right
+    iterates and one weights * (L @ pattern) for the left; each step is
+    normalised to peak 1 per row. After every CHECK_STRIDE steps the
+    Collatz-Wielandt ratios (M v)_i / v_i of each live row are checked; a
+    row is done once they pinch rho(M_k) to relative width ``tol`` on both
+    iterates. ``start`` (right, left) replaces the all-ones start vectors.
 
-    Returns rho of each M_k (the enclosure midpoint), the half-widths of
-    the enclosures, the power steps taken, and the right (and left) Perron
-    vectors at peak 1."""
+    Returns rho of each M_k (the enclosure midpoint of the right iterate),
+    the half-widths of those enclosures, the power steps taken, and the
+    right and left Perron vectors at peak 1."""
     K, n = weights.shape
-    ones = np.ones((K, n))
-    V = ones if start is None else start[0]
-    L = (ones if start is None else start[1]) if want_left else None
+    V, L = (np.ones((K, n)), np.ones((K, n))) if start is None else start[:2]
     W = weights
     rho, half = np.empty(K), np.empty(K)
     iterations = np.zeros(K, dtype=np.int64)
-    right = np.empty((K, n))
-    left = np.empty((K, n)) if want_left else None
+    right, left = np.empty((K, n)), np.empty((K, n))
 
     def normalised(X):
         peak = X.max(axis=1)
@@ -221,24 +218,18 @@ def _perron_batch(pattern, weights, tol, want_left=False, start=None):
         for _ in range(todo):           # the last power step is checked
             V0, L0 = V, L
             V, gv = normalised((W * V) @ pattern.T)
-            if want_left:
-                L, gl = normalised(W * (L @ pattern))
+            L, gl = normalised(W * (L @ pattern))
         steps += todo
         lo, hi, done = width(V, V0, gv)
-        if want_left:
-            done &= width(L, L0, gl)[2]
+        done &= width(L, L0, gl)[2]
         if done.any():
             rows = live[done]
             rho[rows] = 0.5 * (lo + hi)[done]
             half[rows] = 0.5 * (hi - lo)[done]
             iterations[rows] = steps
-            right[rows] = V[done]
-            if want_left:
-                left[rows] = L[done]
+            right[rows], left[rows] = V[done], L[done]
             keep = ~done
-            live, V, W = live[keep], V[keep], W[keep]
-            if want_left:
-                L = L[keep]
+            live, V, L, W = live[keep], V[keep], L[keep], W[keep]
         if live.size and steps >= POWER_MAX_STEPS:
             raise NumericError(
                 f"power iteration did not converge in {POWER_MAX_STEPS} "
@@ -323,11 +314,11 @@ def pressure_rows(pattern, values, g=None, tol=1e-13, start=None,
     batched power iteration. Each row is tilted to largest weight 1 and
     its shift added back, so no row can overflow. A (W, c) table g gives
     (K, c) slopes, one column per direction, and with ``hessian`` the
-    (K, c, c) second derivatives along those columns; without g the left
-    iterates are skipped and slopes is None."""
+    (K, c, c) second derivatives along those columns; without g slopes is
+    None. start holds the right and left Perron vectors of every row."""
     weights, shift = _tilt(values)
     rho, half, iterations, right, left = _perron_batch(
-        pattern, weights, tol, want_left=g is not None, start=start)
+        pattern, weights, tol, start)
     slopes = H = None
     if g is not None:
         lr = left * right
@@ -421,8 +412,7 @@ def twisted_rows(pattern, G, inverse, values, g=None, tol=1e-13,
     a step does not, so a far minimum (a strongly drifting potential) is
     reached without overshoot. Returns PressureRows with the slopes along
     g (by the envelope theorem, the derivatives of the minima) and start =
-    (right, left, phi), which also warm-starts rows of a later call; left
-    is None without g."""
+    (right, left, phi), which also warm-starts rows of a later call."""
     K, W = values.shape
     r = G.shape[1]
     lead = 0 if g is None else 1        # slope columns before the gradient
@@ -435,16 +425,15 @@ def twisted_rows(pattern, G, inverse, values, g=None, tol=1e-13,
     radius = np.ones(K)
     values_out, residuals = np.empty(K), np.empty(K)
     slopes_out = None if g is None else np.empty(K)
-    right = np.empty((K, W))
-    left = None if g is None else np.empty((K, W))
+    right, left = np.empty((K, W)), np.empty((K, W))
     sym = (values == values[:, inverse]).all(axis=1)
     if sym.any():
         rows = pressure_rows(pattern, values[sym], g, tol, None if start is
                              None else tuple(v[sym] for v in start[:2]))
         values_out[sym], residuals[sym] = rows.values, rows.residuals
-        right[sym], phi[sym] = rows.start[0], 0.0
+        right[sym], left[sym], phi[sym] = rows.start[0], rows.start[1], 0.0
         if g is not None:
-            slopes_out[sym], left[sym] = rows.slopes, rows.start[1]
+            slopes_out[sym] = rows.slopes
     live, solves = np.flatnonzero(~sym), int(sym.any())
     vecs = None if start is None else tuple(v[live] for v in start[:2])
     while live.size:
@@ -483,9 +472,9 @@ def twisted_rows(pattern, G, inverse, values, g=None, tol=1e-13,
         fin = live[done]
         values_out[fin] = P[done]
         residuals[fin] = res[done] + bound[done]
-        right[fin] = vecs[0][done]
+        right[fin], left[fin] = vecs[0][done], vecs[1][done]
         if g is not None:
-            slopes_out[fin], left[fin] = rows.slopes[done, 0], vecs[1][done]
+            slopes_out[fin] = rows.slopes[done, 0]
         live, vecs = live[~done], tuple(v[~done] for v in vecs)
 
         # Newton step from the base (steepest descent where the Hessian
@@ -529,9 +518,8 @@ def scope_rows(d, depth, quotient=None, g=None, tol=1e-13, n_max=40,
         return fitted, "extrapolated", lambda rows, k: rows.fits[k]
     pattern = transfer_pattern(d, depth)
     if isinstance(quotient, FreeAbelianQuotient):
-        windows, index = window_states(d, depth)
-        basis, G = twist_table(quotient, windows)
-        inverse = [index[inverse_word(w)] for w in windows]
+        basis, G = twist_table(quotient, window_states(d, depth)[0])
+        inverse = _window_inverse(d, depth)
         method = "exact-twisted"
 
         def evaluate(values, start=None):

@@ -10,7 +10,8 @@ recurrence instead of enumerating them; tests check it against brute_words.
 freekill_pressure reads free-kill pressures of depth-1 potentials off the
 weighted cogrowth formula (2d x 2d systems), a route the library does not
 share. exact_least_squares solves small least-squares problems in
-rational arithmetic. The helpers that take a library Potential
+rational arithmetic. lift builds depth-k tables whose pressures are those
+of a depth-1 table, so depth-1 references serve every depth. The helpers that take a library Potential
 (birkhoff_sup_sum, distortion_constant, partition_sum_matrix,
 save_potential_csv) read it only through its d, depth, value(), max and
 min.
@@ -528,6 +529,17 @@ def freekill_pressure(letter_values, killed):
         raise ValueError(f"oracle: ill-conditioned, min q / max q = "
                          f"{q.min() / q.max():.3g}")
     return top - math.log(mid)
+
+
+def lift(f1, k, u):
+    """A depth-k window table {w: f1[w[0]] + u[w[1:]] - u[w[:-1]]}: the
+    letter values f1 (a depth-1 table) plus the coboundary of u, a table
+    over the reduced (k-1)-words, k >= 2. Every periodic Birkhoff sum, so
+    every pressure and every fiber growth rate, is that of f1: along a
+    periodic orbit the u terms telescope, and a word's sum moves by at
+    most 2 max |u|."""
+    d = len(f1) // 2
+    return {w: f1[w[0]] + u[w[1:]] - u[w[:-1]] for w in brute_words(d, k)}
 
 
 def exact_rational_count_check(d, n):

@@ -334,6 +334,19 @@ class TestSubcommands:
         assert [s["name"] for s in amenability["slacks"]] == ["gap(beta=0)"]
         assert payload["reports"]["half_bound"]["verdict"] == "holds"
 
+    def test_diagnose_gibbs_check_on_a_huge_psi(self, capsys, tmp_path):
+        # e^800 overflows a float: the Gibbs check must solve on the
+        # tilted weights, as every pressure does
+        ini = tmp_path / "huge.ini"
+        ini.write_text(Z2 + "\n[psi]\nletters = 800, 799\n")
+        code, payload, _ = run_cli(capsys, [
+            "diagnose", "--config", str(ini), "--beta-range=0:1:1"])
+        assert code == 0
+        assert payload["self_verified"] is True
+        gibbs = payload["reports"]["gibbs"]
+        assert gibbs["verdict"] == "verified"
+        assert 800 < gibbs["quantities"][0]["value"] < 801
+
     def test_sigma_factor_scales_tolerances(self, capsys, tmp_path):
         # on FK3 the restricted values are extrapolated, so their sigmas
         # are positive and the factor shows in every slack tolerance

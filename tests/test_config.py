@@ -9,6 +9,7 @@ import oracles
 from freeshift import (FiniteQuotient, FreeAbelianQuotient, FreeKillQuotient,
                        GeometricPotential, ValidationError, default_beta_grid,
                        delta, load_config)
+from freeshift import diagnostics, pressure, spectra
 from freeshift.config import parse_number
 
 MINIMAL = """\
@@ -41,6 +42,13 @@ class TestMinimal:
         assert cfg.tol_eigen == 1e-13 and cfg.tol_bisection == 1e-10
         assert cfg.seed == 0
         assert cfg.describe_quotient() == "none"
+
+    def test_defaults_are_the_library_defaults(self, tmp_path):
+        # one constant per default: the config reads the library's own
+        cfg = load_config(_write(tmp_path, MINIMAL))
+        assert cfg.sigma_factor is diagnostics.SIGMA_FACTOR
+        assert cfg.tol_bisection is spectra.DEFAULT_U_TOL
+        assert cfg.max_states is pressure.FIBER_MAX_STATES
 
     def test_hash_is_of_raw_bytes(self, tmp_path):
         path = _write(tmp_path, MINIMAL)

@@ -332,6 +332,19 @@ class TestGibbs:
         slacks = {s["name"]: s["slack"] for s in rep.slacks}
         assert slacks["level-mass defect"] == 1e-10 - max(defects)
 
+    @pytest.mark.parametrize("c", [800.0, -800.0])
+    def test_constant_shift_moves_pressure_alone(self, c):
+        # e^(f + c) leaves the float range for c = 800, and e^(-f - c) for
+        # c = -800; the tilted solve sees neither, so only P moves
+        f = Potential(3, 1, np.random.default_rng(31).uniform(-2, 2, 6))
+        data, _ = gibbs_verify(f)
+        shifted, rep = gibbs_verify(Potential(3, 1, f.values + c))
+        assert abs(shifted.pressure - (data.pressure + c)) <= 1e-9
+        assert shifted.c_hat == pytest.approx(data.c_hat, abs=1e-12)
+        assert np.abs(shifted.transition - data.transition).max() <= 1e-12
+        assert np.abs(shifted.initial - data.initial).max() <= 1e-12
+        assert rep.classification == "verified"
+
     def test_rejects_deeper_potentials(self):
         with pytest.raises(ValidationError, match="depth-1"):
             gibbs_verify(Potential.constant(2, 0.0, depth=2))

@@ -6,6 +6,7 @@ is referenced somewhere in the package, every attribute a class sets on
 ``self`` (every field of a record class) is read somewhere, every name the
 package exports has a reader outside the tests, no runtime check is an
 ``assert`` (``python -O`` strips those; checks raise typed errors), no
+module but pressure.py names the Perron engine ``_perron_batch``, no
 module loads native code the runs do not need (hashlib's OpenSSL,
 numpy.random, numpy.ma), and no module imports ``dataclasses``, whose
 classes generate their methods with ``exec`` in every process that imports
@@ -238,6 +239,44 @@ def test_check_detects_a_scope_choice():
                      "    return isinstance(q, FreeAbelianQuotient)\n")
     assert _scope_choices(tree) == {"quotients", "growth_rate",
                                     "has_exact_route", "FreeAbelianQuotient"}
+
+
+def _engine_names(tree):
+    """Lines that name the batched Perron engine ``_perron_batch``: a name,
+    an attribute or an imported alias."""
+    lines = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == "_perron_batch"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "_perron_batch"):
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.split(".")[-1] == "_perron_batch"
+                for alias in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_perron_engine_stays_in_pressure():
+    # every Perron solve above pressure.py goes through pressure_rows (or
+    # perron_eigen), so the tilt and the Perron call shape live in one place
+    found = {p.name: _engine_names(ast.parse(p.read_text(encoding="utf-8"),
+                                             filename=str(p)))
+             for p in MODULES if p.name != "pressure.py"}
+    found = {name: lines for name, lines in found.items() if lines}
+    assert not found, f"_perron_batch named outside pressure.py: {found}"
+
+
+def test_check_detects_a_perron_engine_import():
+    text = (SRC / "diagnostics.py").read_text(encoding="utf-8")
+    assert not _engine_names(ast.parse(text))
+    lines = text.count("\n")
+    copy = text + ("\nfrom .pressure import _perron_batch as engine\n"
+                   "from . import pressure\n"
+                   "rho = pressure._perron_batch(M, w, 1e-13)[0]\n")
+    assert _engine_names(ast.parse(copy)) == [lines + 2, lines + 4]
+    assert _engine_names(ast.parse((SRC / "pressure.py").read_text(
+        encoding="utf-8")))
 
 
 def _asserts(tree):

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import freeshift.pressure as pressure_mod
 from freeshift import (GeometricPotential, Potential, ValidationError,
-                       boundary_completion, combine, load_potential_csv,
-                       random_inverse_symmetric, window_states)
+                       boundary_completion, combine, inverse_word,
+                       load_potential_csv, random_inverse_symmetric,
+                       window_states)
+from freeshift.potentials import _window_inverse
+from freeshift.pressure import twisted_rows
 
 
 def _random_table(d, depth, rng):
@@ -152,6 +156,35 @@ class TestSymmetry:
                 vals[w] = rng.uniform(-1, 1)
         p = Potential.from_table(2, 2, vals)
         assert p.is_inverse_symmetric()
+
+    @pytest.mark.parametrize("d, depth", [(2, 1), (2, 3), (3, 2)])
+    def test_one_cached_inversion_table(self, d, depth):
+        # the predicate and the twisted route read the same cached table,
+        # an involution that matches inverse_word window by window
+        windows, index = window_states(d, depth)
+        inverse = _window_inverse(d, depth)
+        assert inverse.tolist() == [index[inverse_word(w)] for w in windows]
+        assert (inverse[inverse] == np.arange(len(windows))).all()
+        assert _window_inverse(d, depth) is inverse
+        rng = np.random.default_rng(depth)
+        for _ in range(5):
+            t = rng.integers(0, 2, size=len(windows)).astype(float)
+            for vals in (t, t + t[inverse]):
+                want = all(vals[index[w]] == vals[index[inverse_word(w)]]
+                           for w in windows)
+                assert Potential(d, depth, vals).is_inverse_symmetric() \
+                    == want
+
+    def test_scope_rows_passes_the_cached_table(self, z2, monkeypatch):
+        seen = []
+
+        def spy(pattern, G, inverse, *args):
+            seen.append(inverse)
+            return twisted_rows(pattern, G, inverse, *args)
+        monkeypatch.setattr(pressure_mod, "twisted_rows", spy)
+        evaluate = pressure_mod.scope_rows(2, 2, z2)[0]
+        evaluate(np.zeros((1, 12)))
+        assert len(seen) == 1 and seen[0] is _window_inverse(2, 2)
 
 
 class TestCombine:
